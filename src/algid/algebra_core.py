@@ -153,10 +153,6 @@ class Msc:
         """Row-major entries, matching the generic names a1..a4, b1..b4."""
         return tuple(x for row in self.rows for x in row)
 
-    def generic_assignment(self) -> dict:
-        names = [n for row in GENERIC_NAMES for n in row]
-        return dict(zip(names, self.entries_flat()))
-
     # -- algebra operations ---------------------------------------------------
 
     def product(self, u: Vec, v: Vec) -> Vec:

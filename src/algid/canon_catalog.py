@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra_core import Msc
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
     UnknownFamily,
     UnknownIdentity,
 )
-from .exactnum import QQ, Field, Scalar
+from .exactnum import Field, Scalar
 from .multipoly import (
     MultiPoly,
     SqrtUnavailable,
@@ -78,6 +78,52 @@ def _has_sqrt(text: str) -> bool:
 
 def scalar_text(s: Scalar) -> str:
     return str(s.value)
+
+
+def _point_label(base: str, frees: Sequence[str],
+                 point: Tuple[Scalar, ...]) -> str:
+    if not point:
+        return base
+    at = ", ".join("%s=%s" % (f, scalar_text(v)) for f, v in zip(frees, point))
+    return "%s @ %s" % (base, at)
+
+
+def _conditions_hold(field: Field, env: Dict[str, Scalar],
+                     nonzero: Sequence[str], zero: Sequence[str]) -> bool:
+    for text in nonzero:
+        if eval_expr(_node(text), field, env).is_zero():
+            return False
+    for text in zero:
+        if not eval_expr(_node(text), field, env).is_zero():
+            return False
+    return True
+
+
+def _parameter_points(field: Field, frees: Sequence[str],
+                      samples: Sequence[Tuple[str, ...]],
+                      nonzero: Sequence[str],
+                      zero: Sequence[str]) -> List[Tuple[Scalar, ...]]:
+    """The parameter points of a table row over `field` that meet its side
+    conditions.
+
+    Over the rationals: the single point of a parameter-free row, else the
+    frozen sample points (none when the row has no samples).  Over a finite
+    field every assignment of the frees, in lexicographic order.
+    """
+    if field.kind == "Q":
+        if not frees:
+            pts = [()]
+        else:
+            pts = [tuple(eval_expr(_node(t), field, {}) for t in sample)
+                   for sample in samples]
+    else:
+        if field.p ** len(frees) > _ENUM_LIMIT:
+            raise SearchSpaceTooLarge(
+                "%d parameter points over F_%d is over the enumeration limit"
+                % (field.p ** len(frees), field.p))
+        pts = list(itertools.product(field.elements(), repeat=len(frees)))
+    return [pt for pt in pts
+            if _conditions_hold(field, dict(zip(frees, pt)), nonzero, zero)]
 
 
 @dataclass(frozen=True)
@@ -318,15 +364,6 @@ class ClaimedRow:
         polys = [expr_to_poly(_node(a), field, env) for a in self.args]
         return fam.instantiate_poly(field, polys)
 
-    def _conditions_hold(self, field: Field, env: Dict[str, Scalar]) -> bool:
-        for text in self.nonzero:
-            if eval_expr(_node(text), field, env).is_zero():
-                return False
-        for text in self.zero:
-            if not eval_expr(_node(text), field, env).is_zero():
-                return False
-        return True
-
     def _instance_at(self, field: Field, point: Tuple[Scalar, ...]) -> "ClaimInstance":
         env = dict(zip(self.frees, point))
         try:
@@ -351,29 +388,9 @@ class ClaimedRow:
         conditions are pruned; argument evaluation failures become skipped
         instances carrying the reason.
         """
-        if field.kind == "Q":
-            if self.samples:
-                pts = [
-                    tuple(eval_expr(_node(t), field, {}) for t in sample)
-                    for sample in self.samples
-                ]
-            elif not self.frees:
-                pts = [()]
-            else:
-                return []
-        else:
-            if field.p ** len(self.frees) > _ENUM_LIMIT:
-                raise SearchSpaceTooLarge(
-                    "%d parameter points over F_%d is over the enumeration limit"
-                    % (field.p ** len(self.frees), field.p))
-            pts = list(itertools.product(field.elements(), repeat=len(self.frees)))
-        out = []
-        for pt in pts:
-            env = dict(zip(self.frees, pt))
-            if not self._conditions_hold(field, env):
-                continue
-            out.append(self._instance_at(field, pt))
-        return out
+        pts = _parameter_points(field, self.frees, self.samples,
+                                self.nonzero, self.zero)
+        return [self._instance_at(field, pt) for pt in pts]
 
 
 @dataclass(frozen=True)
@@ -392,14 +409,7 @@ class ClaimInstance:
                 self.row.family,
                 ", ".join(scalar_text(v) for v in self.arg_values),
             )
-        base = self.row.label()
-        if self.point:
-            at = ", ".join(
-                "%s=%s" % (f, scalar_text(v))
-                for f, v in zip(self.row.frees, self.point)
-            )
-            return "%s @ %s" % (base, at)
-        return base
+        return _point_label(self.row.label(), self.row.frees, self.point)
 
 
 # Frozen rational sample pools for the radical rows (each value makes the
@@ -1041,33 +1051,12 @@ class OppositeRow:
         return all(poly_ok(_node(t)) for t in self._texts())
 
     def instances(self, field: Field) -> List["OppositeInstance"]:
-        if field.kind == "Q":
-            pts = [
-                tuple(eval_expr(_node(t), field, {}) for t in sample)
-                for sample in self.samples
-            ]
-            if not self.frees:
-                pts = [()]
-        else:
-            if field.p ** len(self.frees) > _ENUM_LIMIT:
-                raise SearchSpaceTooLarge(
-                    "%d parameter points over F_%d is over the enumeration limit"
-                    % (field.p ** len(self.frees), field.p))
-            pts = list(itertools.product(field.elements(), repeat=len(self.frees)))
-        out = []
-        for pt in pts:
-            env = dict(zip(self.frees, pt))
-            keep = True
-            for text in self.nonzero:
-                if eval_expr(_node(text), field, env).is_zero():
-                    keep = False
-                    break
-            if not keep:
-                continue
-            out.append(self._instance_at(field, pt, env))
-        return out
+        pts = _parameter_points(field, self.frees, self.samples,
+                                self.nonzero, ())
+        return [self._instance_at(field, pt) for pt in pts]
 
-    def _instance_at(self, field, pt, env) -> "OppositeInstance":
+    def _instance_at(self, field, pt) -> "OppositeInstance":
+        env = dict(zip(self.frees, pt))
         try:
             src_vals = tuple(eval_expr(_node(a), field, env)
                              for a in self.source_args)
@@ -1100,14 +1089,7 @@ class OppositeInstance:
     skip_reason: str
 
     def label(self) -> str:
-        base = self.row.label()
-        if self.point:
-            at = ", ".join(
-                "%s=%s" % (f, scalar_text(v))
-                for f, v in zip(self.row.frees, self.point)
-            )
-            return "%s @ %s" % (base, at)
-        return base
+        return _point_label(self.row.label(), self.row.frees, self.point)
 
 
 def _opp(src, src_args, kind, img, img_args, frees=(), witness=None, nz=(),
@@ -1288,12 +1270,6 @@ SELF_OPPOSITE: Dict[str, Tuple[ClaimedRow, ...]] = {
     ),
 }
 
-# Frozen rational points for the parametric self-opposite rows over the
-# rationals (two frees -> pairs, one free -> singletons).
-SELF_OPPOSITE_POINTS_2 = (("1", "1"), ("2", "3"), ("-1", "2"),
-                          ("1/2", "5"), ("3", "-2"))
-SELF_OPPOSITE_POINTS_1 = (("1",), ("2",), ("-1",), ("1/2",), ("4",))
-
 
 # ---------------------------------------------------------------------------
 # Negative spot-check selection
@@ -1319,7 +1295,7 @@ def row_covers(row: ClaimedRow, field: Field, candidate: Msc) -> bool:
         vals = tuple(eval_expr(_node(a), field, env) for a in row.args)
     except (SqrtUnavailable, DivisionByZero):
         return False
-    if not row._conditions_hold(field, env):
+    if not _conditions_hold(field, env, row.nonzero, row.zero):
         return False
     try:
         built = fam.instantiate(field, vals)

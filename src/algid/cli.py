@@ -423,7 +423,8 @@ def scan(field_spec, identity_sel, mode, as_json):
 @click.option("--field", "field_spec", default=None,
               help="Override the target's default field (e.g. F5 for the "
                    "characteristic-5 Jordan rows).")
-@click.option("--threads", type=int, default=None)
+@click.option("--threads", type=int, default=None,
+              help="accepted for compatibility; has no effect")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--no-timestamp", "no_timestamp", is_flag=True)
 def verify_paper(target, field_spec, threads, as_json, no_timestamp):
@@ -431,8 +432,7 @@ def verify_paper(target, field_spec, threads, as_json, no_timestamp):
     fld = _parse_field(field_spec) if field_spec else None
     targets = [target] if target else list(TARGETS)
     try:
-        reports = [verify_theorem(t, field=fld, threads=threads)
-                   for t in targets]
+        reports = [verify_theorem(t, field=fld) for t in targets]
     except AlgidError as exc:
         raise _InputError(str(exc))
     ok = all(r.ok for r in reports)

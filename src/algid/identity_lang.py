@@ -67,7 +67,9 @@ class Identity:
 # -- parsing -------------------------------------------------------------------
 
 
-def _tokenize(text: str):
+def tokenize(text: str, ops: str):
+    """(position, kind, text) tokens: integers, names and the single-character
+    operators in `ops`; any other non-space character is a syntax error."""
     toks, i, n = [], 0, len(text)
     while i < n:
         ch = text[i]
@@ -85,7 +87,7 @@ def _tokenize(text: str):
                 j += 1
             toks.append((i, "name", text[i:j]))
             i = j
-        elif ch in "+-*^=()[],":
+        elif ch in ops:
             toks.append((i, ch, ch))
             i += 1
         else:
@@ -106,7 +108,7 @@ def _unwrap(s: Sum) -> Node:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.toks = _tokenize(text)
+        self.toks = tokenize(text, "+-*^=()[],")
         self.pos = 0
 
     def peek(self):

@@ -13,6 +13,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import AlgidError, DivisionByZero, FieldMismatch, IdentitySyntaxError
 from .exactnum import Field, Scalar, sqrt
+from .identity_lang import tokenize
 
 Monomial = Tuple[Tuple[str, int], ...]
 
@@ -244,35 +245,9 @@ class MultiPoly:
 _Node = tuple
 
 
-def _tokenize_expr(text: str):
-    toks, i, n = [], 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append((i, "int", text[i:j]))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "'"):
-                j += 1
-            toks.append((i, "name", text[i:j]))
-            i = j
-        elif ch in "+-*/^()":
-            toks.append((i, ch, ch))
-            i += 1
-        else:
-            raise IdentitySyntaxError(i, f"unexpected character {ch!r}")
-    return toks
-
-
 def parse_expr(text: str) -> _Node:
     """Parse the mini-language into a tuple tree (no field binding yet)."""
-    toks = _tokenize_expr(text)
+    toks = tokenize(text, "+-*/^()")
     pos = 0
 
     def peek():

@@ -5,19 +5,15 @@ Reports never auto-correct the tables they check: a claimed row that does not
 hold is reported as a failure with the concrete witness (and, when the row is
 a documented discrepancy, a cross-reference note), a row whose instantiation
 needs a square root or an inverse the field cannot provide is reported as
-skipped with the reason.  Row order inside a report is deterministic and
-independent of the thread count.
+skipped with the reason.  Reports are built in one sequential pass, so row
+order is the table order.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .algebra_core import Msc, Vec, change_basis, conjugates_to
 from .canon_catalog import (
@@ -62,6 +58,9 @@ from .identity_lang import (
     word_leaves,
 )
 from .multipoly import MultiPoly, parse_poly, render_monomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _GL_ENUM_LIMIT = 20000
 
@@ -173,11 +172,6 @@ def search_iso(A: Msc, B: Msc):
         if conjugates_to(A, B, g):
             return g
     return None
-
-
-def _matrix_text(g) -> str:
-    return "[[%s, %s], [%s, %s]]" % (
-        g[0][0].value, g[0][1].value, g[1][0].value, g[1][1].value)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +293,8 @@ def _scan_polys(p: int, ident: Identity, mode: str) -> List[MultiPoly]:
 def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
     """Boolean satisfaction vector over all p^8 structure-constant matrices,
     indexed by the row-major digit encoding a1..b4 (a1 most significant)."""
+    import numpy as np
+
     if p not in SCAN_PRIMES:
         raise UnsupportedPrime(
             "scans enumerate p^8 algebras; supported primes: %s"
@@ -414,29 +410,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("ALGID_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def _run_ordered(tasks: Sequence[Callable[[], List[ReportRow]]],
-                 threads: Optional[int]) -> List[ReportRow]:
-    n = _thread_count(threads)
-    rows: List[ReportRow] = []
-    if n <= 1 or len(tasks) <= 1:
-        for t in tasks:
-            rows.extend(t())
-        return rows
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        for chunk in ex.map(lambda t: t(), tasks):
-            rows.extend(chunk)
-    return rows
-
-
 # --- membership ---------------------------------------------------------------
 
 
@@ -490,14 +463,14 @@ def _membership_rows(regime: str, name: str, field: Field) -> List[ReportRow]:
 
 
 def verify_identities(regime: str, field: Field,
-                      identities: Optional[Sequence[str]] = None,
-                      threads: Optional[int] = None) -> List[ReportRow]:
+                      identities: Optional[Sequence[str]] = None
+                      ) -> List[ReportRow]:
     names = list(identities) if identities else [
         "I%d" % k for k in range(1, 31)]
-    tasks = [
-        (lambda nm=nm: _membership_rows(regime, nm, field)) for nm in names
-    ]
-    return _run_ordered(tasks, threads)
+    rows: List[ReportRow] = []
+    for name in names:
+        rows.extend(_membership_rows(regime, name, field))
+    return rows
 
 
 def _coincidence_rows(field: Field) -> List[ReportRow]:
@@ -590,14 +563,10 @@ def _opposite_row_report(row: OppositeRow, field: Field) -> List[ReportRow]:
     return [ReportRow(section, row.label(), PASS, detail)]
 
 
-def verify_opposite(regime: str, field: Field,
-                    threads: Optional[int] = None) -> List[ReportRow]:
+def verify_opposite(regime: str, field: Field) -> List[ReportRow]:
     rows = [_involution_row(field)]
-    tasks = [
-        (lambda r=r: _opposite_row_report(r, field))
-        for r in OPPOSITE_TABLES[regime]
-    ]
-    rows.extend(_run_ordered(tasks, threads))
+    for row in OPPOSITE_TABLES[regime]:
+        rows.extend(_opposite_row_report(row, field))
     return rows
 
 
@@ -641,14 +610,13 @@ def _self_opposite_row_report(row: ClaimedRow, field: Field) -> List[ReportRow]:
                       "witness found for all %d instance(s)" % witnessed)]
 
 
-def verify_self_opposite(threads: Optional[int] = None) -> List[ReportRow]:
-    tasks = []
+def verify_self_opposite() -> List[ReportRow]:
+    rows: List[ReportRow] = []
     for regime in REGIMES:
         fld = SELF_OPPOSITE_FIELDS[regime]
         for row in SELF_OPPOSITE[regime]:
-            tasks.append(
-                (lambda r=row, f=fld: _self_opposite_row_report(r, f)))
-    return _run_ordered(tasks, threads)
+            rows.extend(_self_opposite_row_report(row, fld))
+    return rows
 
 
 # --- worked computations -------------------------------------------------------
@@ -830,8 +798,9 @@ def _rows_alternating() -> List[ReportRow]:
     return out
 
 
-def verify_section3(threads: Optional[int] = None) -> List[ReportRow]:
-    tasks = [
+def verify_section3() -> List[ReportRow]:
+    rows: List[ReportRow] = []
+    for build in (
         _rows_generic_laws,
         _rows_commutator_forms,
         _rows_worked_a9,
@@ -839,52 +808,43 @@ def verify_section3(threads: Optional[int] = None) -> List[ReportRow]:
         _rows_worked_a11,
         _rows_worked_a12,
         _rows_alternating,
-    ]
-    return _run_ordered(tasks, threads)
+    ):
+        rows.extend(build())
+    return rows
 
 
 # --- target dispatch -----------------------------------------------------------
 
-TARGETS = (
-    "Char0Identities",
-    "Char2Identities",
-    "Char3Identities",
-    "Opp41",
-    "Opp43",
-    "Opp45",
-    "SelfOppositeCorollaries",
-    "Section3Computations",
-)
+
+def _char2_identities(field: Field) -> List[ReportRow]:
+    return verify_identities(REGIME_CHAR2, field) + _coincidence_rows(field)
+
+
+# target -> (default field, row builder taking the report's field)
+_TARGET_TABLE = {
+    "Char0Identities": (QQ, lambda f: verify_identities(REGIME_CHAR0, f)),
+    "Char2Identities": (F2, _char2_identities),
+    "Char3Identities": (F3, lambda f: verify_identities(REGIME_CHAR3, f)),
+    "Opp41": (QQ, lambda f: verify_opposite(REGIME_CHAR0, f)),
+    "Opp43": (F2, lambda f: verify_opposite(REGIME_CHAR2, f)),
+    "Opp45": (F3, lambda f: verify_opposite(REGIME_CHAR3, f)),
+    "SelfOppositeCorollaries": (QQ, lambda f: verify_self_opposite()),
+    "Section3Computations": (QQ, lambda f: verify_section3()),
+}
+
+TARGETS = tuple(_TARGET_TABLE)
 
 
 def verify_theorem(target: str, field: Optional[Field] = None,
                    threads: Optional[int] = None) -> Report:
-    """Build the verification report for one named claim group."""
-    if target == "Char0Identities":
-        fld = field or QQ
-        rows = verify_identities(REGIME_CHAR0, fld, threads=threads)
-        return Report(target, fld, rows)
-    if target == "Char2Identities":
-        fld = field or F2
-        rows = verify_identities(REGIME_CHAR2, fld, threads=threads)
-        rows.extend(_coincidence_rows(fld))
-        return Report(target, fld, rows)
-    if target == "Char3Identities":
-        fld = field or F3
-        rows = verify_identities(REGIME_CHAR3, fld, threads=threads)
-        return Report(target, fld, rows)
-    if target == "Opp41":
-        fld = field or QQ
-        return Report(target, fld, verify_opposite(REGIME_CHAR0, fld, threads))
-    if target == "Opp43":
-        fld = field or F2
-        return Report(target, fld, verify_opposite(REGIME_CHAR2, fld, threads))
-    if target == "Opp45":
-        fld = field or F3
-        return Report(target, fld, verify_opposite(REGIME_CHAR3, fld, threads))
-    if target == "SelfOppositeCorollaries":
-        return Report(target, field or QQ, verify_self_opposite(threads))
-    if target == "Section3Computations":
-        return Report(target, field or QQ, verify_section3(threads))
-    raise AlgidError(
-        "unknown target %r (known: %s)" % (target, ", ".join(TARGETS)))
+    """Build the verification report for one named claim group.
+
+    `threads` is accepted for compatibility and has no effect: every report
+    is built in one sequential pass.
+    """
+    if target not in _TARGET_TABLE:
+        raise AlgidError(
+            "unknown target %r (known: %s)" % (target, ", ".join(TARGETS)))
+    default_field, build = _TARGET_TABLE[target]
+    fld = field or default_field
+    return Report(target, fld, build(fld))

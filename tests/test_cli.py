@@ -1,11 +1,15 @@
 """Command-line behavior: exit codes, text output, and JSON schemas."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 from jsonschema import validate
 
+import algid
 from algid.canon_catalog import family
 from algid.cli import main
 from algid.exactnum import F2, QQ
@@ -392,6 +396,14 @@ class TestVerifyPaper:
         many = runner.invoke(main, args, env={"ALGID_THREADS": "8"})
         assert one.output == many.output
 
+    def test_non_numeric_thread_env_is_ignored(self):
+        args = ["verify-paper", "--target", "Opp41", "--no-timestamp"]
+        plain = runner.invoke(main, args)
+        odd = runner.invoke(main, args, env={"ALGID_THREADS": "abc"})
+        assert odd.exception is None
+        assert odd.exit_code == 0
+        assert odd.output == plain.output
+
     def test_field_override_for_char5(self):
         r = runner.invoke(main, ["verify-paper", "--target", "Char0Identities",
                                  "--field", "F5", "--json", "--no-timestamp"])
@@ -432,3 +444,15 @@ class TestAlternating:
 
     def test_dimension_guard(self):
         assert runner.invoke(main, ["alternating", "--m", "3"]).exit_code == 2
+
+
+def test_cli_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(algid.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import algid.cli, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
