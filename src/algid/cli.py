@@ -96,7 +96,12 @@ def _resolve_algebra(algebra_path: Optional[str], family_name: Optional[str],
     if algebra_path and family_name:
         raise _InputError("give either --algebra or --family, not both")
     if algebra_path:
-        return _load_algebra(algebra_path)
+        A = _load_algebra(algebra_path)
+        fld = _parse_field(field_spec, A.field)
+        if fld != A.field:
+            raise _InputError(
+                f"--field {fld} differs from the field {A.field} of {algebra_path}")
+        return A
     if family_name:
         fld = _parse_field(field_spec)
         try:

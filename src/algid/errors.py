@@ -25,6 +25,10 @@ class FieldMismatch(AlgidError):
     pass
 
 
+class InexactScalar(AlgidError):
+    """A float or boolean where an exact field element is required."""
+
+
 class DimensionMismatch(AlgidError):
     pass
 

@@ -11,7 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import DivisionByZero, FieldMismatch, NonPrimeModulus, UnsupportedModulus
+from .errors import (
+    DivisionByZero,
+    FieldMismatch,
+    InexactScalar,
+    NonPrimeModulus,
+    UnsupportedModulus,
+)
 
 MAX_MODULUS = 2**31
 
@@ -77,13 +83,22 @@ class Field:
         return "Q" if self.kind == "Q" else f"F{self.p}"
 
     def scalar(self, value: Union[int, str, Fraction, "Scalar"]) -> "Scalar":
-        """Coerce an int, Fraction, "num/den" string or Scalar into this field."""
+        """Coerce an int, Fraction, "num/den" string or Scalar into this field.
+
+        Floats and booleans are rejected: neither is an exact field element.
+        """
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch(f"{value} is not a {self} scalar")
             return value
+        if isinstance(value, (bool, float)):
+            raise InexactScalar(f"{value!r} is not an exact scalar; "
+                                "write an integer or a 'num/den' string")
         if isinstance(value, str):
-            value = Fraction(value)
+            try:
+                value = Fraction(value)
+            except ZeroDivisionError:
+                raise DivisionByZero(f"zero denominator in {value!r}") from None
         if self.kind == "Q":
             return Scalar(self, Fraction(value))
         p = self.p

@@ -66,6 +66,11 @@ class Identity:
 
 # -- parsing -------------------------------------------------------------------
 
+# Bracket nesting allowed in parsed text (both parsers).  Deeper input is a
+# syntax error rather than a RecursionError in the parser or in the tree
+# walks after it.
+MAX_NESTING = 100
+
 
 def tokenize(text: str, ops: str):
     """(position, kind, text) tokens: integers, names and the single-character
@@ -110,6 +115,7 @@ class _Parser:
         self.text = text
         self.toks = tokenize(text, "+-*^=()[],")
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (len(self.text), "end", "")
@@ -120,6 +126,16 @@ class _Parser:
             raise IdentitySyntaxError(tok[0], f"expected {kind!r}, got {tok[2] or 'end of input'!r}")
         self.pos += 1
         return tok
+
+    def nested_sum(self, opener) -> Node:
+        """A bracketed sub-sum; `opener` is the bracket's token."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise IdentitySyntaxError(
+                opener[0], f"brackets nested deeper than {MAX_NESTING} levels")
+        node = _unwrap(self.sum())
+        self.depth -= 1
+        return node
 
     def identity(self, name: str) -> Identity:
         lhs = self.sum()
@@ -180,16 +196,16 @@ class _Parser:
             node: Node = Var(tok[2])
         elif tok[1] == "(":
             self.take()
-            node = _unwrap(self.sum())
+            node = self.nested_sum(tok)
             self.take(")")
         elif tok[1] == "[":
             self.take()
-            args = [_unwrap(self.sum())]
+            args = [self.nested_sum(tok)]
             self.take(",")
-            args.append(_unwrap(self.sum()))
+            args.append(self.nested_sum(tok))
             if self.peek()[1] == ",":
                 self.take()
-                args.append(_unwrap(self.sum()))
+                args.append(self.nested_sum(tok))
             self.take("]")
             node = Comm(*args) if len(args) == 2 else Assoc(*args)
         else:

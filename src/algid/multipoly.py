@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import AlgidError, DivisionByZero, FieldMismatch, IdentitySyntaxError
 from .exactnum import Field, Scalar, sqrt
-from .identity_lang import tokenize
+from .identity_lang import MAX_NESTING, tokenize
 
 Monomial = Tuple[Tuple[str, int], ...]
 
@@ -248,7 +248,7 @@ _Node = tuple
 def parse_expr(text: str) -> _Node:
     """Parse the mini-language into a tuple tree (no field binding yet)."""
     toks = tokenize(text, "+-*/^()")
-    pos = 0
+    pos = depth = 0
 
     def peek():
         return toks[pos] if pos < len(toks) else (len(text), "end", "")
@@ -260,6 +260,17 @@ def parse_expr(text: str) -> _Node:
             raise IdentitySyntaxError(tok[0], f"expected {kind!r}, got {tok[2]!r}")
         pos += 1
         return tok
+
+    def nested(tok, parse):
+        """parse() one level deeper than `tok`, within MAX_NESTING."""
+        nonlocal depth
+        depth += 1
+        if depth > MAX_NESTING:
+            raise IdentitySyntaxError(
+                tok[0], f"expression nested deeper than {MAX_NESTING} levels")
+        node = parse()
+        depth -= 1
+        return node
 
     def expr():
         node = term()
@@ -283,8 +294,7 @@ def parse_expr(text: str) -> _Node:
 
     def unary():
         if peek()[1] == "-":
-            take()
-            return ("neg", unary())
+            return ("neg", nested(take(), unary))
         return power()
 
     def power():
@@ -303,14 +313,12 @@ def parse_expr(text: str) -> _Node:
         if tok[1] == "name":
             take()
             if tok[2] == "sqrt":
-                take("(")
-                inner = expr()
+                inner = nested(take("("), expr)
                 take(")")
                 return ("sqrt", inner)
             return ("var", tok[2])
         if tok[1] == "(":
-            take()
-            inner = expr()
+            inner = nested(take(), expr)
             take(")")
             return inner
         raise IdentitySyntaxError(tok[0], f"unexpected token {tok[2]!r}")

@@ -152,9 +152,27 @@ def check_iso(A: Msc, B: Msc, g) -> bool:
     return conjugates_to(A, B, g)
 
 
+def _conjugates_mod_p(a, b, g, p: int) -> bool:
+    """g.a == b.(g (x) g) mod p on residue rows, stopping at the first
+    mismatched entry.  Column (j, l) of g (x) g is column j of g tensored
+    with column l, the layout of mat_kron."""
+    (g11, g12), (g21, g22) = g
+    cols = ((g11, g21), (g12, g22))
+    for c, ((x1, x2), (y1, y2)) in enumerate(
+            itertools.product(cols, repeat=2)):
+        k = (x1 * y1, x1 * y2, x2 * y1, x2 * y2)
+        for (r0, r1), brow in zip(g, b):
+            lhs = r0 * a[0][c] + r1 * a[1][c]
+            rhs = brow[0] * k[0] + brow[1] * k[1] + brow[2] * k[2] + brow[3] * k[3]
+            if (lhs - rhs) % p:
+                return False
+    return True
+
+
 def search_iso(A: Msc, B: Msc):
     """First change of basis (in lexicographic entry order) carrying A to B,
-    or None.  Exhaustive over GL_2 of a small finite field."""
+    or None.  Exhaustive over GL_2 of a small finite field; A and B need
+    concrete structure constants, which are compared as residues mod p."""
     f = A.field
     if B.field != f:
         raise FieldMismatch("cannot search between different fields")
@@ -164,13 +182,17 @@ def search_iso(A: Msc, B: Msc):
         raise SearchSpaceTooLarge(
             "GL2(F_%d) enumeration (%d matrices) is over the limit"
             % (f.p, f.p ** 4))
-    elems = list(f.elements())
-    for g11, g12, g21, g22 in itertools.product(elems, repeat=4):
-        if (g11 * g22 - g12 * g21).is_zero():
+    if not (A.is_concrete() and B.is_concrete()):
+        raise AlgidError("isomorphism search needs concrete structure constants")
+    p = f.p
+    a = [[x.value for x in row] for row in A.rows]
+    b = [[x.value for x in row] for row in B.rows]
+    for g11, g12, g21, g22 in itertools.product(range(p), repeat=4):
+        if (g11 * g22 - g12 * g21) % p == 0:
             continue
         g = ((g11, g12), (g21, g22))
-        if conjugates_to(A, B, g):
-            return g
+        if _conjugates_mod_p(a, b, g, p):
+            return tuple(tuple(f.scalar(x) for x in row) for row in g)
     return None
 
 

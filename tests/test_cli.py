@@ -456,3 +456,55 @@ def test_cli_import_does_not_load_numpy():
          "import algid.cli, sys; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _f3_file(tmp_path, first_entry):
+    """An F3 algebra document whose e1e1 coefficient of e1 is `first_entry`
+    (e1 e1 = e1 and every other product 0 when it is 1)."""
+    path = tmp_path / "f3.json"
+    path.write_text(json.dumps({"dim": 2, "field": {"kind": "Fp", "p": 3},
+                                "entries": [[first_entry, 0, 0, 0],
+                                            [0, 0, 0, 0]]}))
+    return str(path)
+
+
+class TestInputContracts:
+    @pytest.mark.parametrize("entry, message", [
+        ("1/0", "zero denominator"),
+        (0.1, "not an exact scalar"),
+        (True, "not an exact scalar"),
+    ])
+    def test_inexact_or_undefined_entry_is_usage_error(self, tmp_path, entry,
+                                                       message):
+        r = runner.invoke(main, ["check", "--algebra", _f3_file(tmp_path, entry),
+                                 "--identity", "I1"])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert message in r.output
+
+    def test_float_witness_is_usage_error(self, a4_file):
+        r = runner.invoke(main, ["iso", "--a", a4_file, "--b", a4_file,
+                                 "--witness", "[[0.5,1],[1,0]]"])
+        assert r.exit_code == 2
+        assert "bad witness" in r.output and "not an exact scalar" in r.output
+
+    def test_field_must_match_algebra_file(self, tmp_path):
+        path = _f3_file(tmp_path, 1)
+        r = runner.invoke(main, ["check", "--algebra", path, "--field", "F5",
+                                 "--identity", "I1"])
+        assert r.exit_code == 2
+        assert "--field F5 differs from the field F3" in r.output
+        r = runner.invoke(main, ["check", "--algebra", path, "--field", "F3",
+                                 "--identity", "I1"])
+        assert r.exit_code == 0 and r.output.strip() == "holds"
+
+    def test_deeply_nested_input_is_usage_error(self):
+        depth = 3000
+        r = runner.invoke(main, ["check", "--family", "A12", "--identity",
+                                 "(" * depth + "u" + ")" * depth + " = u"])
+        assert r.exit_code == 2
+        assert "nested deeper" in r.output
+        r = runner.invoke(main, ["catalog", "instantiate", "A4", "--args",
+                                 "(" * depth + "1" + ")" * depth + ", 0"])
+        assert r.exit_code == 2
+        assert "nested deeper" in r.output

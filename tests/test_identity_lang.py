@@ -3,6 +3,7 @@ import pytest
 from algid.errors import IdentitySyntaxError, UnknownIdentity
 from algid.identity_lang import (
     IDENTITY_TEXTS,
+    MAX_NESTING,
     NUMBERED_IDENTITIES,
     Assoc,
     Comm,
@@ -176,3 +177,18 @@ def test_builtin_catalogue():
 
 def test_identity_render_includes_zero_rhs():
     assert get_identity("jacobi-left").render() == "[u,v]*w + [v,w]*u + [w,u]*v = 0"
+
+
+def test_nesting_depth_is_bounded():
+    def parens(depth):
+        return "(" * depth + "u*v" + ")" * depth + " = v*u"
+
+    def commutators(depth):
+        return "[" * depth + "u" + ",v]" * depth
+
+    assert lhs(parens(MAX_NESTING)) == Sum(((1, Prod(u, v)),))
+    assert len(parse_identity(commutators(MAX_NESTING)).lhs.terms) == 1
+    for depth in (MAX_NESTING + 1, 3000):
+        for text in (parens(depth), commutators(depth)):
+            with pytest.raises(IdentitySyntaxError, match="nested deeper"):
+                parse_identity(text)

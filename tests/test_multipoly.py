@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from algid.errors import AlgidError, DivisionByZero, IdentitySyntaxError
 from algid.exactnum import F3, F5, QQ
+from algid.identity_lang import MAX_NESTING
 from algid.multipoly import (
     MultiPoly,
     SqrtUnavailable,
@@ -107,6 +108,21 @@ def test_poly_division_rules():
         P("a1/b1")
     with pytest.raises(DivisionByZero):
         P("a1/0")
+
+
+def test_parse_expr_nesting_depth_is_bounded():
+    def shapes(depth):
+        return ("(" * depth + "x+1" + ")" * depth,
+                "-" * depth + "x",
+                "sqrt(" * depth + "4" + ")" * depth)
+
+    for text in shapes(MAX_NESTING):
+        parse_expr(text)
+    assert P("-" * MAX_NESTING + "x") == P("x")
+    for depth in (MAX_NESTING + 1, 3000):
+        for text in shapes(depth):
+            with pytest.raises(IdentitySyntaxError, match="nested deeper"):
+                parse_expr(text)
 
 
 @st.composite

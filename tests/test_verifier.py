@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algid.algebra_core import Msc, Vec
+from algid.algebra_core import Msc, Vec, conjugates_to
 from algid.canon_catalog import REGIME_CHAR2, family
 from algid.errors import AlgidError, SearchSpaceTooLarge, UnsupportedPrime
 from algid.exactnum import F2, F3, F5, QQ, field_make
@@ -150,6 +150,48 @@ class TestIsoSearch:
         A = Msc.from_scalars(f13, [[0, 0, 0, 0], [1, 0, 0, 0]])
         with pytest.raises(SearchSpaceTooLarge):
             search_iso(A, A)
+
+
+def _lifted_search(A, B):
+    """Reference GL2 search: lifted conjugates_to over f.elements() in
+    lexicographic entry order."""
+    elems = list(A.field.elements())
+    for g11, g12, g21, g22 in itertools.product(elems, repeat=4):
+        g = ((g11, g12), (g21, g22))
+        if conjugates_to(A, B, g):
+            return g
+    return None
+
+
+class TestIsoSearchDifferential:
+    """The residue search returns the lifted reference's first witness."""
+
+    def _assert_same(self, A, B):
+        g = search_iso(A, B)
+        assert g == _lifted_search(A, B)
+        if g is not None:
+            assert conjugates_to(A, B, g)
+        return g
+
+    def test_all_f2_algebras_against_opposite(self):
+        found = [self._assert_same(A, A.opposite()) is not None
+                 for A in (msc_from_scan_index(2, i) for i in range(256))]
+        assert any(found) and not all(found)
+
+    def test_all_f2_algebras_against_fixed_partner(self):
+        partner = family("A12_2").instantiate(F2, ())
+        found = [self._assert_same(msc_from_scan_index(2, i), partner)
+                 is not None for i in range(256)]
+        assert any(found) and not all(found)
+
+    def test_sampled_f3_algebras_against_opposite(self):
+        for index in range(0, 3 ** 8, 41):
+            A = msc_from_scan_index(3, index)
+            self._assert_same(A, A.opposite())
+
+    def test_symbolic_algebras_rejected(self):
+        with pytest.raises(AlgidError):
+            search_iso(Msc.generic(F3), Msc.generic(F3))
 
 
 class TestAlternating:
