@@ -9,8 +9,11 @@ the coordinates of ei * ej.  For coordinate vectors u, v the product is
 with u (x) v the Kronecker column (u1 v1, u1 v2, u2 v1, u2 v2).
 
 Entries may be exact field scalars (a concrete algebra) or polynomials in the
-structure constants a1..a4, b1..b4 (the generic algebra); operations promote
-scalars to constant polynomials whenever the two kinds meet.
+structure constants a1..a4, b1..b4 (the generic algebra), mixed freely.  The
+promotion of a scalar to a constant polynomial lives in the Scalar and
+MultiPoly operators themselves: a scalar combines with a polynomial, and
+equals and hashes like the constant polynomial of its value, so nothing here
+converts entries before computing or comparing.
 """
 
 from __future__ import annotations
@@ -24,16 +27,6 @@ from .multipoly import MultiPoly
 Entry = Union[Scalar, MultiPoly]
 
 GENERIC_NAMES = (("a1", "a2", "a3", "a4"), ("b1", "b2", "b3", "b4"))
-
-
-def _lift(field: Field, x: Entry) -> MultiPoly:
-    if isinstance(x, MultiPoly):
-        return x
-    return MultiPoly.const(field, x)
-
-
-def _any_poly(*groups) -> bool:
-    return any(isinstance(x, MultiPoly) for g in groups for x in g)
 
 
 class Vec:
@@ -58,34 +51,29 @@ class Vec:
         return cls(field, [MultiPoly.var(field, f"{prefix}1"), MultiPoly.var(field, f"{prefix}2")])
 
     def lift(self) -> "Vec":
-        return Vec(self.field, [_lift(self.field, x) for x in self.entries])
+        """The same vector with every entry a polynomial."""
+        return Vec(self.field, [MultiPoly.coerce(self.field, x) for x in self.entries])
 
     def __add__(self, other: "Vec") -> "Vec":
-        a, b = _align_vecs(self, other)
-        return Vec(self.field, [x + y for x, y in zip(a.entries, b.entries)])
+        return Vec(self.field, [x + y for x, y in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Vec") -> "Vec":
-        a, b = _align_vecs(self, other)
-        return Vec(self.field, [x - y for x, y in zip(a.entries, b.entries)])
+        return Vec(self.field, [x - y for x, y in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Vec":
         return Vec(self.field, [-x for x in self.entries])
 
     def scale(self, c) -> "Vec":
-        if isinstance(c, MultiPoly) or _any_poly(self.entries):
-            cp = c if isinstance(c, MultiPoly) else MultiPoly.const(self.field, c)
-            return Vec(self.field, [cp * _lift(self.field, x) for x in self.entries])
-        c = self.field.scalar(c)
+        if not isinstance(c, MultiPoly):
+            c = self.field.scalar(c)
         return Vec(self.field, [c * x for x in self.entries])
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.entries)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Vec) or self.field != other.field:
-            return False
-        a, b = _align_vecs(self, other)
-        return a.entries == b.entries
+        return (isinstance(other, Vec) and self.field == other.field
+                and self.entries == other.entries)
 
     def __hash__(self) -> int:
         return hash((self.field, self.entries))
@@ -95,14 +83,6 @@ class Vec:
 
     def to_json(self) -> list:
         return [_entry_json(x) for x in self.entries]
-
-
-def _align_vecs(a: Vec, b: Vec) -> Tuple[Vec, Vec]:
-    if a.field != b.field:
-        raise FieldMismatch(f"{a.field} vs {b.field}")
-    if _any_poly(a.entries, b.entries):
-        return a.lift(), b.lift()
-    return a, b
 
 
 def _entry_json(x: Entry):
@@ -147,7 +127,9 @@ class Msc:
         return all(isinstance(x, Scalar) for row in self.rows for x in row)
 
     def lift(self) -> "Msc":
-        return Msc(self.field, [[_lift(self.field, x) for x in row] for row in self.rows])
+        """The same algebra with every entry a polynomial."""
+        return Msc(self.field,
+                   [[MultiPoly.coerce(self.field, x) for x in row] for row in self.rows])
 
     def entries_flat(self) -> Tuple[Entry, ...]:
         """Row-major entries, matching the generic names a1..a4, b1..b4."""
@@ -158,15 +140,12 @@ class Msc:
     def product(self, u: Vec, v: Vec) -> Vec:
         if u.field != self.field or v.field != self.field:
             raise FieldMismatch("vector field differs from algebra field")
-        A = self
-        if _any_poly(self.entries_flat(), u.entries, v.entries):
-            A, u, v = self.lift(), u.lift(), v.lift()
         u1, u2 = u.entries
         v1, v2 = v.entries
         tensor = (u1 * v1, u1 * v2, u2 * v1, u2 * v2)
         return Vec(
             self.field,
-            [sum_entries([A.rows[r][k] * tensor[k] for k in range(4)]) for r in range(2)],
+            [sum_entries([row[k] * tensor[k] for k in range(4)]) for row in self.rows],
         )
 
     def commutator(self, u: Vec, v: Vec) -> Vec:
@@ -182,12 +161,8 @@ class Msc:
     # -- comparisons / serialization ------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Msc) or self.field != other.field:
-            return False
-        a, b = self, other
-        if _any_poly(a.entries_flat(), b.entries_flat()):
-            a, b = a.lift(), b.lift()
-        return a.rows == b.rows
+        return (isinstance(other, Msc) and self.field == other.field
+                and self.rows == other.rows)
 
     def __hash__(self) -> int:
         return hash((self.field, self.rows))
@@ -205,7 +180,7 @@ class Msc:
             parts = []
             for r in (0, 1):
                 c = self.rows[r][k]
-                text = str(c) if isinstance(c, Scalar) else c.render()
+                text = str(c)
                 if text == "0":
                     continue
                 if text == "1":
@@ -264,9 +239,8 @@ def mat_kron(A: Sequence[Sequence[Entry]], B: Sequence[Sequence[Entry]]):
     return out
 
 
-def identity_mat(field: Field, n: int, symbolic: bool = False):
-    one = MultiPoly.const(field, 1) if symbolic else field.one()
-    zero = MultiPoly.zero(field) if symbolic else field.zero()
+def identity_mat(field: Field, n: int):
+    one, zero = field.one(), field.zero()
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
@@ -299,12 +273,4 @@ def conjugates_to(A: Msc, B: Msc, g: Sequence[Sequence[Entry]]) -> bool:
     """
     if det2(g).is_zero():
         return False
-    field = A.field
-
-    def lift_rows(M):
-        return [[_lift(field, x) for x in row] for row in M]
-
-    gl = lift_rows(g)
-    lhs = mat_mul(gl, lift_rows(A.rows))
-    rhs = mat_mul(lift_rows(B.rows), mat_kron(gl, gl))
-    return lhs == rhs
+    return mat_mul(g, A.rows) == mat_mul(B.rows, mat_kron(g, g))

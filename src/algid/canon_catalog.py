@@ -177,6 +177,15 @@ class Family:
             )
 
     def instantiate(self, field: Field, args: Sequence[Scalar]) -> Msc:
+        return self._instantiate(field, args, eval_expr)
+
+    def instantiate_poly(self, field: Field, arg_polys: Sequence[MultiPoly]) -> Msc:
+        """Template instantiation with polynomial arguments (symbolic checks)."""
+        return self._instantiate(field, arg_polys, expr_to_poly)
+
+    def _instantiate(self, field: Field, args: Sequence, evaluate) -> Msc:
+        """Evaluate every template cell with `evaluate` (eval_expr for scalar
+        entries, expr_to_poly for polynomial ones) at the bound parameters."""
         self.check_regime(field)
         if len(args) != self.arity:
             raise ParamCountMismatch(
@@ -185,22 +194,7 @@ class Family:
             )
         env = dict(zip(self.params, args))
         rows = [
-            [eval_expr(_node(cell), field, env) for cell in row]
-            for row in self.rows
-        ]
-        return Msc(field, rows)
-
-    def instantiate_poly(self, field: Field, arg_polys: Sequence[MultiPoly]) -> Msc:
-        """Template instantiation with polynomial arguments (symbolic checks)."""
-        self.check_regime(field)
-        if len(arg_polys) != self.arity:
-            raise ParamCountMismatch(
-                "family %s takes %d parameter(s), got %d"
-                % (self.name, self.arity, len(arg_polys))
-            )
-        env = dict(zip(self.params, arg_polys))
-        rows = [
-            [expr_to_poly(_node(cell), field, env) for cell in row]
+            [evaluate(_node(cell), field, env) for cell in row]
             for row in self.rows
         ]
         return Msc(field, rows)

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import click
 
-from .algebra_core import Msc
+from .algebra_core import Msc, conjugates_to
 from .canon_catalog import (
     FAMILY_ORDER,
     REGIMES,
@@ -40,7 +40,6 @@ from .verifier import (
     alternating_vanishes,
     check_formal,
     check_functional,
-    check_iso,
     scan_field,
     search_iso,
     verify_theorem,
@@ -258,7 +257,7 @@ def iso(path_a, path_b, witness_text, do_search, as_json):
                 raise ValueError("expected a 2x2 matrix")
         except (ValueError, TypeError, AlgidError) as exc:
             raise _InputError(f"bad witness: {exc}")
-        found = check_iso(A, B, g)
+        found = conjugates_to(A, B, g)
         witness_json = raw if found else None
     else:
         try:

@@ -26,7 +26,7 @@ class FieldMismatch(AlgidError):
 
 
 class InexactScalar(AlgidError):
-    """A float or boolean where an exact field element is required."""
+    """A float or boolean where an exact field element or modulus is required."""
 
 
 class DimensionMismatch(AlgidError):

@@ -134,7 +134,10 @@ def field_make(spec) -> Field:
     if isinstance(spec, dict):
         if spec.get("kind") == "Q":
             return QQ
-        return Field("Fp", int(spec["p"]))
+        p = spec["p"]
+        if isinstance(p, (bool, float)):
+            raise InexactScalar(f"modulus {p!r} is not an integer")
+        return Field("Fp", int(p))
     if isinstance(spec, str):
         if spec == "Q":
             return QQ
@@ -160,17 +163,26 @@ class Scalar:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
+    # Operators with a non-Scalar operand return NotImplemented, so Python
+    # hands a Scalar-polynomial pair to the MultiPoly side, which promotes.
+
     def __add__(self, other: "Scalar") -> "Scalar":
+        if not isinstance(other, Scalar):
+            return NotImplemented
         self._check(other)
         v = self.value + other.value
         return Scalar(self.field, v % self.field.p if self.field.kind == "Fp" else v)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
+        if not isinstance(other, Scalar):
+            return NotImplemented
         self._check(other)
         v = self.value - other.value
         return Scalar(self.field, v % self.field.p if self.field.kind == "Fp" else v)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        if not isinstance(other, Scalar):
+            return NotImplemented
         self._check(other)
         v = self.value * other.value
         return Scalar(self.field, v % self.field.p if self.field.kind == "Fp" else v)
@@ -180,16 +192,17 @@ class Scalar:
         return Scalar(self.field, v % self.field.p if self.field.kind == "Fp" else v)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
+        if not isinstance(other, Scalar):
+            return NotImplemented
         return self * inv(other)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Scalar)
-            and self.field == other.field
-            and self.value == other.value
-        )
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return self.field == other.field and self.value == other.value
 
     def __hash__(self) -> int:
+        # The constant polynomial of the same value hashes the same way.
         return hash((self.field, self.value))
 
     def __bool__(self) -> bool:

@@ -151,9 +151,8 @@ def expand(ident: Identity, A: Optional[Msc] = None, field: Optional[Field] = No
     coord_names = {f"{COORD_PREFIXES[k]}{i}" for k in range(len(varnames)) for i in (1, 2)}
     equations = []
     for row in (0, 1):
-        entry = delta.entries[row]
-        if isinstance(entry, Scalar):
-            entry = MultiPoly.const(A.field, entry)
+        # An identity without variables ("0 = 0") leaves a Scalar entry.
+        entry = MultiPoly.coerce(A.field, delta.entries[row])
         for mon, coeff in entry.collect_coefficients(coord_names).items():
             equations.append(Equation(row, mon, coeff))
     return PolySystem(A.field, equations, ident.name)
@@ -262,13 +261,11 @@ def word_tensor_matrix(A: Msc, word: Word):
 
     Defined recursively by M(leaf) = I and M(w1 w2) = A . (M(w1) (x) M(w2)).
     """
-    symbolic = not A.is_concrete()
     if isinstance(word, Var):
-        return identity_mat(A.field, 2, symbolic=symbolic)
+        return identity_mat(A.field, 2)
     if isinstance(word, Prod):
-        rows = A.lift().rows if symbolic else A.rows
         return mat_mul(
-            [list(r) for r in rows],
+            [list(r) for r in A.rows],
             mat_kron(word_tensor_matrix(A, word.left), word_tensor_matrix(A, word.right)),
         )
     raise TypeError(f"not a plain word: {word!r}")
@@ -291,25 +288,17 @@ def identity_tensor_matrix(A: Msc, ident: Identity):
         else:
             combined.pop(w, None)
     if not combined:
-        zero = MultiPoly.zero(A.field) if not A.is_concrete() else A.field.zero()
-        return [[zero] * (2 ** len(order)) for _ in range(2)]
+        return [[A.field.zero()] * (2 ** len(order)) for _ in range(2)]
     for w in combined:
         if list(word_leaves(w)) != order:
             raise AlgidError(
                 f"word {w!r} is not the ordered product of the identity variables"
             )
-    symbolic = not A.is_concrete()
     width = 2 ** len(order)
-
-    def scaled(mat, c: int):
-        s = A.field.scalar(c)
-        if symbolic:
-            return [[x.scale(s) for x in row] for row in mat]
-        return [[s * x for x in row] for row in mat]
-
     total = None
     for w, c in sorted(combined.items(), key=lambda t: repr(t[0])):
-        mat = scaled(word_tensor_matrix(A, w), c)
+        s = A.field.scalar(c)
+        mat = [[s * x for x in row] for row in word_tensor_matrix(A, w)]
         if total is None:
             total = mat
         else:

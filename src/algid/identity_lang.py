@@ -70,6 +70,9 @@ class Identity:
 # syntax error rather than a RecursionError in the parser or in the tree
 # walks after it.
 MAX_NESTING = 100
+# Largest exponent in the scalar-expression language; powers are computed by
+# repeated squaring, so this bounds their cost.
+MAX_EXPONENT = 64
 
 
 def tokenize(text: str, ops: str):

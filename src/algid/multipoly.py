@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import AlgidError, DivisionByZero, FieldMismatch, IdentitySyntaxError
-from .exactnum import Field, Scalar, sqrt
-from .identity_lang import MAX_NESTING, tokenize
+from .exactnum import Field, Scalar, inv, sqrt
+from .identity_lang import MAX_EXPONENT, MAX_NESTING, tokenize
 
 Monomial = Tuple[Tuple[str, int], ...]
 
@@ -113,12 +113,18 @@ class MultiPoly:
             yield m, self.terms[m]
 
     # -- arithmetic ----------------------------------------------------------
+    #
+    # A Scalar operand, on either side, stands for the constant polynomial of
+    # its value: Scalar's operators return NotImplemented for a polynomial, so
+    # Python calls the reflected method here.
 
     def _check(self, other: "MultiPoly"):
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def __add__(self, other) -> "MultiPoly":
+        if isinstance(other, Scalar):
+            other = MultiPoly.const(self.field, other)
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -126,13 +132,20 @@ class MultiPoly:
             terms[m] = c if s is None else s + c
         return MultiPoly(self.field, terms)
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "MultiPoly":
         return self + (-other)
+
+    def __rsub__(self, other: Scalar) -> "MultiPoly":
+        return -self + other
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.field, {m: -c for m, c in self.terms.items()})
 
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+    def __mul__(self, other) -> "MultiPoly":
+        if isinstance(other, Scalar):
+            return self.scale(other)
         self._check(other)
         terms: Dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
@@ -143,6 +156,8 @@ class MultiPoly:
                 terms[m] = c if s is None else s + c
         return MultiPoly(self.field, terms)
 
+    __rmul__ = __mul__
+
     def scale(self, c) -> "MultiPoly":
         c = self.field.scalar(c)
         return MultiPoly(self.field, {m: c * v for m, v in self.terms.items()})
@@ -150,12 +165,11 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(self.field, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, MultiPoly.const(self.field, 1))
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Scalar):
+            return self.is_constant() and self.constant_value() == other
         return (
             isinstance(other, MultiPoly)
             and self.field == other.field
@@ -163,6 +177,8 @@ class MultiPoly:
         )
 
     def __hash__(self) -> int:
+        if self.is_constant():
+            return hash(self.constant_value())  # equal to its Scalar
         return hash((self.field, frozenset(self.terms.items())))
 
     # -- substitution / collection -------------------------------------------
@@ -172,7 +188,7 @@ class MultiPoly:
         vals = {v: MultiPoly.coerce(self.field, x) for v, x in assignment.items()}
         out = MultiPoly.zero(self.field)
         for m, c in self.terms.items():
-            term = MultiPoly.const(self.field, c)
+            term = c
             for v, e in m:
                 factor = vals.get(v)
                 term = term * (factor**e if factor is not None else MultiPoly.var(self.field, v, e))
@@ -239,7 +255,7 @@ class MultiPoly:
 # expr   := term (('+'|'-') term)*
 # term   := unary (('*'|'/') unary | unary-adjacent)*      adjacency multiplies
 # unary  := '-' unary | power
-# power  := atom ('^' INT)?
+# power  := atom ('^' INT)?                                INT at most MAX_EXPONENT
 # atom   := INT | NAME | '(' expr ')' | 'sqrt' '(' expr ')'
 
 _Node = tuple
@@ -302,7 +318,11 @@ def parse_expr(text: str) -> _Node:
         if peek()[1] == "^":
             take()
             tok = take("int")
-            node = ("pow", node, int(tok[2]))
+            digits = tok[2].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise IdentitySyntaxError(
+                    tok[0], f"exponent above {MAX_EXPONENT}")
+            node = ("pow", node, int(digits))
         return node
 
     def atom():
@@ -340,64 +360,38 @@ def expr_variables(node: _Node) -> set:
     return set().union(*(expr_variables(c) for c in node[1:] if isinstance(c, tuple)))
 
 
-def eval_expr(node: _Node, field: Field, env: Mapping[str, Scalar]) -> Scalar:
-    """Fully evaluate an expression tree to a Scalar.
-
-    Raises SqrtUnavailable when a radicand is a nonsquare and DivisionByZero
-    when a denominator vanishes — callers treat both as "point not realizable".
-    """
-    kind = node[0]
-    if kind == "num":
-        return field.scalar(node[1])
-    if kind == "var":
-        try:
-            return env[node[1]]
-        except KeyError:
-            raise AlgidError(f"unbound variable {node[1]!r}") from None
-    if kind == "add":
-        return eval_expr(node[1], field, env) + eval_expr(node[2], field, env)
-    if kind == "sub":
-        return eval_expr(node[1], field, env) - eval_expr(node[2], field, env)
-    if kind == "mul":
-        return eval_expr(node[1], field, env) * eval_expr(node[2], field, env)
-    if kind == "div":
-        den = eval_expr(node[2], field, env)
-        if den.is_zero():
-            raise DivisionByZero("denominator vanishes in expression")
-        return eval_expr(node[1], field, env) / den
-    if kind == "neg":
-        return -eval_expr(node[1], field, env)
-    if kind == "pow":
-        base = eval_expr(node[1], field, env)
-        out = field.one()
-        for _ in range(node[2]):
+def _power(base, n: int, one):
+    """base ** n by square-and-multiply; `one` is the empty product."""
+    out = one
+    while n:
+        if n & 1:
             out = out * base
-        return out
-    if kind == "sqrt":
-        rad = eval_expr(node[1], field, env)
-        root = sqrt(rad)
-        if root is None:
-            raise SqrtUnavailable(rad)
-        return root
-    raise AlgidError(f"bad expression node {kind!r}")
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
-def expr_to_poly(node: _Node, field: Field, env: Optional[Mapping[str, object]] = None) -> MultiPoly:
-    """Build a MultiPoly; unbound variables stay symbolic.
+def _constant(x, what: str) -> Scalar:
+    """The Scalar value of a Scalar or constant polynomial; AlgidError(what)
+    for a polynomial with variables."""
+    if isinstance(x, MultiPoly):
+        if not x.is_constant():
+            raise AlgidError(what)
+        return x.constant_value()
+    return x
 
-    Division is only allowed by nonzero constants and sqrt only of constant
-    squares, which keeps the result a genuine polynomial.
-    """
-    env = env or {}
 
-    def rec(n: _Node) -> MultiPoly:
+def _evaluate(node: _Node, field: Field, env: Mapping[str, object], unbound):
+    """The one walker of the expression language, on Scalar and MultiPoly
+    values alike; variables missing from `env` are looked up by `unbound`."""
+
+    def rec(n: _Node):
         kind = n[0]
         if kind == "num":
-            return MultiPoly.const(field, n[1])
+            return field.scalar(n[1])
         if kind == "var":
-            if n[1] in env:
-                return MultiPoly.coerce(field, env[n[1]])
-            return MultiPoly.var(field, n[1])
+            return env[n[1]] if n[1] in env else unbound(n[1])
         if kind == "add":
             return rec(n[1]) + rec(n[2])
         if kind == "sub":
@@ -407,28 +401,45 @@ def expr_to_poly(node: _Node, field: Field, env: Optional[Mapping[str, object]] 
         if kind == "neg":
             return -rec(n[1])
         if kind == "pow":
-            return rec(n[1]) ** n[2]
+            return _power(rec(n[1]), n[2], field.one())
         if kind == "div":
-            den = rec(n[2])
-            if not den.is_constant():
-                raise AlgidError("division by a non-constant expression")
-            c = den.constant_value()
-            if c.is_zero():
-                raise DivisionByZero("constant denominator vanishes")
-            from .exactnum import inv
-
-            return rec(n[1]).scale(inv(c))
+            den = _constant(rec(n[2]), "division by a non-constant expression")
+            if den.is_zero():
+                raise DivisionByZero("denominator vanishes in expression")
+            return rec(n[1]) * inv(den)
         if kind == "sqrt":
-            inner = rec(n[1])
-            if not inner.is_constant():
-                raise AlgidError("sqrt of a non-constant expression")
-            root = sqrt(inner.constant_value())
+            rad = _constant(rec(n[1]), "sqrt of a non-constant expression")
+            root = sqrt(rad)
             if root is None:
-                raise SqrtUnavailable(inner.constant_value())
-            return MultiPoly.const(field, root)
+                raise SqrtUnavailable(rad)
+            return root
         raise AlgidError(f"bad expression node {kind!r}")
 
     return rec(node)
+
+
+def _unbound(name: str):
+    raise AlgidError(f"unbound variable {name!r}")
+
+
+def eval_expr(node: _Node, field: Field, env: Mapping[str, Scalar]) -> Scalar:
+    """Fully evaluate an expression tree to a Scalar.
+
+    Raises SqrtUnavailable when a radicand is a nonsquare and DivisionByZero
+    when a denominator vanishes — callers treat both as "point not realizable".
+    """
+    return _evaluate(node, field, env, _unbound)
+
+
+def expr_to_poly(node: _Node, field: Field, env: Optional[Mapping[str, object]] = None) -> MultiPoly:
+    """Build a MultiPoly; variables not bound in `env` (to scalars or
+    polynomials) stay symbolic.
+
+    Division is only allowed by nonzero constants and sqrt only of constant
+    squares, which keeps the result a genuine polynomial.
+    """
+    value = _evaluate(node, field, env or {}, lambda name: MultiPoly.var(field, name))
+    return MultiPoly.coerce(field, value)
 
 
 def parse_poly(text: str, field: Field, env: Optional[Mapping[str, object]] = None) -> MultiPoly:

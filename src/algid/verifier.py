@@ -147,11 +147,6 @@ def holds_on_basis_tuples(A: Msc, ident: Identity) -> bool:
 # Isomorphism checking and search
 
 
-def check_iso(A: Msc, B: Msc, g) -> bool:
-    """Is g a change of basis carrying A to B?"""
-    return conjugates_to(A, B, g)
-
-
 def _conjugates_mod_p(a, b, g, p: int) -> bool:
     """g.a == b.(g (x) g) mod p on residue rows, stopping at the first
     mismatched entry.  Column (j, l) of g (x) g is column j of g tensored
@@ -289,7 +284,7 @@ def alternating_determinant_law(A: Msc, shape: Word) -> bool:
     env = coordinate_env(A.field, names)
     got = eval_node(A, node, env)
     det = parse_poly("x1 y2 - x2 y1", A.field)
-    u0 = alternating_base_vector(A, shape).lift()
+    u0 = alternating_base_vector(A, shape)
     expected = u0.scale(det)
     return (got - expected).is_zero()
 

@@ -211,3 +211,40 @@ def test_product_agrees_with_tensor_matrix(entries, coords):
     via_matrix = mat_mul([list(r) for r in A.rows], tensor)
     w = A.product(u, v)
     assert [w.entries[0]] == via_matrix[0] and [w.entries[1]] == via_matrix[1]
+
+
+# -- mixed Scalar/polynomial entries, against the lifted form as the oracle ---
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from([QQ, F3, F5]),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=8, max_size=8),
+)
+def test_concrete_algebra_equals_and_hashes_as_its_lift(field, entries):
+    A = Msc.from_scalars(field, [entries[:4], entries[4:]])
+    L = A.lift()
+    assert A == L and L == A and hash(A) == hash(L)
+    assert len({A, L}) == 1
+    assert all(isinstance(x, MultiPoly) for x in L.entries_flat())
+    u = Vec.basis(field, 1)
+    assert u == u.lift() and hash(u) == hash(u.lift())
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=8, max_size=8),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=4, max_size=4),
+)
+def test_mixed_products_match_the_lifted_algebra(entries, g_entries):
+    A = Msc.from_scalars(F5, [entries[:4], entries[4:]])
+    u, v = Vec.symbolic(F5, "x"), Vec.basis(F5, 2)
+    for x, y in ((u, v), (v, u), (u, u), (v, v)):
+        assert A.product(x, y) == A.lift().product(x.lift(), y.lift())
+        assert x.scale(F5.scalar(3)) == x.lift().scale(MultiPoly.const(F5, 3))
+    g = [[F5.scalar(g_entries[0]), F5.scalar(g_entries[1])],
+         [F5.scalar(g_entries[2]), F5.scalar(g_entries[3])]]
+    B = A.opposite()
+    lifted_g = [[MultiPoly.const(F5, x) for x in row] for row in g]
+    assert conjugates_to(A, B, g) == conjugates_to(A.lift(), B.lift(), lifted_g)
+    assert conjugates_to(A, B, g) == conjugates_to(A, B.lift(), g)

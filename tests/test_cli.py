@@ -508,3 +508,34 @@ class TestInputContracts:
                                  "(" * depth + "1" + ")" * depth + ", 0"])
         assert r.exit_code == 2
         assert "nested deeper" in r.output
+
+    @pytest.mark.parametrize("modulus", [5.7, True])
+    def test_inexact_modulus_is_usage_error(self, tmp_path, modulus):
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps({"dim": 2, "field": {"kind": "Fp", "p": modulus},
+                                    "entries": [[1, 0, 0, 0], [0, 0, 0, 0]]}))
+        r = runner.invoke(main, ["opposite", "--algebra", str(path)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert f"modulus {modulus!r} is not an integer" in r.output
+
+    @pytest.mark.parametrize("field", ["Q", "F5"])
+    def test_huge_exponent_is_usage_error(self, field):
+        r = runner.invoke(main, ["catalog", "instantiate", "A4", "--field", field,
+                                 "--args", "2^99999999, 0"])
+        assert r.exit_code == 2
+        assert "exponent above" in r.output
+        r = runner.invoke(main, ["catalog", "instantiate", "A4", "--field", field,
+                                 "--args", "2^3, 0", "--json"])
+        assert r.exit_code == 0
+        assert json.loads(r.output)["entries"][0][0] == (3 if field == "F5" else "8")  # 8 mod 5 = 3
+
+
+def test_verify_paper_report_bytes_match_the_golden():
+    golden_path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "goldens", "verify-paper.json")
+    with open(golden_path) as fh:
+        golden = json.load(fh)
+    r = runner.invoke(main, ["verify-paper", "--json", "--no-timestamp"])
+    assert r.exit_code == 1
+    assert r.output == json.dumps(golden, indent=2, sort_keys=True) + "\n"

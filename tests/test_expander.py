@@ -178,3 +178,34 @@ def test_formal_zero_implies_pointwise_zero(entries):
         }
         val = eval_node(A, ident.lhs, env) - eval_node(A, ident.rhs, env)
         assert val.is_zero()
+
+
+def _f3_sample_algebras():
+    """Every 729th F3 algebra in scan order, plus each char-3 family with
+    every parameter set to 2."""
+    from algid.canon_catalog import FAMILY_ORDER, REGIME_CHAR3
+    from algid.exactnum import F3
+    from algid.verifier import msc_from_scan_index
+
+    out = [msc_from_scan_index(3, k) for k in range(0, 3 ** 8, 729)]
+    for fam in FAMILY_ORDER[REGIME_CHAR3]:
+        out.append(fam.instantiate(F3, tuple(F3.scalar(2) for _ in fam.params)))
+    return out
+
+
+def test_expand_on_scalar_entries_matches_the_lifted_algebra():
+    """Scalar structure constants meeting polynomial coordinates give the
+    same systems as the all-polynomial (lifted) algebra."""
+    from algid.identity_lang import NUMBERED_IDENTITIES
+
+    idents = [get_identity(name) for name in NUMBERED_IDENTITIES]
+    for A in _f3_sample_algebras():
+        lifted = A.lift()
+        for ident in idents:
+            assert expand(ident, A).equations == expand(ident, lifted).equations
+
+
+def test_identity_without_variables_expands_to_the_zero_system():
+    ident = parse_identity("0 = 0")
+    assert expand(ident).is_zero()
+    assert expand(ident, COMMUTATIVE).is_zero()

@@ -2,9 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algid.errors import AlgidError, DivisionByZero, IdentitySyntaxError
-from algid.exactnum import F3, F5, QQ
-from algid.identity_lang import MAX_NESTING
+from algid.errors import (
+    AlgidError,
+    DivisionByZero,
+    FieldMismatch,
+    IdentitySyntaxError,
+)
+from algid.exactnum import F2, F3, F5, QQ
+from algid.identity_lang import MAX_EXPONENT, MAX_NESTING
 from algid.multipoly import (
     MultiPoly,
     SqrtUnavailable,
@@ -167,3 +172,75 @@ def test_eval_is_ring_hom(p, x, y):
     env = {"a1": QQ.scalar(x), "a2": QQ.scalar(y), "b1": QQ.scalar(x + y)}
     sq = p * p
     assert sq.eval_scalar(env) == p.eval_scalar(env) * p.eval_scalar(env)
+
+
+def test_parse_expr_exponent_is_bounded():
+    parse_expr("a1^%d" % MAX_EXPONENT)
+    for text in ("a1^%d" % (MAX_EXPONENT + 1), "2^99999999", "2^" + "9" * 5000):
+        with pytest.raises(IdentitySyntaxError, match="exponent above"):
+            parse_expr(text)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5])
+def test_powers_match_repeated_products(field):
+    base, three = P("a1 - 3", field), field.scalar(3)
+    poly, scalar = MultiPoly.const(field, 1), field.one()
+    for e in range(MAX_EXPONENT + 1):
+        if e < 12 or e == MAX_EXPONENT:
+            assert P("(a1 - 3)^%d" % e, field) == poly
+            assert base ** e == poly
+            assert eval_expr(parse_expr("3^%d" % e), field, {}) == scalar
+        poly, scalar = poly * base, scalar * three
+
+
+# -- Scalar/MultiPoly mixing, against the lifted form as the oracle -----------
+
+FIELDS = [QQ, F2, F3, F5]
+
+
+@st.composite
+def field_polys(draw, field):
+    out = MultiPoly.zero(field)
+    for vars_, c in draw(st.lists(st.tuples(
+            st.lists(st.sampled_from(["a1", "a2", "b1"]), max_size=3),
+            st.integers(min_value=-5, max_value=5)), max_size=4)):
+        mono = MultiPoly.const(field, c)
+        for v in vars_:
+            mono = mono * MultiPoly.var(field, v)
+        out = out + mono
+    return out
+
+
+@st.composite
+def scalar_and_poly(draw):
+    field = draw(st.sampled_from(FIELDS))
+    if field.kind == "Q":
+        s = field.scalar(draw(st.fractions(max_denominator=6).filter(
+            lambda q: abs(q) <= 6)))
+    else:
+        s = field.scalar(draw(st.integers(min_value=0, max_value=field.p - 1)))
+    return s, draw(field_polys(field))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalar_and_poly())
+def test_scalar_operand_acts_as_constant_polynomial(pair):
+    s, p = pair
+    c = MultiPoly.const(s.field, s)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        for got, want in ((op(s, p), op(c, p)), (op(p, s), op(p, c))):
+            assert isinstance(got, MultiPoly)
+            assert got == want and got.terms == want.terms
+            assert hash(got) == hash(want)
+    assert s == c and c == s and hash(s) == hash(c)
+    assert len({s, c}) == 1
+    assert (s == p) == (c == p) and (p == s) == (p == c)
+
+
+def test_scalar_and_polynomial_of_other_fields_do_not_mix():
+    for x, y in ((F3.scalar(1), P("a1", F5)), (P("a1", F5), F3.scalar(1))):
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(FieldMismatch):
+                op(x, y)
+        assert x != y
+    assert F3.scalar(1) != MultiPoly.const(F5, 1)
