@@ -73,6 +73,7 @@ MAX_NESTING = 100
 # Largest exponent in the scalar-expression language; powers are computed by
 # repeated squaring, so this bounds their cost.
 MAX_EXPONENT = 64
+MAX_DIGITS = 4300
 
 
 def tokenize(text: str, ops: str):
@@ -101,6 +102,13 @@ def tokenize(text: str, ops: str):
         else:
             raise IdentitySyntaxError(i, f"unexpected character {ch!r}")
     return toks
+
+
+def literal_int(tok) -> int:
+    """An "int" token's value; by default Python's int() refuses more digits."""
+    if len(tok[2]) > MAX_DIGITS:
+        raise IdentitySyntaxError(tok[0], f"integer longer than {MAX_DIGITS} digits")
+    return int(tok[2])
 
 
 def _mk_sum(terms: List[Tuple[int, Node]]) -> Sum:
@@ -164,7 +172,6 @@ class _Parser:
         if len(terms) == 1 and terms[0] == (0, None):
             return Sum(())
         if any(f is None for _, f in terms):
-            bad = next(t for t in terms if t[1] is None)
             raise IdentitySyntaxError(self.peek()[0], "a bare integer other than a lone 0 is not a term")
         return _mk_sum(terms)
 
@@ -173,7 +180,7 @@ class _Parser:
         tok = self.peek()
         if tok[1] == "int":
             self.take()
-            weight = int(tok[2])
+            weight = literal_int(tok)
             if self.peek()[1] not in ("name", "(", "["):
                 if weight == 0:
                     return (0, None)

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import AlgidError, DivisionByZero, FieldMismatch, IdentitySyntaxError
 from .exactnum import Field, Scalar, inv, sqrt
-from .identity_lang import MAX_EXPONENT, MAX_NESTING, tokenize
+from .identity_lang import MAX_EXPONENT, MAX_NESTING, literal_int, tokenize
 
 Monomial = Tuple[Tuple[str, int], ...]
 
@@ -329,7 +329,7 @@ def parse_expr(text: str) -> _Node:
         tok = peek()
         if tok[1] == "int":
             take()
-            return ("num", int(tok[2]))
+            return ("num", literal_int(tok))
         if tok[1] == "name":
             take()
             if tok[2] == "sqrt":

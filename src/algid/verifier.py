@@ -11,11 +11,12 @@ order is the table order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import Msc, Vec, change_basis, conjugates_to
+from .algebra_core import GENERIC_NAMES, Msc, Vec, change_basis, conjugates_to
 from .canon_catalog import (
     CHAR2_IDENTITY_PAIRS,
     OPPOSITE_TABLES,
@@ -41,7 +42,6 @@ from .errors import (
 from .exactnum import F2, F3, F5, QQ, Field, field_make, sqrt as scalar_sqrt
 from .expander import (
     Equation,
-    PolySystem,
     coordinate_env,
     eval_node,
     expand,
@@ -57,7 +57,7 @@ from .identity_lang import (
     identity_variables,
     word_leaves,
 )
-from .multipoly import MultiPoly, parse_poly, render_monomial
+from .multipoly import MultiPoly, mon_sort_key, parse_poly, render_monomial
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,62 +73,82 @@ _GL_ENUM_LIMIT = 20000
 class FormalCheck:
     ok: bool
     witness: Optional[Equation]
-    system: PolySystem
 
     def witness_text(self) -> str:
         if self.witness is None:
             return ""
         eq = self.witness
-        mon = render_monomial(eq.monomial) if eq.monomial else "1"
-        return "e%d coefficient of %s = %s" % (eq.row + 1, mon, eq.poly.render())
+        return "e%d coefficient of %s = %s" % (
+            eq.row + 1, render_monomial(eq.monomial), eq.poly.render())
+
+
+# Any bound gives a paper pass 1021 hits and 92 misses (an identity's rows come
+# together); 8 keeps both modes of a few identities in about 0.2 MB.
+_COMPILED_SYSTEMS = 8
+
+
+@functools.lru_cache(maxsize=_COMPILED_SYSTEMS)
+def _compiled_system(ident: Identity, field: Field, functional: bool):
+    """The generic system as (row, monomial, terms) in canonical order, a term
+    being (coefficient value, ((entry index 0..7 of a1..b4, exponent), ...)).
+    Functional mode merges monomials that agree pointwise on F_p (x^p = x)."""
+    if functional:
+        # x^e and x^((e - 1) mod (p - 1) + 1) agree at every x in F_p (e >= 1)
+        merged: Dict[tuple, tuple] = {}
+        for row, mon, terms in _compiled_system(ident, field, False):
+            key = (row, tuple((v, (e - 1) % (field.p - 1) + 1) for v, e in mon))
+            merged[key] = merged.get(key, ()) + terms
+        return tuple(sorted(((row, mon, terms)
+                             for (row, mon), terms in merged.items()),
+                            key=lambda eq: (eq[0], mon_sort_key(eq[1]))))
+    index = {name: k for k, name in enumerate(itertools.chain(*GENERIC_NAMES))}
+    shared: Dict[tuple, tuple] = {}  # equations repeat monomials; keep one copy
+    return tuple(
+        (eq.row, eq.monomial,
+         tuple((c.value, shared.setdefault(m, tuple((index[v], e) for v, e in m)))
+               for m, c in eq.poly.sorted_terms()))
+        for eq in expand(ident, field=field).equations)
+
+
+def _equation_value(terms, vals):
+    """One compiled equation at the entries `vals`: Python numbers, or numpy
+    arrays of residues evaluated elementwise and reduced by the caller."""
+    total = 0
+    for c, factors in terms:
+        for i, e in factors:
+            c = c * vals[i] ** e
+        total = total + c
+    return total
+
+
+def _evaluate(A: Msc, system) -> FormalCheck:
+    """A concrete A satisfies a compiled system iff every equation vanishes
+    at its entries; the witness is the first that does not."""
+    f = A.field
+    vals = [x.value for x in A.entries_flat()]
+    for row, mon, terms in system:
+        value = f.scalar(_equation_value(terms, vals))
+        if value:
+            return FormalCheck(False, Equation(row, mon, MultiPoly.const(f, value)))
+    return FormalCheck(True, None)
 
 
 def check_formal(A: Msc, ident: Identity) -> FormalCheck:
-    """Does the identity hold as a formal polynomial law on A?"""
-    system = expand(ident, A)
-    for eq in system.equations:
-        if not eq.poly.is_zero():
-            return FormalCheck(False, eq, system)
-    return FormalCheck(True, None, system)
-
-
-def _reduce_exponent(e: int, p: int) -> int:
-    # x^e and x^(reduced e) agree pointwise on F_p for e >= 1 (including x=0)
-    if e == 0:
-        return 0
-    return ((e - 1) % (p - 1)) + 1
-
-
-def _functional_equations(system: PolySystem, p: int) -> List[Equation]:
-    """Merge the system's equations along pointwise-equal coordinate monomials.
-
-    The identity holds as a function on F_p^2 x ... iff every merged
-    coefficient vanishes (reduction modulo x^p = x in each coordinate).
-    """
-    merged: Dict[Tuple[int, tuple], MultiPoly] = {}
-    for eq in system.equations:
-        mon = tuple((v, _reduce_exponent(e, p)) for v, e in eq.monomial)
-        key = (eq.row, mon)
-        if key in merged:
-            merged[key] = merged[key] + eq.poly
-        else:
-            merged[key] = eq.poly
-    out = [Equation(row, mon, poly) for (row, mon), poly in merged.items()]
-    out.sort(key=lambda e: (e.row, e.monomial))
-    return out
+    """Does the identity hold as a formal polynomial law on A?  Concrete
+    entries evaluate its compiled generic system; symbolic ones expand on A."""
+    if A.is_concrete():
+        return _evaluate(A, _compiled_system(ident, A.field, False))
+    equations = expand(ident, A).equations
+    return FormalCheck(not equations, equations[0] if equations else None)
 
 
 def check_functional(A: Msc, ident: Identity) -> FormalCheck:
     """Does the identity hold for every tuple of elements of A over F_p?"""
     if A.field.kind == "Q":
         raise AlgidError("functional checking needs a finite field")
-    system = expand(ident, A)
-    eqs = _functional_equations(system, A.field.p)
-    reduced = PolySystem(system.field, tuple(eqs), system.identity_name)
-    for eq in reduced.equations:
-        if not eq.poly.is_zero():
-            return FormalCheck(False, eq, reduced)
-    return FormalCheck(True, None, reduced)
+    if not A.is_concrete():
+        raise AlgidError("functional checking needs concrete structure constants")
+    return _evaluate(A, _compiled_system(ident, A.field, True))
 
 
 def holds_on_basis_tuples(A: Msc, ident: Identity) -> bool:
@@ -293,18 +313,6 @@ def alternating_determinant_law(A: Msc, shape: Word) -> bool:
 # Brute-force scans over every algebra of a small prime field
 
 SCAN_PRIMES = (2, 3, 5)
-_SCAN_VARS = ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4")
-
-
-def _scan_polys(p: int, ident: Identity, mode: str) -> List[MultiPoly]:
-    f = field_make(p)
-    system = expand(ident, field=f)
-    if mode == "formal":
-        return system.polys
-    if mode == "functional":
-        return [eq.poly for eq in _functional_equations(system, p)
-                if not eq.poly.is_zero()]
-    raise AlgidError("scan mode must be 'formal' or 'functional'")
 
 
 def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
@@ -316,27 +324,15 @@ def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
         raise UnsupportedPrime(
             "scans enumerate p^8 algebras; supported primes: %s"
             % (", ".join(map(str, SCAN_PRIMES))))
-    polys = _scan_polys(p, ident, mode)
-    n = p ** 8
-    idx = np.arange(n, dtype=np.int64)
-    cols = {v: (idx // p ** (7 - j)) % p for j, v in enumerate(_SCAN_VARS)}
-    powers: Dict[Tuple[str, int], np.ndarray] = {}
-
-    def col_pow(v: str, e: int) -> np.ndarray:
-        key = (v, e)
-        if key not in powers:
-            powers[key] = cols[v] if e == 1 else pow(cols[v], e) % p
-        return powers[key]
-
-    ok = np.ones(n, dtype=bool)
-    for poly in polys:
-        acc = np.zeros(n, dtype=np.int64)
-        for mon, coeff in poly.terms.items():
-            term = np.full(n, int(coeff.value) % p, dtype=np.int64)
-            for v, e in mon:
-                term = (term * col_pow(v, e)) % p
-            acc = (acc + term) % p
-        ok &= acc == 0
+    if mode not in ("formal", "functional"):
+        raise AlgidError("scan mode must be 'formal' or 'functional'")
+    system = _compiled_system(ident, field_make(p), mode == "functional")
+    # Residues below p keep every term inside int64 up to degree 20.
+    idx = np.arange(p ** 8, dtype=np.int64)
+    cols = [(idx // p ** (7 - j)) % p for j in range(8)]
+    ok = np.ones(p ** 8, dtype=bool)
+    for terms in dict.fromkeys(terms for _, _, terms in system):
+        ok &= _equation_value(terms, cols) % p == 0
     return ok
 
 
@@ -348,12 +344,8 @@ def scan_field(p: int, ident: Identity, mode: str = "formal") -> int:
 
 def msc_from_scan_index(p: int, index: int) -> Msc:
     """The algebra at a given scan position (inverse of the digit encoding)."""
-    f = field_make(p)
-    digits = []
-    for j in range(8):
-        digits.append((index // p ** (7 - j)) % p)
-    rows = [digits[:4], digits[4:]]
-    return Msc.from_scalars(f, rows)
+    digits = [(index // p ** (7 - j)) % p for j in range(8)]
+    return Msc.from_scalars(field_make(p), [digits[:4], digits[4:]])
 
 
 # ---------------------------------------------------------------------------

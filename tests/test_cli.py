@@ -7,6 +7,7 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 from jsonschema import validate
 
 import algid
@@ -529,6 +530,43 @@ class TestInputContracts:
                                  "--args", "2^3, 0", "--json"])
         assert r.exit_code == 0
         assert json.loads(r.output)["entries"][0][0] == (3 if field == "F5" else "8")  # 8 mod 5 = 3
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--family", "A12", "--identity", "9" * 5000 + "u*v = 0"],
+        ["catalog", "instantiate", "A4", "--args", "9" * 5000 + ", 0"],
+    ])
+    def test_overlong_literal_is_usage_error(self, argv):
+        r = runner.invoke(main, argv)
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert "integer longer than 4300 digits" in r.output
+
+
+_IDENTITY_TEXT = st.text(alphabet="0123456789uvw*+-=[](),^' ", max_size=30)
+_ARGS_TEXT = st.text(alphabet="0123456789sqrt/*+-^(), ", max_size=30)
+
+
+def _assert_exit_contract(argv):
+    r = runner.invoke(main, argv)
+    assert r.exit_code in (0, 1, 2), r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), r.exception
+
+
+class TestCliFuzz:
+    """Random text never gets past the exit-code contract: 0 holds, 1 fails
+    a check, 2 rejects the input, and nothing ends in a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_IDENTITY_TEXT)
+    @example("9" * 4301 + "u*v = 0")
+    def test_check_identity_text(self, text):
+        _assert_exit_contract(["check", "--family", "A12", "--identity", text])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ARGS_TEXT)
+    @example("9" * 4301 + ", 0")
+    def test_instantiate_args_text(self, text):
+        _assert_exit_contract(["catalog", "instantiate", "A4", "--args", text])
 
 
 def test_verify_paper_report_bytes_match_the_golden():

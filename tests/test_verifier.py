@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algid.algebra_core import Msc, Vec, conjugates_to
-from algid.canon_catalog import REGIME_CHAR2, family
+from algid.canon_catalog import FAMILY_ORDER, REGIME_CHAR0, REGIME_CHAR2, family
 from algid.errors import AlgidError, SearchSpaceTooLarge, UnsupportedPrime
 from algid.exactnum import F2, F3, F5, QQ, field_make
-from algid.expander import coordinate_env, eval_node
+from algid.expander import coordinate_env, eval_node, expand
 from algid.identity_lang import get_identity, is_multilinear, parse_identity
-from algid.multipoly import parse_poly
+from algid.multipoly import mon_sort_key, parse_poly, render_monomial
 from algid.verifier import (
     PASS,
     FAIL,
@@ -191,6 +191,93 @@ class TestIsoSearchDifferential:
     def test_symbolic_algebras_rejected(self):
         with pytest.raises(AlgidError):
             search_iso(Msc.generic(F3), Msc.generic(F3))
+
+
+def _expanded_check(equations, p=None):
+    """The per-algebra reference: (ok, witness text) from the first nonzero
+    equation of expand(I, A).  With a prime p the equations are first merged
+    along coordinate monomials that agree pointwise on F_p (x^p = x)."""
+    eqs = [(eq.row, eq.monomial, eq.poly) for eq in equations]
+    if p is not None:
+        merged = {}
+        for row, mon, poly in eqs:
+            reduced = []
+            for v, e in mon:
+                while e >= p:
+                    e -= p - 1
+                reduced.append((v, e))
+            key = (row, tuple(reduced))
+            merged[key] = merged[key] + poly if key in merged else poly
+        eqs = sorted(((row, mon, poly) for (row, mon), poly in merged.items()),
+                     key=lambda eq: (eq[0], mon_sort_key(eq[1])))
+    for row, mon, poly in eqs:
+        if not poly.is_zero():
+            return False, "e%d coefficient of %s = %s" % (
+                row + 1, render_monomial(mon), poly.render())
+    return True, ""
+
+
+def _small_char0_instances(field):
+    """Every char0 family with each of 0, 1, -1, 1/2 in every slot."""
+    out = []
+    for fam in FAMILY_ORDER[REGIME_CHAR0]:
+        for v in ((0, 1, -1, "1/2") if fam.params else (0,)):
+            out.append(fam.instantiate(field, [field.scalar(v)] * len(fam.params)))
+    return out
+
+
+class TestCompiledSystemDifferential:
+    """check_formal, check_functional and scan_algebras evaluate the
+    identity's compiled generic system; each verdict and witness text must be
+    the one the per-algebra expansion gives."""
+
+    def _assert_same(self, algebras, functional):
+        """Compare I1..I30 on `algebras`; return the reference verdicts per
+        (identity number, mode)."""
+        verdicts = {}
+        for k in range(1, 31):
+            ident = get_identity("I%d" % k)
+            for A in algebras:
+                equations = expand(ident, A).equations
+                checks = [("formal", check_formal, None)]
+                if functional:
+                    checks.append(("functional", check_functional, A.field.p))
+                for mode, check, p in checks:
+                    res = check(A, ident)
+                    expected = _expanded_check(equations, p)
+                    assert (res.ok, res.witness_text()) == expected, (k, mode, A.rows)
+                    verdicts.setdefault((k, mode), []).append(res.ok)
+        assert {ok for oks in verdicts.values() for ok in oks} == {True, False}
+        return verdicts
+
+    def _assert_scan_positions(self, p, step):
+        indices = range(0, p ** 8, step)
+        verdicts = self._assert_same([msc_from_scan_index(p, i) for i in indices],
+                                     functional=True)
+        for (k, mode), expected in verdicts.items():
+            ok = scan_algebras(p, get_identity("I%d" % k), mode)
+            assert [bool(ok[i]) for i in indices] == expected, (k, mode)
+
+    def test_sampled_f2_algebras(self):
+        self._assert_scan_positions(2, 5)
+
+    def test_sampled_f3_algebras(self):
+        self._assert_scan_positions(3, 401)
+
+    def test_char0_families_over_q(self):
+        self._assert_same(_small_char0_instances(QQ), functional=False)
+
+    def test_char0_families_over_f5(self):
+        self._assert_same(_small_char0_instances(F5), functional=True)
+
+    def test_functional_needs_concrete_constants(self):
+        with pytest.raises(AlgidError, match="concrete structure constants"):
+            check_functional(Msc.generic(F3), get_identity("I1"))
+
+    def test_scan_rejects_unknown_mode(self):
+        with pytest.raises(AlgidError,
+                           match="scan mode must be 'formal' or 'functional'"):
+            scan_algebras(3, get_identity("I1"), "bogus")
 
 
 class TestAlternating:
