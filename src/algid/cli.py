@@ -22,10 +22,11 @@ from .canon_catalog import (
     claimed_rows,
     family,
 )
-from .errors import AlgidError, IdentitySyntaxError, UnknownIdentity
+from .errors import AlgidError, IdentitySyntaxError, NumberTooLong, UnknownIdentity
 from .exactnum import QQ, Field, field_make
 from .expander import expand
 from .identity_lang import (
+    MAX_DIGITS,
     Identity,
     Prod,
     Var,
@@ -51,6 +52,16 @@ class _InputError(click.ClickException):
     exit_code = 2
 
 
+class _Main(click.Group):
+    """Any AlgidError that reaches the command line is an input error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except AlgidError as exc:
+            raise _InputError(str(exc)) from None
+
+
 def _echo_json(doc: dict) -> None:
     click.echo(jsonlib.dumps(doc, indent=2, sort_keys=True))
 
@@ -64,14 +75,22 @@ def _parse_field(spec: Optional[str], default: Field = QQ) -> Field:
         raise _InputError(str(exc))
 
 
+def _json_int(text: str) -> int:
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise NumberTooLong(f"integer longer than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def _load_algebra(path: str) -> Msc:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = jsonlib.load(fh)
+            data = jsonlib.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}")
     except jsonlib.JSONDecodeError as exc:
         raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except NumberTooLong as exc:
+        raise _InputError(f"{path}: {exc}")
     try:
         return Msc.from_json(data)
     except (AlgidError, KeyError, TypeError, ValueError) as exc:
@@ -103,11 +122,7 @@ def _resolve_algebra(algebra_path: Optional[str], family_name: Optional[str],
         return A
     if family_name:
         fld = _parse_field(field_spec)
-        try:
-            fam = family(family_name)
-            return fam.instantiate(fld, _parse_args_list(fld, args_text))
-        except AlgidError as exc:
-            raise _InputError(str(exc))
+        return family(family_name).instantiate(fld, _parse_args_list(fld, args_text))
     raise _InputError("an algebra is required: --algebra FILE or --family NAME")
 
 
@@ -134,7 +149,7 @@ def _resolve_identity(selector: str) -> Identity:
     raise _InputError(f"unknown identity label {selector!r}")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Exact checks of polynomial identities on 2-dimensional algebras."""
 
@@ -161,10 +176,7 @@ def check(algebra_path, family_name, args_text, field_spec, identity_sel,
     """Does the algebra satisfy the identity?"""
     A = _resolve_algebra(algebra_path, family_name, args_text, field_spec)
     ident = _resolve_identity(identity_sel)
-    try:
-        res = check_functional(A, ident) if functional else check_formal(A, ident)
-    except AlgidError as exc:
-        raise _InputError(str(exc))
+    res = check_functional(A, ident) if functional else check_formal(A, ident)
     if as_json:
         _echo_json({
             "schema": "algid.check/1",
@@ -202,10 +214,7 @@ def expand_cmd(identity_sel, algebra_path, family_name, args_text, field_spec,
         A = _resolve_algebra(algebra_path, family_name, args_text, field_spec)
         system = expand(ident, A)
     else:
-        try:
-            system = expand(ident, field=_parse_field(field_spec))
-        except AlgidError as exc:
-            raise _InputError(str(exc))
+        system = expand(ident, field=_parse_field(field_spec))
     if as_json:
         doc = system.to_json()
         doc["schema"] = "algid.expand/1"
@@ -260,10 +269,7 @@ def iso(path_a, path_b, witness_text, do_search, as_json):
         found = conjugates_to(A, B, g)
         witness_json = raw if found else None
     else:
-        try:
-            g = search_iso(A, B)
-        except AlgidError as exc:
-            raise _InputError(str(exc))
+        g = search_iso(A, B)
         found = g is not None
         if found:
             witness_json = [[x.to_json() for x in row] for row in g]
@@ -316,10 +322,7 @@ def catalog_list(regime, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def catalog_show(name, as_json):
     """Print a family's template."""
-    try:
-        fam = family(name)
-    except AlgidError as exc:
-        raise _InputError(str(exc))
+    fam = family(name)
     if as_json:
         _echo_json({
             "schema": "algid.catalog/1",
@@ -343,10 +346,7 @@ def catalog_show(name, as_json):
 def catalog_instantiate(name, args_text, field_spec, as_json):
     """Evaluate a family at concrete arguments."""
     fld = _parse_field(field_spec)
-    try:
-        A = family(name).instantiate(fld, _parse_args_list(fld, args_text))
-    except AlgidError as exc:
-        raise _InputError(str(exc))
+    A = family(name).instantiate(fld, _parse_args_list(fld, args_text))
     doc = A.to_json()
     if as_json:
         doc["schema"] = "algid.catalog/1"
@@ -364,10 +364,7 @@ def catalog_instantiate(name, args_text, field_spec, as_json):
 def catalog_claims(identity_sel, regime, field_spec):
     """Export one claimed-solution table as JSON."""
     fld = _parse_field(field_spec) if field_spec else None
-    try:
-        rows = claimed_rows(regime, identity_sel, fld)
-    except AlgidError as exc:
-        raise _InputError(str(exc))
+    rows = claimed_rows(regime, identity_sel, fld)
     _echo_json({
         "schema": "algid.catalog/1",
         "identity": identity_sel,
@@ -403,10 +400,7 @@ def scan(field_spec, identity_sel, mode, as_json):
     if fld.kind == "Q":
         raise _InputError("scans need a finite field")
     ident = _resolve_identity(identity_sel)
-    try:
-        count = scan_field(fld.p, ident, mode)
-    except AlgidError as exc:
-        raise _InputError(str(exc))
+    count = scan_field(fld.p, ident, mode)
     if as_json:
         _echo_json({
             "schema": "algid.scan/1",
@@ -435,10 +429,7 @@ def verify_paper(target, field_spec, threads, as_json, no_timestamp):
     """Re-verify the classification claims and report pass/fail/skip rows."""
     fld = _parse_field(field_spec) if field_spec else None
     targets = [target] if target else list(TARGETS)
-    try:
-        reports = [verify_theorem(t, field=fld) for t in targets]
-    except AlgidError as exc:
-        raise _InputError(str(exc))
+    reports = [verify_theorem(t, field=fld) for t in targets]
     ok = all(r.ok for r in reports)
     stamp = None if no_timestamp else (
         datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"))
@@ -501,15 +492,12 @@ def alternating(dim, n_alt, n_vars, shape_text, field_spec, as_json):
         shapes = word_shapes(n_alt)
     rows = []
     for label, shape in shapes:
-        try:
-            if n_alt == 2:
-                ok = alternating_determinant_law(A, shape)
-                statement = "alternation equals |u,v| times its basis value"
-            else:
-                ok = alternating_vanishes(A, shape, n_alt)
-                statement = "alternation over 3 variables vanishes"
-        except AlgidError as exc:
-            raise _InputError(str(exc))
+        if n_alt == 2:
+            ok = alternating_determinant_law(A, shape)
+            statement = "alternation equals |u,v| times its basis value"
+        else:
+            ok = alternating_vanishes(A, shape, n_alt)
+            statement = "alternation over 3 variables vanishes"
         rows.append({"shape": label, "statement": statement, "holds": ok})
     ok_all = all(r["holds"] for r in rows)
     if as_json:

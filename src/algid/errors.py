@@ -71,3 +71,11 @@ class IdentitySyntaxError(AlgidError):
     def __init__(self, position: int, message: str):
         super().__init__(f"at position {position}: {message}")
         self.position = position
+
+
+class ExpansionTooLarge(AlgidError):
+    """An identity whose expansion exceeds the expansion budget."""
+
+
+class NumberTooLong(AlgidError):
+    """A number with more decimal digits than can be read or printed."""

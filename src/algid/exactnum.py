@@ -8,6 +8,7 @@ anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -16,6 +17,7 @@ from .errors import (
     FieldMismatch,
     InexactScalar,
     NonPrimeModulus,
+    NumberTooLong,
     UnsupportedModulus,
 )
 
@@ -212,13 +214,24 @@ class Scalar:
         return self.value == 0
 
     def __repr__(self) -> str:
-        return str(self.value)
+        return _decimal(self.value)
 
     def to_json(self):
         """Rationals as "num/den" strings, F_p residues as plain ints."""
         if self.field.kind == "Fp":
             return int(self.value)
-        return str(self.value)
+        return _decimal(self.value)
+
+
+def _decimal(value) -> str:
+    """The decimal text of an int or Fraction.  Past the interpreter's limit
+    on int-to-string conversion this is NumberTooLong, an input error."""
+    try:
+        return str(value)
+    except ValueError:
+        raise NumberTooLong(
+            "a value with more than %d digits cannot be printed"
+            % sys.get_int_max_str_digits()) from None
 
 
 def inv(a: Scalar) -> Scalar:

@@ -6,16 +6,21 @@ in both components yields a finite system of polynomials in the structure
 constants a1..a4, b1..b4.  The identity holds formally iff the system is the
 zero system, and two identities impose the same constraints iff their systems
 span the same linear subspace.
+
+On the generic algebra the system is computed without substituting: a
+tensor kernel builds each word's matrix on integer polynomials with packed
+monomials and sums its Kronecker columns by coordinate monomial.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .algebra_core import Msc, Vec, identity_mat, mat_kron, mat_mul
-from .errors import AlgidError, FieldMismatch, TooManyVariables
-from .exactnum import Field, Scalar, inv
+from .algebra_core import GENERIC_NAMES, Msc, Vec
+from .errors import AlgidError, ExpansionTooLarge, FieldMismatch, TooManyVariables
+from .exactnum import QQ, Field, Scalar, inv
 from .identity_lang import (
     Assoc,
     Comm,
@@ -137,14 +142,31 @@ class PolySystem:
 def expand(ident: Identity, A: Optional[Msc] = None, field: Optional[Field] = None) -> PolySystem:
     """Expand an identity over the algebra A (default: the generic algebra).
 
-    The system is empty exactly when the identity holds formally on A.
+    The system is empty exactly when the identity holds formally on A.  The
+    generic system comes from the tensor kernel (`generic_system`); a given A
+    is expanded by substituting coordinate vectors.
     """
     if A is None:
-        from .exactnum import QQ
-
-        A = Msc.generic(field if field is not None else QQ)
-    elif field is not None and field != A.field:
+        f = field if field is not None else QQ
+        scalars: Dict[int, Scalar] = {}
+        monomials: Dict[tuple, Monomial] = {}
+        equations = []
+        for row, mon, terms in generic_system(ident, f):
+            poly = {}
+            for c, factors in terms:
+                m = monomials.get(factors)
+                if m is None:
+                    m = monomials[factors] = tuple(
+                        (_GENERIC_VARS[k], x) for k, x in factors)
+                value = scalars.get(c)
+                if value is None:
+                    value = scalars[c] = f.scalar(c)
+                poly[m] = value
+            equations.append(Equation(row, mon, MultiPoly(f, poly)))
+        return PolySystem(f, equations, ident.name)
+    if field is not None and field != A.field:
         raise FieldMismatch(f"{field} vs {A.field}")
+    check_budget(ident)
     varnames = identity_variables(ident)
     env = coordinate_env(A.field, varnames)
     delta = eval_node(A, ident.lhs, env) - eval_node(A, ident.rhs, env)
@@ -253,22 +275,212 @@ def span_equal(lhs: PolyList, rhs: PolyList, field: Optional[Field] = None) -> S
     return SpanReport(True)
 
 
-# -- tensor-matrix route ----------------------------------------------------------
+# -- expansion budget -------------------------------------------------------------
+
+# Most tensor columns (the sum of 2^l over an identity's words of l leaves,
+# before cancellation) that either route expands.  The degree-9 word
+# (((u*v)*(w*t))*((u*v)*(w*t)))*u has 512.  At the budget one word of 11
+# leaves takes about 1 s in the kernel and up to 5 s on a symbolic family with
+# four parameters; at 4096 columns the kernel alone takes up to 4.3 s
+# (2-vCPU VM, Python 3.11).
+MAX_COLUMNS = 2048
+
+
+def expansion_columns(ident: Identity) -> int:
+    """The identity's tensor column count, capped at MAX_COLUMNS + 1 and
+    computed on the node tree without expanding it into words."""
+    cap = MAX_COLUMNS + 1
+    seen: Dict[int, int] = {}  # by id: squares share their operand node
+
+    def count(node: Node) -> int:
+        if id(node) in seen:
+            return seen[id(node)]
+        if isinstance(node, Var):
+            n = 2
+        elif isinstance(node, Prod):
+            n = count(node.left) * count(node.right)
+        elif isinstance(node, Comm):
+            n = 2 * count(node.left) * count(node.right)
+        elif isinstance(node, Assoc):
+            n = 2 * count(node.a) * count(node.b) * count(node.c)
+        elif isinstance(node, Sum):
+            n = sum(count(f) for _, f in node.terms)
+        else:
+            raise TypeError(f"not an identity node: {node!r}")
+        seen[id(node)] = n = min(n, cap)
+        return n
+
+    return min(count(ident.lhs) + count(ident.rhs), cap)
+
+
+def check_budget(ident: Identity) -> None:
+    """Raise ExpansionTooLarge before expanding an identity past MAX_COLUMNS."""
+    if expansion_columns(ident) > MAX_COLUMNS:
+        raise ExpansionTooLarge(
+            f"the identity expands to more than {MAX_COLUMNS} tensor columns "
+            "(the expansion budget)")
+
+
+# -- packed-integer tensor kernel -------------------------------------------------
+#
+# On the generic algebra the entries of a word's tensor matrix are integer
+# polynomials in a1..b4 (identity weights are integers).  Such a polynomial is
+# a dict {packed monomial: int coefficient}, a monomial packing one _BITS-wide
+# exponent field per structure constant (a1 lowest), so that multiplying two
+# monomials adds two ints.  Coordinate monomials are packed the same way, one
+# field per coordinate variable x1, x2, y1, ...
+
+_BITS = 6
+_MASK = (1 << _BITS) - 1
+# The budget bounds every exponent: a word of l leaves has 2^l <= MAX_COLUMNS
+# columns, entries of degree l - 1 and coordinate degree l, so no packed field
+# carries into its neighbour.
+assert MAX_COLUMNS.bit_length() <= _MASK
+_GENERIC_VARS = tuple(itertools.chain(*GENERIC_NAMES))
+_LEAF = (({0: 1}, {}), ({}, {0: 1}))  # M(leaf) = I
+
+Shape = Optional[tuple]  # None for a leaf, (left shape, right shape) for a product
+
+
+def _shape(word: Word) -> Shape:
+    if isinstance(word, Var):
+        return None
+    if isinstance(word, Prod):
+        return (_shape(word.left), _shape(word.right))
+    raise TypeError(f"not a plain word: {word!r}")
+
+
+def _tensor_matrix(shape: Shape, memo: Dict[tuple, tuple]):
+    """The generic word matrix of a shape as 2 rows of 2^l packed
+    polynomials: M(leaf) = I and M(w1 w2) = A . (M(w1) (x) M(w2)), memoized
+    per subword shape (the matrix does not depend on the leaves' names)."""
+    if shape is None:
+        return _LEAF
+    if shape in memo:
+        return memo[shape]
+    m1 = _tensor_matrix(shape[0], memo)
+    m2 = _tensor_matrix(shape[1], memo)
+    rows: Tuple[list, list] = ([], [])
+    # Row r of A . K at column (c1, c2) is sum_ij A[r][2i + j] M1[i][c1] M2[j][c2].
+    for col1 in zip(*m1):
+        for col2 in zip(*m2):
+            out0: Dict[int, int] = {}
+            out1: Dict[int, int] = {}
+            get0, get1 = out0.get, out1.get
+            for i, p1 in enumerate(col1):
+                for j, p2 in enumerate(col2):
+                    s0 = 1 << (_BITS * (2 * i + j))
+                    s1 = s0 << (4 * _BITS)
+                    for e2, c2 in p2.items():
+                        for e1, c1 in p1.items():
+                            e, c = e1 + e2, c1 * c2
+                            out0[e + s0] = get0(e + s0, 0) + c
+                            out1[e + s1] = get1(e + s1, 0) + c
+            rows[0].append(out0)
+            rows[1].append(out1)
+    memo[shape] = rows
+    return rows
+
+
+def _unpack(e: int) -> Tuple[Tuple[int, int], ...]:
+    """(field index, exponent) pairs of a packed monomial, lowest field first."""
+    out = []
+    k = 0
+    while e:
+        if e & _MASK:
+            out.append((k, e & _MASK))
+        e >>= _BITS
+        k += 1
+    return tuple(out)
+
+
+def _word_combination(ident: Identity) -> Dict[Word, int]:
+    """lhs - rhs as a signed combination of plain words."""
+    combined: Dict[Word, int] = dict(word_terms(ident.lhs))
+    for w, c in word_terms(ident.rhs).items():
+        n = combined.get(w, 0) - c
+        if n:
+            combined[w] = n
+        else:
+            combined.pop(w, None)
+    return combined
+
+
+def generic_system(ident: Identity, field: Field):
+    """The identity's system on the generic algebra over `field`, as
+    (row, coordinate monomial, terms) in canonical `PolySystem` order, a term
+    being (int coefficient, ((entry index 0..7 of a1..b4, exponent), ...)).
+    Coefficients are residues in [0, p) over F_p.
+
+    Each word contributes its tensor matrix, column by column: a column picks
+    a basis index for every leaf, so it belongs to the coordinate monomial
+    with one coordinate variable per leaf.
+    """
+    check_budget(ident)
+    varnames = identity_variables(ident)
+    coordinate_env(field, varnames)  # rejects more variables than prefixes
+    index = {name: k for k, name in enumerate(varnames)}
+    memo: Dict[tuple, tuple] = {}
+    sums: Dict[Tuple[int, int], Dict[int, int]] = {}
+    for word, weight in _word_combination(ident).items():
+        mat = _tensor_matrix(_shape(word), memo)
+        cols = [0]
+        for name in word_leaves(word):
+            unit = 1 << (_BITS * 2 * index[name])
+            cols = [c + u for c in cols for u in (unit, unit << _BITS)]
+        for row in (0, 1):
+            for col, poly in zip(cols, mat[row]):
+                acc = sums.get((row, col))
+                if acc is None:
+                    sums[row, col] = {e: weight * c for e, c in poly.items()}
+                else:
+                    get = acc.get
+                    for e, c in poly.items():
+                        acc[e] = get(e, 0) + weight * c
+    p = field.p if field.kind == "Fp" else 0
+    coord_names = [f"{prefix}{i}" for prefix in COORD_PREFIXES for i in (1, 2)]
+    factors_of: Dict[int, tuple] = {}  # one factor tuple per packed monomial
+    out = []
+    for (row, col), acc in sums.items():
+        terms = []
+        for e, c in acc.items():
+            if p:
+                c %= p
+            if c:
+                factors = factors_of.get(e)
+                if factors is None:
+                    factors = factors_of[e] = _unpack(e)
+                terms.append((c, factors))
+        if terms:
+            mon = tuple(sorted((coord_names[k], x) for k, x in _unpack(col)))
+            out.append((row, mon, tuple(terms)))
+    out.sort(key=lambda eq: (eq[0], mon_sort_key(eq[1])))
+    return tuple(out)
+
+
+# -- tensor-matrix views ------------------------------------------------------------
+
+
+def _at(A: Msc, poly: Dict[int, int]):
+    """A packed polynomial evaluated at the entries of A."""
+    vals = A.entries_flat()
+    out = A.field.zero()
+    for e, c in poly.items():
+        term = A.field.scalar(c)
+        for k, x in _unpack(e):
+            for _ in range(x):
+                term = term * vals[k]
+        out = out + term
+    return out
 
 
 def word_tensor_matrix(A: Msc, word: Word):
     """The 2 x 2^l matrix M with w(u1,..,ul) = M . (u1 (x) ... (x) ul).
 
-    Defined recursively by M(leaf) = I and M(w1 w2) = A . (M(w1) (x) M(w2)).
+    Defined recursively by M(leaf) = I and M(w1 w2) = A . (M(w1) (x) M(w2));
+    this is the kernel's generic matrix evaluated at A's entries.
     """
-    if isinstance(word, Var):
-        return identity_mat(A.field, 2)
-    if isinstance(word, Prod):
-        return mat_mul(
-            [list(r) for r in A.rows],
-            mat_kron(word_tensor_matrix(A, word.left), word_tensor_matrix(A, word.right)),
-        )
-    raise TypeError(f"not a plain word: {word!r}")
+    return [[_at(A, poly) for poly in row] for row in _tensor_matrix(_shape(word), {})]
 
 
 def identity_tensor_matrix(A: Msc, ident: Identity):
@@ -279,29 +491,19 @@ def identity_tensor_matrix(A: Msc, ident: Identity):
     the same coefficient polynomials that `expand` produces, arranged by
     Kronecker column.  Raises AlgidError when a word is not ordered.
     """
+    check_budget(ident)
     order = identity_variables(ident)
-    combined: Dict[Word, int] = dict(word_terms(ident.lhs))
-    for w, c in word_terms(ident.rhs).items():
-        n = combined.get(w, 0) - c
-        if n:
-            combined[w] = n
-        else:
-            combined.pop(w, None)
-    if not combined:
-        return [[A.field.zero()] * (2 ** len(order)) for _ in range(2)]
+    combined = _word_combination(ident)
     for w in combined:
         if list(word_leaves(w)) != order:
             raise AlgidError(
                 f"word {w!r} is not the ordered product of the identity variables"
             )
-    width = 2 ** len(order)
-    total = None
-    for w, c in sorted(combined.items(), key=lambda t: repr(t[0])):
-        s = A.field.scalar(c)
-        mat = [[s * x for x in row] for row in word_tensor_matrix(A, w)]
-        if total is None:
-            total = mat
-        else:
-            total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, mat)]
-    assert total is not None and len(total[0]) == width
-    return total
+    memo: Dict[tuple, tuple] = {}
+    total = [[{} for _ in range(2 ** len(order))] for _ in range(2)]
+    for w, weight in combined.items():
+        for acc_row, row in zip(total, _tensor_matrix(_shape(w), memo)):
+            for acc, poly in zip(acc_row, row):
+                for e, c in poly.items():
+                    acc[e] = acc.get(e, 0) + weight * c
+    return [[_at(A, poly) for poly in row] for row in total]

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import GENERIC_NAMES, Msc, Vec, change_basis, conjugates_to
+from .algebra_core import Msc, Vec, change_basis, conjugates_to
 from .canon_catalog import (
     CHAR2_IDENTITY_PAIRS,
     OPPOSITE_TABLES,
@@ -42,9 +42,11 @@ from .errors import (
 from .exactnum import F2, F3, F5, QQ, Field, field_make, sqrt as scalar_sqrt
 from .expander import (
     Equation,
+    check_budget,
     coordinate_env,
     eval_node,
     expand,
+    generic_system,
     span_equal,
 )
 from .identity_lang import (
@@ -87,27 +89,28 @@ class FormalCheck:
 _COMPILED_SYSTEMS = 8
 
 
-@functools.lru_cache(maxsize=_COMPILED_SYSTEMS)
 def _compiled_system(ident: Identity, field: Field, functional: bool):
     """The generic system as (row, monomial, terms) in canonical order, a term
     being (coefficient value, ((entry index 0..7 of a1..b4, exponent), ...)).
     Functional mode merges monomials that agree pointwise on F_p (x^p = x)."""
+    # Hashing the identity for the cache walks its tree once per path, which
+    # is exponential in nested squares; the budget check comes first.
+    check_budget(ident)
+    return _compile(ident, field, functional)
+
+
+@functools.lru_cache(maxsize=_COMPILED_SYSTEMS)
+def _compile(ident: Identity, field: Field, functional: bool):
     if functional:
         # x^e and x^((e - 1) mod (p - 1) + 1) agree at every x in F_p (e >= 1)
         merged: Dict[tuple, tuple] = {}
-        for row, mon, terms in _compiled_system(ident, field, False):
+        for row, mon, terms in _compile(ident, field, False):
             key = (row, tuple((v, (e - 1) % (field.p - 1) + 1) for v, e in mon))
             merged[key] = merged.get(key, ()) + terms
         return tuple(sorted(((row, mon, terms)
                              for (row, mon), terms in merged.items()),
                             key=lambda eq: (eq[0], mon_sort_key(eq[1]))))
-    index = {name: k for k, name in enumerate(itertools.chain(*GENERIC_NAMES))}
-    shared: Dict[tuple, tuple] = {}  # equations repeat monomials; keep one copy
-    return tuple(
-        (eq.row, eq.monomial,
-         tuple((c.value, shared.setdefault(m, tuple((index[v], e) for v, e in m)))
-               for m, c in eq.poly.sorted_terms()))
-        for eq in expand(ident, field=field).equations)
+    return generic_system(ident, field)
 
 
 def _equation_value(terms, vals):
@@ -275,7 +278,10 @@ def alternating_sum(shape: Word, n: int) -> Sum:
     for perm in itertools.permutations(range(n)):
         mapping = {alt[i]: alt[perm[i]] for i in range(n)}
         terms.append((_perm_sign(perm), _subst_word(shape, mapping)))
-    return Sum(tuple(terms))
+    out = Sum(tuple(terms))
+    # Callers evaluate the sum on the generic algebra.
+    check_budget(Identity("alternation", out, Sum(())))
+    return out
 
 
 def alternating_vanishes(A: Msc, shape: Word, n: int = 3) -> bool:
@@ -327,12 +333,20 @@ def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
     if mode not in ("formal", "functional"):
         raise AlgidError("scan mode must be 'formal' or 'functional'")
     system = _compiled_system(ident, field_make(p), mode == "functional")
-    # Residues below p keep every term inside int64 up to degree 20.
-    idx = np.arange(p ** 8, dtype=np.int64)
-    cols = [(idx // p ** (7 - j)) % p for j in range(8)]
-    ok = np.ones(p ** 8, dtype=bool)
+    # Each algebra leaves `alive` at its first nonzero equation, so later
+    # equations are evaluated only on the algebras still undecided.
+    alive = np.arange(p ** 8, dtype=np.int64)
+    cols = [(alive // p ** (7 - j)) % p for j in range(8)]
     for terms in dict.fromkeys(terms for _, _, terms in system):
-        ok &= _equation_value(terms, cols) % p == 0
+        # Residues below p keep every term inside int64 up to degree 20.
+        zero = np.broadcast_to(_equation_value(terms, cols) % p == 0, alive.shape)
+        if not zero.all():
+            alive = alive[zero]
+            cols = [c[zero] for c in cols]
+        if not alive.size:
+            break
+    ok = np.zeros(p ** 8, dtype=bool)
+    ok[alive] = True
     return ok
 
 

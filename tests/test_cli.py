@@ -542,6 +542,55 @@ class TestInputContracts:
         assert "integer longer than 4300 digits" in r.output
 
 
+    def test_overlong_json_number_is_usage_error(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"dim": 2, "field": {"kind": "Q"}, "entries": [[%s, 0, 0, 0], '
+                        '[0, 0, 0, 0]]}' % ("9" * 5000))
+        r = runner.invoke(main, ["check", "--algebra", str(path), "--identity", "I1"])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert "integer longer than 4300 digits" in r.output
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_unprintable_value_is_usage_error(self, json_flag):
+        r = runner.invoke(main, ["catalog", "instantiate", "A4", "--args",
+                                 "(99^64)^64, 0"] + json_flag)
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert "cannot be printed" in r.output
+
+    @pytest.mark.parametrize("argv, identity", [
+        (["check", "--family", "A12"], "commutator"),
+        (["check", "--family", "A12"], "squares"),
+        (["expand"], "commutator"),
+        (["scan", "--field", "F2"], "squares"),
+    ])
+    def test_expansion_past_the_budget_is_usage_error(self, argv, identity):
+        """A 30-deep commutator or square tower is refused at once; without
+        the budget the first hangs while expanding, the second while hashing."""
+        text = "u"
+        for _ in range(30):
+            text = "[%s,v]" % text if identity == "commutator" else "(%s)^2" % text
+        _assert_over_budget(argv + ["--identity", text])
+
+    def test_alternating_shape_past_the_budget_is_usage_error(self):
+        shape = "v1"
+        for k in range(2, 25):
+            shape = "(%s*v%d)" % (shape, 1 + k % 3)
+        _assert_over_budget(["alternating", "--shape", shape])
+
+
+def _assert_over_budget(argv):
+    """The command exits 2 naming the expansion budget, in a child process
+    whose timeout turns a hang into a failure."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        os.path.abspath(algid.__file__))))
+    out = subprocess.run([sys.executable, "-m", "algid.cli"] + argv,
+                         env=env, capture_output=True, text=True, timeout=30)
+    assert out.returncode == 2, out.stderr
+    assert "expansion budget" in out.stderr and "Traceback" not in out.stderr
+
+
 _IDENTITY_TEXT = st.text(alphabet="0123456789uvw*+-=[](),^' ", max_size=30)
 _ARGS_TEXT = st.text(alphabet="0123456789sqrt/*+-^(), ", max_size=30)
 

@@ -3,19 +3,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algid.algebra_core import Msc, Vec
-from algid.errors import AlgidError, TooManyVariables
-from algid.exactnum import F2, F5, QQ
+from algid.errors import AlgidError, ExpansionTooLarge, TooManyVariables
+from algid.exactnum import F2, F3, F5, QQ
 from algid.expander import (
+    MAX_COLUMNS,
     PolySystem,
     coordinate_env,
     eval_node,
     expand,
+    expansion_columns,
     identity_tensor_matrix,
     span_contains,
     span_equal,
     word_tensor_matrix,
 )
-from algid.identity_lang import Prod, Var, get_identity, parse_identity
+from algid.identity_lang import (
+    NUMBERED_IDENTITIES,
+    Assoc,
+    Comm,
+    Identity,
+    Prod,
+    Sum,
+    Var,
+    get_identity,
+    parse_identity,
+)
 from algid.multipoly import parse_poly
 
 COMMUTATIVE = Msc.from_scalars(QQ, [[0, 1, 1, 0], [0, 0, 0, -1]])
@@ -209,3 +221,96 @@ def test_identity_without_variables_expands_to_the_zero_system():
     ident = parse_identity("0 = 0")
     assert expand(ident).is_zero()
     assert expand(ident, COMMUTATIVE).is_zero()
+
+
+# -- the tensor kernel against the coordinate route --------------------------------
+
+DEGREE_6 = "(((u*v)*w)*u)*((v*w)*u) = 0"
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=str)
+def test_generic_system_matches_the_coordinate_route(field):
+    """`expand` on the generic algebra (the tensor kernel) gives, equation
+    for equation, what substituting coordinates into Msc.generic gives."""
+    generic = Msc.generic(field)
+    idents = [get_identity(name) for name in NUMBERED_IDENTITIES]
+    idents += [parse_identity(DEGREE_6), parse_identity("0 = 0")]
+    for ident in idents:
+        assert expand(ident, field=field).equations == expand(ident, generic).equations, \
+            ident.name
+
+
+_LETTERS = ("u", "v", "w")
+
+
+@st.composite
+def _expressions(draw, leaves, depth=3):
+    """An identity expression whose expanded words have at most `leaves`
+    leaves: variables, products, commutators, associators and integer-weighted
+    sums."""
+    kinds = ["var"] if depth == 0 or leaves == 1 else ["var", "prod", "comm", "sum"]
+    if depth and leaves >= 3:
+        kinds.append("assoc")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "var":
+        return Var(draw(st.sampled_from(_LETTERS)))
+    if kind == "sum":
+        weights = st.integers(min_value=-3, max_value=3).filter(bool)
+        return Sum(tuple(draw(st.lists(
+            st.tuples(weights, _expressions(leaves, depth - 1)), min_size=1, max_size=2))))
+    if kind == "assoc":
+        a = draw(st.integers(min_value=1, max_value=leaves - 2))
+        b = draw(st.integers(min_value=1, max_value=leaves - a - 1))
+        return Assoc(draw(_expressions(a, depth - 1)), draw(_expressions(b, depth - 1)),
+                     draw(_expressions(leaves - a - b, depth - 1)))
+    left = draw(st.integers(min_value=1, max_value=leaves - 1))
+    node = Comm if kind == "comm" else Prod
+    return node(draw(_expressions(left, depth - 1)),
+                draw(_expressions(leaves - left, depth - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, F2, F3, F5]),
+       st.lists(st.tuples(st.integers(min_value=-4, max_value=4).filter(bool),
+                          _expressions(5)), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(min_value=-4, max_value=4).filter(bool),
+                          _expressions(5)), max_size=2))
+def test_random_identities_match_the_coordinate_route(field, lhs, rhs):
+    ident = Identity("random", Sum(tuple(lhs)), Sum(tuple(rhs)))
+    assert expand(ident, field=field).equations == \
+        expand(ident, Msc.generic(field)).equations
+
+
+# -- the expansion budget ------------------------------------------------------------
+
+
+def _nested_commutator(depth):
+    text = "u"
+    for _ in range(depth):
+        text = "[%s,v]" % text
+    return parse_identity(text + " = 0")
+
+
+def test_expansion_budget_bounds_both_routes():
+    deep = _nested_commutator(30)
+    assert expansion_columns(deep) == MAX_COLUMNS + 1
+    for call in (lambda: expand(deep), lambda: expand(deep, COMMUTATIVE),
+                 lambda: identity_tensor_matrix(Msc.generic(QQ), deep)):
+        with pytest.raises(ExpansionTooLarge, match="expansion budget"):
+            call()
+    # commutators double, sums add, products multiply: 2 * 2^2 + 2 * 2^3
+    assert expansion_columns(parse_identity("[u,v] = [u,v,w]")) == 24
+    assert expansion_columns(parse_identity(
+        "(((u*v)*(w*t))*((u*v)*(w*t)))*u = 0")) == 512
+    assert max(expansion_columns(get_identity(name))
+               for name in NUMBERED_IDENTITIES) <= MAX_COLUMNS // 8
+
+
+def test_square_towers_are_counted_without_expanding_them():
+    text = "u"
+    for _ in range(40):
+        text = "(%s)^2" % text
+    tower = parse_identity(text + " = 0")
+    assert expansion_columns(tower) == MAX_COLUMNS + 1
+    with pytest.raises(ExpansionTooLarge):
+        expand(tower, field=F3)

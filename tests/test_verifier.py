@@ -280,6 +280,47 @@ class TestCompiledSystemDifferential:
             scan_algebras(3, get_identity("I1"), "bogus")
 
 
+class TestScanPruning:
+    """scan_algebras drops each algebra at its first nonzero equation; the
+    vector must be the one a full evaluation of every equation gives."""
+
+    @staticmethod
+    def _full_scan(p, ident, mode):
+        import numpy as np
+
+        from algid.verifier import _compiled_system
+
+        idx = np.arange(p ** 8, dtype=np.int64)
+        cols = [(idx // p ** (7 - j)) % p for j in range(8)]
+        ok = np.ones(p ** 8, dtype=bool)
+        for _, _, terms in _compiled_system(ident, field_make(p), mode == "functional"):
+            value = np.zeros(p ** 8, dtype=np.int64)
+            for c, factors in terms:
+                term = np.full(p ** 8, c, dtype=np.int64)
+                for i, e in factors:
+                    term = term * cols[i] ** e
+                value = value + term
+            ok &= value % p == 0
+        return ok
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_full_evaluation(self, p):
+        import numpy as np
+
+        idents = [get_identity("I%d" % k) for k in range(1, 31)]
+        idents += [parse_identity("u = 0"), parse_identity("0 = 0")]
+        for ident in idents:
+            for mode in ("formal", "functional"):
+                expected = self._full_scan(p, ident, mode)
+                got = scan_algebras(p, ident, mode)
+                assert got.dtype == bool and got.shape == (p ** 8,)
+                assert np.array_equal(got, expected), (ident.name, mode)
+
+    def test_constant_equations(self):
+        assert scan_field(3, parse_identity("u = 0")) == 0
+        assert scan_field(3, parse_identity("u = u")) == 3 ** 8
+
+
 class TestAlternating:
     def test_twelve_shapes(self):
         shapes = word_shapes(3)
