@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple, Union
 
-from .errors import DimensionMismatch, FieldMismatch
+from .errors import AlgidError, DimensionMismatch, FieldMismatch
 from .exactnum import Field, Scalar, inv
 from .multipoly import MultiPoly
 
@@ -206,6 +206,8 @@ class Msc:
     def from_json(cls, data: dict) -> "Msc":
         from .exactnum import field_make
 
+        if not isinstance(data, dict):
+            raise AlgidError(f"expected a JSON object, got {type(data).__name__}")
         if data.get("dim") != 2:
             raise DimensionMismatch(f"unsupported dimension {data.get('dim')!r}")
         field = field_make(data["field"])

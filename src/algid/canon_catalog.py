@@ -11,7 +11,9 @@ verified:
   algebra (exact equality or isomorphism, with the printed witness where one
   is printed),
 * ``SELF_OPPOSITE[regime]`` — which instances are asserted isomorphic to
-  their own opposite.
+  their own opposite,
+* ``SECTION3_ROWS`` — the worked products, commutators, associators and
+  degree-3 laws of Section 3, each with its printed components.
 
 This module is data plus instantiation helpers; the checking logic lives in
 ``verifier``.  Rows known to be wrong in the source tables carry a non-empty
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import Msc
+from .algebra_core import Msc, Vec
 from .errors import (
     CharMismatch,
     DivisionByZero,
@@ -67,13 +69,32 @@ def _node(text: str):
     return parse_expr(text)
 
 
-def _has_sqrt(text: str) -> bool:
-    def walk(n) -> bool:
-        if n[0] == "sqrt":
-            return True
-        return any(walk(c) for c in n[1:] if isinstance(c, tuple))
+@lru_cache(maxsize=None)
+def _node_kinds(text: str) -> frozenset:
+    """The kinds ("num", "sqrt", "div", ...) of every node of an expression."""
+    kinds, stack = set(), [_node(text)]
+    while stack:
+        n = stack.pop()
+        kinds.add(n[0])
+        stack.extend(c for c in n[1:] if isinstance(c, tuple))
+    return frozenset(kinds)
 
-    return walk(_node(text))
+
+def _values_at(field: Field, env: Dict[str, Scalar], *groups: Sequence[str]):
+    """(values, "") with a tuple of values per group of texts at `env`, or
+    (None, skip reason) when a square root or an inverse is unavailable."""
+    try:
+        return tuple(tuple(eval_expr(_node(t), field, env) for t in group)
+                     for group in groups), ""
+    except SqrtUnavailable as exc:
+        return None, "square root unavailable: %s" % exc
+    except DivisionByZero as exc:
+        return None, "division by zero: %s" % exc
+
+
+def _symbolic(texts: Sequence[str], field: Field) -> Tuple[MultiPoly, ...]:
+    """Texts as polynomials over `field`, every variable left symbolic."""
+    return tuple(expr_to_poly(_node(t), field) for t in texts)
 
 
 def scalar_text(s: Scalar) -> str:
@@ -347,29 +368,22 @@ class ClaimedRow:
         return "%s(%s)" % (self.family, ", ".join(self.args))
 
     def has_radical(self) -> bool:
-        return any(_has_sqrt(a) for a in self.args)
+        return any("sqrt" in _node_kinds(a) for a in self.args)
 
     def symbolic_algebra(self, field: Field) -> Optional[Msc]:
         """Template at polynomial arguments, or None if a radical blocks it."""
         if self.has_radical():
             return None
-        env = {f: MultiPoly.var(field, f) for f in self.frees}
-        fam = family(self.family)
-        polys = [expr_to_poly(_node(a), field, env) for a in self.args]
-        return fam.instantiate_poly(field, polys)
+        return family(self.family).instantiate_poly(
+            field, _symbolic(self.args, field))
 
     def _instance_at(self, field: Field, point: Tuple[Scalar, ...]) -> "ClaimInstance":
-        env = dict(zip(self.frees, point))
-        try:
-            vals = tuple(eval_expr(_node(a), field, env) for a in self.args)
-        except SqrtUnavailable as exc:
-            return ClaimInstance(self, point, None, None,
-                                 "square root unavailable: %s" % exc)
-        except DivisionByZero as exc:
-            return ClaimInstance(self, point, None, None,
-                                 "division by zero: %s" % exc)
-        algebra = family(self.family).instantiate(field, vals)
-        return ClaimInstance(self, point, vals, algebra, "")
+        vals, skip = _values_at(field, dict(zip(self.frees, point)), self.args)
+        if skip:
+            return ClaimInstance(self, point, None, None, skip)
+        (args,) = vals
+        return ClaimInstance(self, point, args,
+                             family(self.family).instantiate(field, args), "")
 
     def instances(self, field: Field) -> List["ClaimInstance"]:
         """Concrete instances of this row over `field`.
@@ -1037,12 +1051,17 @@ class OppositeRow:
     def fully_polynomial(self) -> bool:
         """True when every expression is radical- and division-free, so the
         row can be checked symbolically over the frees."""
-        def poly_ok(n) -> bool:
-            if n[0] in ("sqrt", "div"):
-                return False
-            return all(poly_ok(c) for c in n[1:] if isinstance(c, tuple))
+        return not any({"sqrt", "div"} & _node_kinds(t) for t in self._texts())
 
-        return all(poly_ok(_node(t)) for t in self._texts())
+    def symbolic(self, field: Field):
+        """(source, image, witness or None) with the frees left symbolic."""
+        source = family(self.source_family).instantiate_poly(
+            field, _symbolic(self.source_args, field))
+        image = family(self.image_family).instantiate_poly(
+            field, _symbolic(self.image_args, field))
+        g = (None if self.witness is None
+             else tuple(_symbolic(row, field) for row in self.witness))
+        return source, image, g
 
     def instances(self, field: Field) -> List["OppositeInstance"]:
         pts = _parameter_points(field, self.frees, self.samples,
@@ -1050,27 +1069,16 @@ class OppositeRow:
         return [self._instance_at(field, pt) for pt in pts]
 
     def _instance_at(self, field, pt) -> "OppositeInstance":
-        env = dict(zip(self.frees, pt))
-        try:
-            src_vals = tuple(eval_expr(_node(a), field, env)
-                             for a in self.source_args)
-            img_vals = tuple(eval_expr(_node(a), field, env)
-                             for a in self.image_args)
-            g = None
-            if self.witness is not None:
-                g = tuple(
-                    tuple(eval_expr(_node(cell), field, env) for cell in row)
-                    for row in self.witness
-                )
-        except SqrtUnavailable as exc:
-            return OppositeInstance(self, pt, None, None, None,
-                                    "square root unavailable: %s" % exc)
-        except DivisionByZero as exc:
-            return OppositeInstance(self, pt, None, None, None,
-                                    "division by zero: %s" % exc)
-        source = family(self.source_family).instantiate(field, src_vals)
-        image = family(self.image_family).instantiate(field, img_vals)
-        return OppositeInstance(self, pt, source, image, g, "")
+        vals, skip = _values_at(field, dict(zip(self.frees, pt)),
+                                self.source_args, self.image_args,
+                                *(self.witness or ()))
+        if skip:
+            return OppositeInstance(self, pt, None, None, None, skip)
+        src_vals, img_vals, *g = vals
+        return OppositeInstance(
+            self, pt, family(self.source_family).instantiate(field, src_vals),
+            family(self.image_family).instantiate(field, img_vals),
+            tuple(g) if g else None, "")
 
 
 @dataclass(frozen=True)
@@ -1266,6 +1274,98 @@ SELF_OPPOSITE: Dict[str, Tuple[ClaimedRow, ...]] = {
 
 
 # ---------------------------------------------------------------------------
+# Section 3 worked computations
+
+
+@dataclass(frozen=True)
+class WorkedRow:
+    """One worked computation: `expression` (identity language) on a family
+    with its parameters left symbolic, or on the generic algebra when
+    `family` is None.  With `printed` (e1, e2) component texts in the
+    coordinates u = (x1, x2), v = (y1, y2), w = (z1, z2), the expression must
+    evaluate to that vector; without, `expression` names an identity that
+    must hold formally."""
+
+    section: str
+    family: Optional[str]
+    expression: str
+    printed: Optional[Tuple[str, str]]
+    label: str
+    detail: str = ""
+
+    def algebra(self, field: Field) -> Msc:
+        if self.family is None:
+            return Msc.generic(field)
+        fam = family(self.family)
+        return fam.instantiate_poly(field, _symbolic(fam.params, field))
+
+    def printed_vector(self, field: Field) -> Vec:
+        return Vec(field, _symbolic(self.printed, field))
+
+
+_GENERIC = "generic, symbolic"
+_COMMUTATOR_FORMS = (
+    ("A4", "(x1 y2 - x2 y1)*(b2 + a1 - 1)"),
+    ("A5", "(3 a1 - 2)*(x1 y2 - x2 y1)"),
+    ("A8", "x1 y2 - x2 y1"),
+    ("A9", "x1 y2 - x2 y1"),
+)
+
+SECTION3_ROWS: Tuple[WorkedRow, ...] = tuple(WorkedRow(*r) for r in (
+    ("degree-3 laws", None, "comm-of-comms", None,
+     "[[u,v],[u',v']] = 0", _GENERIC),
+    ("degree-3 laws", None, "jacobi-left", None,
+     "[u,v]w + [v,w]u + [w,u]v = 0", _GENERIC),
+    ("degree-3 laws", None, "jacobi-right", None,
+     "w[u,v] + u[v,w] + v[w,u] = 0", _GENERIC),
+    *(row for fam, e2 in _COMMUTATOR_FORMS for row in (
+        ("commutator form", fam, "[u,v]", ("0", e2),
+         "[u,v] on %s is (%s) e2" % (fam, e2)),
+        ("commutator form", fam, "comm-times-comm", None,
+         "[u,v]*[u',v'] = 0 on " + fam),
+        ("commutator form", fam, "assoc-times-assoc", None,
+         "[u,v,w]*[u',v',w'] = 0 on " + fam))),
+    ("A9", "A9", "u*v", ("1/3 x1 y1", "x1 y1 + 2/3 x1 y2 - 1/3 x2 y1"),
+     "uv = (x1 y1)/3 e1 + (3 x1 y1 + 2 x1 y2 - x2 y1)/3 e2"),
+    ("A9", "A9", "[u,v]", ("0", "x1 y2 - x2 y1"),
+     "[u,v] = (x1 y2 - x2 y1) e2"),
+    ("A9", "A9", "[u,v]*w", ("0", "(0 - z1/3)*(x1 y2 - x2 y1)"),
+     "[u,v]w = -z1/3 (x1 y2 - x2 y1) e2"),
+    ("A9", "A9", "w*[u,v]", ("0", "(2 z1/3)*(x1 y2 - x2 y1)"),
+     "w[u,v] = 2 z1/3 (x1 y2 - x2 y1) e2"),
+    ("A9", "A9", "weighted-comm-mix", None, "2[u,v]w + w[u,v] = 0"),
+    ("A10", "A10", "u*v", ("x1 y2 + x2 y1", "0 - x2 y2"),
+     "uv = (x1 y2 + x2 y1) e1 - x2 y2 e2"),
+    ("A10", "A10", "(u*v)*w", ("(x1 y2 + x2 y1)*z2 - x2 y2 z1", "x2 y2 z2"),
+     "(uv)w = ((x1 y2 + x2 y1) z2 - x2 y2 z1) e1 + x2 y2 z2 e2"),
+    ("A10", "A10", "u*(v*w)", ("(0 - x1 y2 z2) + x2*(y1 z2 + y2 z1)", "x2 y2 z2"),
+     "u(vw) = (-x1 y2 z2 + x2 (y1 z2 + y2 z1)) e1 + x2 y2 z2 e2"),
+    ("A10", "A10", "[u,v,w]", ("2 y2*(x1 z2 - x2 z1)", "0"),
+     "[u,v,w] = 2 y2 (x1 z2 - x2 z1) e1"),
+    ("A10", "A10", "assoc-times-assoc", None, "[u,v,w][u',v',w'] = 0"),
+    ("A10", "A10", "assoc-cycle-plus", None, "[u,v,w] + [v,w,u] + [w,u,v] = 0",
+     "sign corrected: the printed display subtracts the third cycle, "
+     "which leaves a residual 2 x2 (y1 z2 - y2 z1) e1"),
+    ("A11", "A11", "u*v", ("x1 y2 + x2 y1", "x1 y1 - x2 y2"),
+     "uv = (x1 y2 + x2 y1) e1 + (x1 y1 - x2 y2) e2"),
+    ("A11", "A11", "(u*v)*w", ("(x1 y2 + x2 y1)*z2 + (x1 y1 - x2 y2)*z1",
+                               "(x1 y2 + x2 y1)*z1 - (x1 y1 - x2 y2)*z2"),
+     "(uv)w matches its printed expansion"),
+    ("A11", "A11", "u*(v*w)", ("x1*(y1 z1 - y2 z2) + x2*(y1 z2 + y2 z1)",
+                               "x1*(y1 z2 + y2 z1) - x2*(y1 z1 - y2 z2)"),
+     "u(vw) = (x1 (y1 z1 - y2 z2) + x2 (y1 z2 + y2 z1)) e1 "
+     "+ (x1 (y1 z2 + y2 z1) - x2 (y1 z1 - y2 z2)) e2",
+     "first component corrected: the printed form carries a stray z2"),
+    ("A11", "A11", "[u,v,w]", ("2*(x1 z2 - x2 z1)*y2", "(0 - 2)*(x1 z2 - x2 z1)*y1"),
+     "[u,v,w] = 2 (x1 z2 - x2 z1)(y2 e1 - y1 e2)"),
+    ("A11", "A11", "I30", None, "[u,v,w] = -[w,v,u]"),
+    ("A11", "A11", "assoc-cycle-plus", None, "[u,v,w] + [v,w,u] + [w,u,v] = 0"),
+    ("A12", "A12", "left-assoc-word", None, "(uv)w = 0"),
+    ("A12", "A12", "right-assoc-word", None, "u(vw) = 0"),
+))
+
+
+# ---------------------------------------------------------------------------
 # Negative spot-check selection
 
 
@@ -1285,14 +1385,11 @@ def row_covers(row: ClaimedRow, field: Field, candidate: Msc) -> bool:
         )
         r, c = fam.param_cell(fam.params[slot])
         env[free] = candidate.rows[r][c]
-    try:
-        vals = tuple(eval_expr(_node(a), field, env) for a in row.args)
-    except (SqrtUnavailable, DivisionByZero):
-        return False
-    if not _conditions_hold(field, env, row.nonzero, row.zero):
+    vals, skip = _values_at(field, env, row.args)
+    if skip or not _conditions_hold(field, env, row.nonzero, row.zero):
         return False
     try:
-        built = fam.instantiate(field, vals)
+        built = fam.instantiate(field, vals[0])
     except CharMismatch:
         return False
     return built == candidate

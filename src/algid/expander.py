@@ -480,6 +480,7 @@ def word_tensor_matrix(A: Msc, word: Word):
     Defined recursively by M(leaf) = I and M(w1 w2) = A . (M(w1) (x) M(w2));
     this is the kernel's generic matrix evaluated at A's entries.
     """
+    check_budget(Identity("word", word, Sum(())))
     return [[_at(A, poly) for poly in row] for row in _tensor_matrix(_shape(word), {})]
 
 

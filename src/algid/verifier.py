@@ -24,11 +24,12 @@ from .canon_catalog import (
     REGIME_CHAR2,
     REGIME_CHAR3,
     REGIMES,
+    SECTION3_ROWS,
     SELF_OPPOSITE,
     ClaimedRow,
     OppositeRow,
+    WorkedRow,
     claimed_rows,
-    family,
     negative_instances,
     regime_for_field,
 )
@@ -57,7 +58,8 @@ from .identity_lang import (
     Word,
     get_identity,
     identity_variables,
-    word_leaves,
+    parse_identity,
+    variables,
 )
 from .multipoly import MultiPoly, mon_sort_key, parse_poly, render_monomial
 
@@ -236,15 +238,6 @@ def _subst_word(word: Word, mapping: Dict[str, str]) -> Word:
     raise ShapeArityMismatch("shapes are product words built with * only")
 
 
-def word_var_names(word: Word) -> List[str]:
-    """Distinct leaf names in first-occurrence order."""
-    out: List[str] = []
-    for name in word_leaves(word):
-        if name not in out:
-            out.append(name)
-    return out
-
-
 def word_shapes(n: int) -> List[Tuple[str, Word]]:
     """All product shapes in variables v1..vn, each used once.
 
@@ -269,7 +262,7 @@ def word_shapes(n: int) -> List[Tuple[str, Word]]:
 
 def alternating_sum(shape: Word, n: int) -> Sum:
     """The signed sum of `shape` over permutations of its first n leaves."""
-    names = word_var_names(shape)
+    names = variables(shape)
     if n > len(names):
         raise ShapeArityMismatch(
             f"cannot alternate {n} variables in a word with {len(names)}")
@@ -288,14 +281,14 @@ def alternating_vanishes(A: Msc, shape: Word, n: int = 3) -> bool:
     """The alternating sum over n variables is identically zero on A
     (always true when n exceeds the dimension)."""
     node = alternating_sum(shape, n)
-    env = coordinate_env(A.field, word_var_names(shape))
+    env = coordinate_env(A.field, variables(shape))
     return eval_node(A, node, env).is_zero()
 
 
 def alternating_base_vector(A: Msc, shape: Word) -> Vec:
     """The distinguished vector: the 2-variable alternating sum evaluated at
     the basis (e1, e2)."""
-    names = word_var_names(shape)
+    names = variables(shape)
     if len(names) != 2:
         raise ShapeArityMismatch("the basis value needs a 2-variable word")
     node = alternating_sum(shape, 2)
@@ -305,7 +298,7 @@ def alternating_base_vector(A: Msc, shape: Word) -> Vec:
 
 def alternating_determinant_law(A: Msc, shape: Word) -> bool:
     """w_alt(u, v) == |u, v| * w_alt(e1, e2) as polynomials over A."""
-    names = word_var_names(shape)
+    names = variables(shape)
     node = alternating_sum(shape, 2)
     env = coordinate_env(A.field, names)
     got = eval_node(A, node, env)
@@ -523,19 +516,9 @@ def _involution_row(field: Field) -> ReportRow:
 
 
 def _symbolic_opposite_check(row: OppositeRow, field: Field) -> bool:
-    from .multipoly import expr_to_poly, parse_expr
-
-    env = {f: MultiPoly.var(field, f) for f in row.frees}
-    src = family(row.source_family).instantiate_poly(
-        field, [expr_to_poly(parse_expr(a), field, env)
-                for a in row.source_args])
-    img = family(row.image_family).instantiate_poly(
-        field, [expr_to_poly(parse_expr(a), field, env)
-                for a in row.image_args])
+    src, img, g = row.symbolic(field)
     if row.kind == "equal":
         return src.opposite() == img
-    g = [[expr_to_poly(parse_expr(c), field, env) for c in r]
-         for r in row.witness]
     return conjugates_to(src.opposite(), img, g)
 
 
@@ -547,12 +530,10 @@ def _opposite_row_report(row: OppositeRow, field: Field) -> List[ReportRow]:
         detail = "symbolic" + (
             " in " + ", ".join(row.frees) if row.frees else "")
         return [ReportRow(section, row.label(), PASS if ok else FAIL, detail)]
-    checked = skipped = 0
-    first_fail = ""
+    checked = 0
     skip_reasons = []
     for ins in row.instances(field):
         if ins.skip_reason:
-            skipped += 1
             skip_reasons.append(ins.skip_reason)
             continue
         src_op = ins.source.opposite()
@@ -563,14 +544,11 @@ def _opposite_row_report(row: OppositeRow, field: Field) -> List[ReportRow]:
                   and conjugates_to(src_op, ins.image, ins.witness))
         else:
             ok = search_iso(src_op, ins.image) is not None
-        if not ok and not first_fail:
-            first_fail = "fails at " + ins.label()
-        checked += 1 if ok else 0
         if not ok:
-            break
-    total = checked + skipped
-    if first_fail:
-        return [ReportRow(section, row.label(), FAIL, first_fail)]
+            return [ReportRow(section, row.label(), FAIL,
+                              "fails at " + ins.label())]
+        checked += 1
+    skipped = len(skip_reasons)
     if checked == 0 and skipped > 0:
         return [ReportRow(section, row.label(), SKIP,
                           "all %d points skipped: %s"
@@ -645,194 +623,36 @@ def verify_self_opposite() -> List[ReportRow]:
 # --- worked computations -------------------------------------------------------
 
 
-def _sym_family(name: str) -> Msc:
-    fam = family(name)
-    env = {p: MultiPoly.var(QQ, p) for p in fam.params}
-    return fam.instantiate_poly(QQ, [env[p] for p in fam.params])
-
-
-def _vec_from_texts(field: Field, e1_text: str, e2_text: str) -> Vec:
-    return Vec(field, [parse_poly(e1_text, field), parse_poly(e2_text, field)])
-
-
-def _uvw(field: Field):
-    env = coordinate_env(field, ("u", "v", "w"))
-    return env["u"], env["v"], env["w"]
-
-
-def _row_ok(section: str, label: str, ok: bool, detail: str = "") -> ReportRow:
-    return ReportRow(section, label, PASS if ok else FAIL, detail)
-
-
-def _rows_generic_laws() -> List[ReportRow]:
-    A = Msc.generic(QQ)
-    out = []
-    for name, text in (
-        ("comm-of-comms", "[[u,v],[u',v']] = 0"),
-        ("jacobi-left", "[u,v]w + [v,w]u + [w,u]v = 0"),
-        ("jacobi-right", "w[u,v] + u[v,w] + v[w,u] = 0"),
-    ):
-        res = check_formal(A, get_identity(name))
-        out.append(_row_ok("degree-3 laws", text, res.ok, "generic, symbolic"))
-    return out
-
-
-def _rows_commutator_forms() -> List[ReportRow]:
-    out = []
-    cases = (
-        ("A4", "(x1 y2 - x2 y1)*(b2 + a1 - 1)"),
-        ("A5", "(3 a1 - 2)*(x1 y2 - x2 y1)"),
-        ("A8", "x1 y2 - x2 y1"),
-        ("A9", "x1 y2 - x2 y1"),
-    )
-    for fam_name, e2_text in cases:
-        A = _sym_family(fam_name)
-        env = coordinate_env(QQ, ("u", "v"))
-        comm = A.commutator(env["u"], env["v"])
-        expected = _vec_from_texts(QQ, "0", e2_text)
-        out.append(_row_ok(
-            "commutator form", "[u,v] on %s is (%s) e2" % (fam_name, e2_text),
-            (comm - expected).is_zero()))
-        for extra in ("comm-times-comm", "assoc-times-assoc"):
-            res = check_formal(A, get_identity(extra))
-            out.append(_row_ok(
-                "commutator form",
-                "%s on %s" % (get_identity(extra).render(), fam_name), res.ok))
-    return out
-
-
-def _rows_worked_a9() -> List[ReportRow]:
-    A = _sym_family("A9")
-    u, v, w = _uvw(QQ)
-    out = []
-    uv = A.product(u, v)
-    out.append(_row_ok(
-        "A9", "uv = (x1 y1)/3 e1 + (3 x1 y1 + 2 x1 y2 - x2 y1)/3 e2",
-        (uv - _vec_from_texts(
-            QQ, "1/3 x1 y1", "x1 y1 + 2/3 x1 y2 - 1/3 x2 y1")).is_zero()))
-    comm = A.commutator(u, v)
-    out.append(_row_ok(
-        "A9", "[u,v] = (x1 y2 - x2 y1) e2",
-        (comm - _vec_from_texts(QQ, "0", "x1 y2 - x2 y1")).is_zero()))
-    left = A.product(comm, w)
-    out.append(_row_ok(
-        "A9", "[u,v]w = -z1/3 (x1 y2 - x2 y1) e2",
-        (left - _vec_from_texts(QQ, "0", "(0 - z1/3)*(x1 y2 - x2 y1)")).is_zero()))
-    right = A.product(w, comm)
-    out.append(_row_ok(
-        "A9", "w[u,v] = 2 z1/3 (x1 y2 - x2 y1) e2",
-        (right - _vec_from_texts(QQ, "0", "(2 z1/3)*(x1 y2 - x2 y1)")).is_zero()))
-    res = check_formal(A, get_identity("weighted-comm-mix"))
-    out.append(_row_ok("A9", "2[u,v]w + w[u,v] = 0", res.ok))
-    return out
-
-
-def _rows_worked_a10() -> List[ReportRow]:
-    A = _sym_family("A10")
-    u, v, w = _uvw(QQ)
-    out = []
-    uv = A.product(u, v)
-    out.append(_row_ok(
-        "A10", "uv = (x1 y2 + x2 y1) e1 - x2 y2 e2",
-        (uv - _vec_from_texts(QQ, "x1 y2 + x2 y1", "0 - x2 y2")).is_zero()))
-    lhs = A.product(uv, w)
-    out.append(_row_ok(
-        "A10", "(uv)w = ((x1 y2 + x2 y1) z2 - x2 y2 z1) e1 + x2 y2 z2 e2",
-        (lhs - _vec_from_texts(
-            QQ, "(x1 y2 + x2 y1)*z2 - x2 y2 z1", "x2 y2 z2")).is_zero()))
-    rhs = A.product(u, A.product(v, w))
-    out.append(_row_ok(
-        "A10", "u(vw) = (-x1 y2 z2 + x2 (y1 z2 + y2 z1)) e1 + x2 y2 z2 e2",
-        (rhs - _vec_from_texts(
-            QQ, "(0 - x1 y2 z2) + x2*(y1 z2 + y2 z1)", "x2 y2 z2")).is_zero()))
-    assoc = A.associator(u, v, w)
-    out.append(_row_ok(
-        "A10", "[u,v,w] = 2 y2 (x1 z2 - x2 z1) e1",
-        (assoc - _vec_from_texts(QQ, "2 y2*(x1 z2 - x2 z1)", "0")).is_zero()))
-    res = check_formal(A, get_identity("assoc-times-assoc"))
-    out.append(_row_ok("A10", "[u,v,w][u',v',w'] = 0", res.ok))
-    res = check_formal(A, get_identity("assoc-cycle-plus"))
-    out.append(_row_ok(
-        "A10", "[u,v,w] + [v,w,u] + [w,u,v] = 0", res.ok,
-        "sign corrected: the printed display subtracts the third cycle, "
-        "which leaves a residual 2 x2 (y1 z2 - y2 z1) e1"))
-    return out
-
-
-def _rows_worked_a11() -> List[ReportRow]:
-    A = _sym_family("A11")
-    u, v, w = _uvw(QQ)
-    out = []
-    uv = A.product(u, v)
-    out.append(_row_ok(
-        "A11", "uv = (x1 y2 + x2 y1) e1 + (x1 y1 - x2 y2) e2",
-        (uv - _vec_from_texts(QQ, "x1 y2 + x2 y1", "x1 y1 - x2 y2")).is_zero()))
-    lhs = A.product(uv, w)
-    out.append(_row_ok(
-        "A11", "(uv)w matches its printed expansion",
-        (lhs - _vec_from_texts(
-            QQ,
-            "(x1 y2 + x2 y1)*z2 + (x1 y1 - x2 y2)*z1",
-            "(x1 y2 + x2 y1)*z1 - (x1 y1 - x2 y2)*z2")).is_zero()))
-    rhs = A.product(u, A.product(v, w))
-    out.append(_row_ok(
-        "A11", "u(vw) = (x1 (y1 z1 - y2 z2) + x2 (y1 z2 + y2 z1)) e1 "
-               "+ (x1 (y1 z2 + y2 z1) - x2 (y1 z1 - y2 z2)) e2",
-        (rhs - _vec_from_texts(
-            QQ,
-            "x1*(y1 z1 - y2 z2) + x2*(y1 z2 + y2 z1)",
-            "x1*(y1 z2 + y2 z1) - x2*(y1 z1 - y2 z2)")).is_zero(),
-        "first component corrected: the printed form carries a stray z2"))
-    assoc = A.associator(u, v, w)
-    out.append(_row_ok(
-        "A11", "[u,v,w] = 2 (x1 z2 - x2 z1)(y2 e1 - y1 e2)",
-        (assoc - _vec_from_texts(
-            QQ, "2*(x1 z2 - x2 z1)*y2", "(0 - 2)*(x1 z2 - x2 z1)*y1")).is_zero()))
-    for name, text in (("I30", "[u,v,w] = -[w,v,u]"),
-                       ("assoc-cycle-plus", "[u,v,w] + [v,w,u] + [w,u,v] = 0")):
-        res = check_formal(A, get_identity(name))
-        out.append(_row_ok("A11", text, res.ok))
-    return out
-
-
-def _rows_worked_a12() -> List[ReportRow]:
-    A = family("A12").instantiate(QQ, ())
-    out = []
-    for name, text in (("left-assoc-word", "(uv)w = 0"),
-                       ("right-assoc-word", "u(vw) = 0")):
-        res = check_formal(A, get_identity(name))
-        out.append(_row_ok("A12", text, res.ok))
-    return out
-
-
-def _rows_alternating() -> List[ReportRow]:
-    A = Msc.generic(QQ)
-    out = []
-    for label, shape in word_shapes(3):
-        out.append(_row_ok(
-            "alternating", "3-variable alternation of %s vanishes" % label,
-            alternating_vanishes(A, shape, 3), "generic, symbolic"))
-    for label, shape in word_shapes(2):
-        out.append(_row_ok(
-            "alternating",
-            "2-variable alternation of %s equals |u,v| times its basis value"
-            % label,
-            alternating_determinant_law(A, shape), "generic, symbolic"))
-    return out
+def _worked_row(row: WorkedRow) -> ReportRow:
+    """A printed row holds when its expression evaluates to the printed
+    vector at generic u, v, w; any other row names an identity that must
+    hold formally."""
+    A = row.algebra(QQ)
+    if row.printed is None:
+        ok = check_formal(A, get_identity(row.expression)).ok
+    else:
+        ident = parse_identity(row.expression)
+        env = coordinate_env(QQ, ("u", "v", "w"))
+        got = eval_node(A, ident.lhs, env) - eval_node(A, ident.rhs, env)
+        ok = (got - row.printed_vector(QQ)).is_zero()
+    return ReportRow(row.section, row.label, PASS if ok else FAIL, row.detail)
 
 
 def verify_section3() -> List[ReportRow]:
-    rows: List[ReportRow] = []
-    for build in (
-        _rows_generic_laws,
-        _rows_commutator_forms,
-        _rows_worked_a9,
-        _rows_worked_a10,
-        _rows_worked_a11,
-        _rows_worked_a12,
-        _rows_alternating,
-    ):
-        rows.extend(build())
+    rows = [_worked_row(row) for row in SECTION3_ROWS]
+    A = Msc.generic(QQ)
+    for label, shape in word_shapes(3):
+        rows.append(ReportRow(
+            "alternating", "3-variable alternation of %s vanishes" % label,
+            PASS if alternating_vanishes(A, shape, 3) else FAIL,
+            "generic, symbolic"))
+    for label, shape in word_shapes(2):
+        rows.append(ReportRow(
+            "alternating",
+            "2-variable alternation of %s equals |u,v| times its basis value"
+            % label,
+            PASS if alternating_determinant_law(A, shape) else FAIL,
+            "generic, symbolic"))
     return rows
 
 

@@ -551,6 +551,19 @@ class TestInputContracts:
         assert isinstance(r.exception, SystemExit)
         assert "integer longer than 4300 digits" in r.output
 
+    @pytest.mark.parametrize("document", ["[]", '"x"', "5", "null"])
+    def test_non_object_document_is_usage_error(self, tmp_path, document):
+        path = tmp_path / "doc.json"
+        path.write_text(document)
+        for argv in (["check", "--algebra", str(path), "--identity", "I1"],
+                     ["opposite", "--algebra", str(path)],
+                     ["iso", "--a", str(path), "--b", str(path), "--search"]):
+            r = runner.invoke(main, argv)
+            assert r.exit_code == 2
+            assert isinstance(r.exception, SystemExit)
+            assert "%s: not a valid algebra document (expected a JSON object" % path \
+                in r.output
+
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_unprintable_value_is_usage_error(self, json_flag):
         r = runner.invoke(main, ["catalog", "instantiate", "A4", "--args",
@@ -595,6 +608,47 @@ _IDENTITY_TEXT = st.text(alphabet="0123456789uvw*+-=[](),^' ", max_size=30)
 _ARGS_TEXT = st.text(alphabet="0123456789sqrt/*+-^(), ", max_size=30)
 
 
+_JSON_LEAF = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(-3, 50)),
+    st.floats(), st.booleans(), st.none(), st.text(max_size=3))
+_JSON_VALUE = st.one_of(_JSON_LEAF, st.lists(_JSON_LEAF, max_size=5),
+                        st.dictionaries(st.text(max_size=2), _JSON_LEAF, max_size=2))
+_EXACT_ENTRY = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(1, 50)))
+_MODULUS = st.one_of(
+    st.integers(-5, 30), st.integers(2 ** 31 - 2, 10 ** 40), _JSON_VALUE)
+_BAD_FIELD = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("Fp"), "p": _MODULUS}),
+    st.sampled_from(["Q", "F2", "F3", "F4", "G5"]), _JSON_VALUE)
+
+
+@st.composite
+def _algebra_documents(draw):
+    """An algebra document that is well formed except, often, for one part:
+    an entry, a row, a key or the whole document replaced by a value of the
+    wrong kind, range or shape, or a key dropped."""
+    field = draw(st.sampled_from([{"kind": "Q"}] + [
+        {"kind": "Fp", "p": p} for p in (2, 3, 5, 7, 2 ** 31 - 1)]))
+    doc = {"dim": 2, "field": field,
+           "entries": draw(st.lists(st.lists(_EXACT_ENTRY, min_size=4, max_size=4),
+                                    min_size=2, max_size=2))}
+    spoil = draw(st.sampled_from(
+        [None, "entry", "row", "dim", "field", "entries", "drop", "document"]))
+    if spoil == "document":
+        return draw(_JSON_VALUE)
+    if spoil == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif spoil == "entry":
+        doc["entries"][draw(st.integers(0, 1))][draw(st.integers(0, 3))] = draw(_JSON_VALUE)
+    elif spoil == "row":
+        doc["entries"][draw(st.integers(0, 1))] = draw(_JSON_VALUE)
+    elif spoil:
+        doc[spoil] = draw(_BAD_FIELD if spoil == "field" else _JSON_VALUE)
+    return doc
+
+
 def _assert_exit_contract(argv):
     r = runner.invoke(main, argv)
     assert r.exit_code in (0, 1, 2), r.output
@@ -616,6 +670,21 @@ class TestCliFuzz:
     @example("9" * 4301 + ", 0")
     def test_instantiate_args_text(self, text):
         _assert_exit_contract(["catalog", "instantiate", "A4", "--args", text])
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(_algebra_documents(), st.sampled_from(["I1", "I3", "I19"]))
+    @example([], "I1")
+    @example("x", "I1")
+    @example(5, "I1")
+    @example(None, "I1")
+    @example({"dim": 2, "field": {"kind": "Fp", "p": 10 ** 40},
+              "entries": [[1, 0, 0, 0], [0, 0, 0, 0]]}, "I1")
+    def test_check_algebra_document(self, tmp_path_factory, document, identity):
+        path = tmp_path_factory.getbasetemp() / "fuzz-algebra.json"
+        path.write_text(json.dumps(document))
+        _assert_exit_contract(["check", "--algebra", str(path),
+                               "--identity", identity])
 
 
 def test_verify_paper_report_bytes_match_the_golden():

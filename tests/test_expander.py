@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -314,3 +316,15 @@ def test_square_towers_are_counted_without_expanding_them():
     assert expansion_columns(tower) == MAX_COLUMNS + 1
     with pytest.raises(ExpansionTooLarge):
         expand(tower, field=F3)
+
+
+def test_word_tensor_matrix_checks_the_budget():
+    """A 12-leaf word (4096 columns) is refused before the kernel runs;
+    without the check it takes about a minute."""
+    word = Var("u")
+    for _ in range(11):
+        word = Prod(word, Var("u"))
+    start = time.perf_counter()
+    with pytest.raises(ExpansionTooLarge, match="expansion budget"):
+        word_tensor_matrix(Msc.generic(QQ), word)
+    assert time.perf_counter() - start < 0.5
