@@ -177,25 +177,12 @@ class Family:
         )
 
     def check_regime(self, field: Field) -> None:
-        ch = field.char
-        ok = {
-            REGIME_CHAR0: ch not in (2, 3),
-            REGIME_CHAR2: ch == 2,
-            REGIME_CHAR3: ch == 3,
-        }[self.regime]
-        if not ok:
+        if regime_for_field(field) != self.regime:
+            need = {REGIME_CHAR0: "different from 2 and 3", REGIME_CHAR2: "2",
+                    REGIME_CHAR3: "3"}[self.regime]
             raise CharMismatch(
                 "family %s needs characteristic %s; field has characteristic %d"
-                % (
-                    self.name,
-                    {
-                        REGIME_CHAR0: "different from 2 and 3",
-                        REGIME_CHAR2: "2",
-                        REGIME_CHAR3: "3",
-                    }[self.regime],
-                    ch,
-                )
-            )
+                % (self.name, need, field.char))
 
     def instantiate(self, field: Field, args: Sequence[Scalar]) -> Msc:
         return self._instantiate(field, args, eval_expr)

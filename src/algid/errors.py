@@ -26,7 +26,8 @@ class FieldMismatch(AlgidError):
 
 
 class InexactScalar(AlgidError):
-    """A float or boolean where an exact field element or modulus is required."""
+    """A value that cannot be read as an exact field element or modulus: a
+    float, a boolean, another type than a number, or exponent notation."""
 
 
 class DimensionMismatch(AlgidError):

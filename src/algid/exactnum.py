@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from numbers import Rational
 from typing import Optional, Union
 
 from .errors import (
@@ -85,18 +86,22 @@ class Field:
         return "Q" if self.kind == "Q" else f"F{self.p}"
 
     def scalar(self, value: Union[int, str, Fraction, "Scalar"]) -> "Scalar":
-        """Coerce an int, Fraction, "num/den" string or Scalar into this field.
-
-        Floats and booleans are rejected: neither is an exact field element.
+        """Coerce an integer, Fraction, Scalar, or integer, decimal or
+        "num/den" string into this field.  Anything else is InexactScalar:
+        floats and booleans, other types, and strings in exponent notation,
+        for which Fraction() would build the power of ten outright.
         """
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch(f"{value} is not a {self} scalar")
             return value
-        if isinstance(value, (bool, float)):
+        if isinstance(value, bool) or not isinstance(value, (Rational, str)):
             raise InexactScalar(f"{value!r} is not an exact scalar; "
                                 "write an integer or a 'num/den' string")
         if isinstance(value, str):
+            if "e" in value.lower():
+                raise InexactScalar(f"{value!r} is not an integer, decimal or "
+                                    "'num/den' string; exponent notation is refused")
             try:
                 value = Fraction(value)
             except ZeroDivisionError:

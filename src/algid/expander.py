@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra_core import GENERIC_NAMES, Msc, Vec
 from .errors import AlgidError, ExpansionTooLarge, FieldMismatch, TooManyVariables
-from .exactnum import QQ, Field, Scalar, inv
+from .exactnum import QQ, Field, inv
 from .identity_lang import (
     Assoc,
     Comm,
@@ -82,6 +82,16 @@ class Equation:
     poly: MultiPoly
 
 
+def _lead(p: MultiPoly) -> Monomial:
+    """The graded-lex leading monomial of a nonzero polynomial."""
+    return min(p.terms, key=mon_sort_key)
+
+
+def _monic(p: MultiPoly) -> MultiPoly:
+    """A nonzero polynomial scaled to coefficient 1 at its leading monomial."""
+    return p.scale(inv(p.terms[_lead(p)]))
+
+
 class PolySystem:
     """The coefficient equations of one expanded identity, in canonical order."""
 
@@ -91,14 +101,8 @@ class PolySystem:
         self.equations: Tuple[Equation, ...] = tuple(
             sorted(equations, key=lambda e: (e.row, mon_sort_key(e.monomial)))
         )
-        seen = set()
-        polys: List[MultiPoly] = []
-        for eq in self.equations:
-            key = frozenset(eq.poly.terms.items())
-            if key not in seen:
-                seen.add(key)
-                polys.append(eq.poly)
-        self.polys: Tuple[MultiPoly, ...] = tuple(polys)
+        self.polys: Tuple[MultiPoly, ...] = tuple(
+            dict.fromkeys(eq.poly for eq in self.equations))
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -115,17 +119,7 @@ class PolySystem:
     def normalized_polys(self) -> List[MultiPoly]:
         """Unique equations up to a scalar factor, each made monic in its
         graded-lex leading term (the form systems are usually printed in)."""
-        from .exactnum import inv
-
-        out: List[MultiPoly] = []
-        seen = set()
-        for p in self.polys:
-            lead = next(iter(p.sorted_terms()))[1]
-            monic = p.scale(inv(lead))
-            if monic not in seen:
-                seen.add(monic)
-                out.append(monic)
-        return out
+        return list(dict.fromkeys(_monic(p) for p in self.polys))
 
     def render_normalized_lines(self) -> List[str]:
         return [f"{p.render()} = 0" for p in self.normalized_polys()]
@@ -148,21 +142,11 @@ def expand(ident: Identity, A: Optional[Msc] = None, field: Optional[Field] = No
     """
     if A is None:
         f = field if field is not None else QQ
-        scalars: Dict[int, Scalar] = {}
-        monomials: Dict[tuple, Monomial] = {}
-        equations = []
-        for row, mon, terms in generic_system(ident, f):
-            poly = {}
-            for c, factors in terms:
-                m = monomials.get(factors)
-                if m is None:
-                    m = monomials[factors] = tuple(
-                        (_GENERIC_VARS[k], x) for k, x in factors)
-                value = scalars.get(c)
-                if value is None:
-                    value = scalars[c] = f.scalar(c)
-                poly[m] = value
-            equations.append(Equation(row, mon, MultiPoly(f, poly)))
+        equations = [
+            Equation(row, mon, MultiPoly(f, {
+                tuple((_GENERIC_VARS[k], x) for k, x in factors): f.scalar(c)
+                for c, factors in terms}))
+            for row, mon, terms in generic_system(ident, f)]
         return PolySystem(f, equations, ident.name)
     if field is not None and field != A.field:
         raise FieldMismatch(f"{field} vs {A.field}")
@@ -194,84 +178,63 @@ class SpanReport:
         return self.equal
 
 
-PolyList = Union[PolySystem, Sequence[MultiPoly]]
+PolyList = Union[PolySystem, Sequence[MultiPoly]]  # a PolySystem iterates its polys
 
 
-def _poly_list(x: PolyList) -> List[MultiPoly]:
-    return list(x.polys) if isinstance(x, PolySystem) else list(x)
+def _reduce(p: MultiPoly, basis: Dict[Monomial, MultiPoly],
+            field: Optional[Field]) -> MultiPoly:
+    """p minus its combination of basis elements at their leading monomials.
+
+    No basis element contains another's leading monomial, so clearing one
+    leaves the coefficients at the others alone: one pass suffices.  A
+    polynomial over another field than `field` (if given) is FieldMismatch.
+    """
+    if field is not None and p.field != field:
+        raise FieldMismatch(f"{p.field} vs {field}")
+    for lead in [m for m in p.terms if m in basis]:
+        p = p - basis[lead].scale(p.terms[lead])
+    return p
 
 
-def _rref(polys: Sequence[MultiPoly], field: Field):
-    """Exact reduced row echelon form over the union monomial basis."""
-    monomials = sorted({m for p in polys for m in p.terms}, key=mon_sort_key)
-    index = {m: i for i, m in enumerate(monomials)}
-    zero = field.zero()
-    rows = []
+def _reduced_basis(polys: PolyList,
+                   field: Optional[Field]) -> Dict[Monomial, MultiPoly]:
+    """A reduced basis of span(polys), keyed by leading monomial: each element
+    is monic, and no other element contains its leading monomial."""
+    basis: Dict[Monomial, MultiPoly] = {}
     for p in polys:
-        row = [zero] * len(monomials)
-        for m, c in p.terms.items():
-            row[index[m]] = c
-        rows.append(row)
-    pivots: List[Tuple[int, List[Scalar]]] = []
-    for row in rows:
-        for col, prow in pivots:
-            if not row[col].is_zero():
-                factor = row[col]
-                row = [x - factor * y for x, y in zip(row, prow)]
-        lead = next((j for j, x in enumerate(row) if not x.is_zero()), None)
-        if lead is None:
+        q = _reduce(p, basis, field)
+        if q.is_zero():
             continue
-        scale = inv(row[lead])
-        row = [scale * x for x in row]
-        for col, prow in pivots:
-            if not prow[lead].is_zero():
-                factor = prow[lead]
-                prow[:] = [x - factor * y for x, y in zip(prow, row)]
-        pivots.append((lead, row))
-    pivots.sort(key=lambda t: t[0])
-    return monomials, index, pivots
+        q = _monic(q)
+        lead = _lead(q)
+        for m, b in basis.items():
+            if lead in b.terms:
+                basis[m] = b - q.scale(b.terms[lead])
+        basis[lead] = q
+    return basis
 
 
-def _reduces_to_zero(p: MultiPoly, monomials, index, pivots, field: Field) -> bool:
-    if any(m not in index for m in p.terms):
-        return False
-    row = [field.zero()] * len(monomials)
-    for m, c in p.terms.items():
-        row[index[m]] = c
-    for col, prow in pivots:
-        if not row[col].is_zero():
-            factor = row[col]
-            row = [x - factor * y for x, y in zip(row, prow)]
-    return all(x.is_zero() for x in row)
+def span_contains(container: PolyList, contained: PolyList,
+                  field: Optional[Field]) -> Optional[int]:
+    """Index of the first polynomial of `contained` outside span(container), if any.
 
-
-def span_contains(container: PolyList, contained: PolyList, field: Field) -> Optional[int]:
-    """Index of the first polynomial of `contained` outside span(container), if any."""
-    basis = _rref(_poly_list(container), field)
-    for i, p in enumerate(_poly_list(contained)):
-        if not _reduces_to_zero(p, *basis, field):
+    Every polynomial must lie over `field`; None accepts any field.
+    """
+    basis = _reduced_basis(container, field)
+    for i, p in enumerate(contained):
+        if not _reduce(p, basis, field).is_zero():
             return i
     return None
 
 
 def span_equal(lhs: PolyList, rhs: PolyList, field: Optional[Field] = None) -> SpanReport:
     """Do two polynomial systems span the same linear subspace?"""
-    if field is None:
-        for x in (lhs, rhs):
-            if isinstance(x, PolySystem):
-                field = x.field
-                break
-        else:
-            probe = (_poly_list(lhs) or _poly_list(rhs))
-            if not probe:
-                return SpanReport(True)
-            field = probe[0].field
     i = span_contains(lhs, rhs, field)
     if i is not None:
-        return SpanReport(False, "rhs", i, _poly_list(rhs)[i])
+        return SpanReport(False, "rhs", i, list(rhs)[i])
     i = span_contains(rhs, lhs, field)
     if i is not None:
-        return SpanReport(False, "lhs", i, _poly_list(lhs)[i])
+        return SpanReport(False, "lhs", i, list(lhs)[i])
     return SpanReport(True)
 
 

@@ -489,6 +489,37 @@ class TestInputContracts:
         assert r.exit_code == 2
         assert "bad witness" in r.output and "not an exact scalar" in r.output
 
+    @pytest.mark.parametrize("field", [{"kind": "Q"}, {"kind": "Fp", "p": 5}])
+    def test_null_entry_is_usage_error(self, tmp_path, field):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({"dim": 2, "field": field,
+                                    "entries": [[None, 0, 0, 0], [0, 0, 0, 0]]}))
+        r = runner.invoke(main, ["check", "--algebra", str(path), "--identity", "I1"])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert "None is not an exact scalar; write an integer or a 'num/den' " \
+            "string" in r.output
+
+    def test_exponent_notation_is_usage_error(self, tmp_path, a4_file):
+        """Fraction() would build 10^2000000 outright (about 1.6 s); the
+        entry is refused at once, in a child process whose timeout turns a
+        slow parse into a failure."""
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"dim": 2, "field": {"kind": "Q"},
+                                    "entries": [["1e2000000", 0, 0, 0], [0, 0, 0, 0]]}))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+            os.path.abspath(algid.__file__))))
+        out = subprocess.run([sys.executable, "-m", "algid.cli", "check", "--algebra",
+                              str(path), "--identity", "I1"],
+                             env=env, capture_output=True, text=True, timeout=30)
+        assert out.returncode == 2, out.stderr
+        assert "exponent notation is refused" in out.stderr
+        assert "Traceback" not in out.stderr
+        r = runner.invoke(main, ["iso", "--a", a4_file, "--b", a4_file,
+                                 "--witness", '[["1E-3",1],[1,0]]'])
+        assert r.exit_code == 2
+        assert "bad witness" in r.output and "exponent notation" in r.output
+
     def test_field_must_match_algebra_file(self, tmp_path):
         path = _f3_file(tmp_path, 1)
         r = runner.invoke(main, ["check", "--algebra", path, "--field", "F5",

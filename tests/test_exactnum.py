@@ -1,10 +1,12 @@
+import re
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algid.errors import DivisionByZero, NonPrimeModulus, UnsupportedModulus
+from algid.errors import DivisionByZero, InexactScalar, NonPrimeModulus, UnsupportedModulus
 from algid.exactnum import F2, F3, F5, QQ, Field, Scalar, field_make, inv, is_prime, sqrt
 
 
@@ -24,6 +26,20 @@ def test_field_make_specs():
     assert field_make("F7") == Field("Fp", 7)
     assert field_make({"kind": "Fp", "p": 5}) == F5
     assert field_make(QQ) is QQ
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+@pytest.mark.parametrize("value", [None, [1], {"a": 1}, b"1", 1j,
+                                   "1e2000000", "1E-3", "2.5e1"])
+def test_scalar_refuses_non_numbers_and_exponents(field, value):
+    with pytest.raises(InexactScalar, match=re.escape(repr(value))):
+        field.scalar(value)
+
+
+def test_scalar_accepts_decimals_and_integer_types():
+    assert QQ.scalar("-1.25").value == Fraction(-5, 4)
+    assert F5.scalar("0.5").value == 3
+    assert F5.scalar(numpy.int64(7)).value == 2
 
 
 def test_field_immutable():

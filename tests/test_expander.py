@@ -1,11 +1,12 @@
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algid.algebra_core import Msc, Vec
-from algid.errors import AlgidError, ExpansionTooLarge, TooManyVariables
+from algid.errors import AlgidError, ExpansionTooLarge, FieldMismatch, TooManyVariables
 from algid.exactnum import F2, F3, F5, QQ
 from algid.expander import (
     MAX_COLUMNS,
@@ -30,7 +31,7 @@ from algid.identity_lang import (
     get_identity,
     parse_identity,
 )
-from algid.multipoly import parse_poly
+from algid.multipoly import MultiPoly, parse_poly
 
 COMMUTATIVE = Msc.from_scalars(QQ, [[0, 1, 1, 0], [0, 0, 0, -1]])
 
@@ -122,6 +123,105 @@ def test_span_equal_char2_coincidence():
 def test_empty_systems_are_equal():
     assert span_equal([], [], QQ)
     assert span_equal(expand(get_identity("jacobi-left")), [])
+
+
+# -- spans against dense Gaussian elimination -------------------------------------
+
+# Monomials of degree at most 2 in a1, a2, b1.
+_SPAN_MONOMIALS = [(), (("a1", 1),), (("a2", 1),), (("b1", 1),),
+                   (("a1", 2),), (("a1", 1), ("a2", 1)), (("a1", 1), ("b1", 1)),
+                   (("a2", 2),), (("a2", 1), ("b1", 1)), (("b1", 2),)]
+
+
+def _dense_rank(polys, field):
+    """Rank of the coefficient matrix of `polys` (one row per polynomial, one
+    column per monomial), by dense Gaussian elimination on the values."""
+    p = field.p if field.kind == "Fp" else None
+    monos = sorted({m for q in polys for m in q.terms})
+    rows = [[q.terms[m].value if m in q.terms else 0 for m in monos] for q in polys]
+    rank = 0
+    for col in range(len(monos)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        scale = pow(top[col], -1, p) if p else 1 / Fraction(top[col])
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] * scale
+            rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
+            if p:
+                rows[r] = [x % p for x in rows[r]]
+        rank += 1
+    return rank
+
+
+def _dense_first_outside(container, contained, field):
+    rank = _dense_rank(container, field)
+    return next((i for i, q in enumerate(contained)
+                 if _dense_rank(list(container) + [q], field) > rank), None)
+
+
+@st.composite
+def _poly_lists(draw, field):
+    """Two lists of small polynomials in a1, a2, b1; the second mixes random
+    polynomials with combinations of the first, so both outcomes occur."""
+    def random_poly():
+        terms = draw(st.dictionaries(st.sampled_from(_SPAN_MONOMIALS),
+                                     st.integers(-2, 2), max_size=4))
+        return MultiPoly(field, {m: field.scalar(c) for m, c in terms.items()})
+
+    first = [random_poly() for _ in range(draw(st.integers(0, 5)))]
+    second = []
+    for _ in range(draw(st.integers(0, 5))):
+        if first and draw(st.booleans()):
+            q = MultiPoly.zero(field)
+            for f in first:
+                q = q + f.scale(draw(st.integers(-2, 2)))
+            second.append(q)
+        else:
+            second.append(random_poly())
+    return first, second
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_spans_match_dense_elimination(field, data):
+    lhs, rhs = data.draw(_poly_lists(field))
+    for container, contained in ((lhs, rhs), (rhs, lhs)):
+        assert span_contains(container, contained, field) == \
+            _dense_first_outside(container, contained, field)
+    report = span_equal(lhs, rhs, field)
+    i = _dense_first_outside(lhs, rhs, field)
+    j = _dense_first_outside(rhs, lhs, field)
+    if i is not None:
+        expected = ("rhs", i, rhs[i])
+    elif j is not None:
+        expected = ("lhs", j, lhs[j])
+    else:
+        expected = (None, None, None)
+    assert report.equal == (expected[0] is None)
+    assert (report.missing_side, report.missing_index, report.missing_poly) == expected
+
+
+def test_span_polynomials_must_lie_over_the_field():
+    over_f3 = [P("a1 + 2 b1", F3)]
+    with pytest.raises(FieldMismatch):
+        span_contains(over_f3, over_f3, QQ)
+    with pytest.raises(FieldMismatch):
+        span_contains([P("a1")], over_f3, QQ)
+    with pytest.raises(FieldMismatch):
+        span_equal(over_f3, over_f3, QQ)
+    assert span_contains(over_f3, over_f3, F3) is None
+    assert span_equal(over_f3, over_f3)
+
+
+def test_readme_api_values():
+    system = expand(get_identity("I19"))
+    assert len(system) == 16
+    assert system.render_lines()[0] == \
+        "-a1 a2 b1 + a1 a3 b1 - a2 b1 b2 + a4 b1^2 = 0"
 
 
 def test_polysystem_dedupe_and_json():
