@@ -185,7 +185,7 @@ class Family:
                 % (self.name, need, field.char))
 
     def instantiate(self, field: Field, args: Sequence[Scalar]) -> Msc:
-        return self._instantiate(field, args, eval_expr)
+        return _instance(self, field, tuple(args))
 
     def instantiate_poly(self, field: Field, arg_polys: Sequence[MultiPoly]) -> Msc:
         """Template instantiation with polynomial arguments (symbolic checks)."""
@@ -206,6 +206,18 @@ class Family:
             for row in self.rows
         ]
         return Msc(field, rows)
+
+
+# A paper pass makes about 3500 instantiations of about 350 distinct
+# (family, field, args), through claim rows and negative spot-checks, mostly
+# close together: 256 entries miss only on first use.  Msc and Scalar are
+# immutable, so callers share the algebras.
+_INSTANCES = 256
+
+
+@lru_cache(maxsize=_INSTANCES)
+def _instance(fam: Family, field: Field, args: Tuple[Scalar, ...]) -> Msc:
+    return fam._instantiate(field, args, eval_expr)
 
 
 def _fam(name, regime, params, row1, row2, note=""):

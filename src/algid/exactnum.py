@@ -106,6 +106,15 @@ class Field:
                 value = Fraction(value)
             except ZeroDivisionError:
                 raise DivisionByZero(f"zero denominator in {value!r}") from None
+            except ValueError:
+                # Past the interpreter's digit limit int() refuses even a
+                # well-formed number, and the text is too long to echo.
+                limit = sys.get_int_max_str_digits()
+                if limit and len(value) > limit:
+                    raise NumberTooLong(f"a number written with more than {limit} "
+                                        "characters") from None
+                raise InexactScalar(f"{value!r} is not an integer, decimal or "
+                                    "'num/den' string") from None
         if self.kind == "Q":
             return Scalar(self, Fraction(value))
         p = self.p

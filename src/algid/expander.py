@@ -9,13 +9,17 @@ span the same linear subspace.
 
 On the generic algebra the system is computed without substituting: a
 tensor kernel builds each word's matrix on integer polynomials with packed
-monomials and sums its Kronecker columns by coordinate monomial.
+monomials and sums its Kronecker columns by coordinate monomial.  On a
+concrete algebra the same recursion runs on its entries as integers
+(`TensorPlan`), so deciding an identity there expands no polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra_core import GENERIC_NAMES, Msc, Vec
@@ -369,28 +373,50 @@ def _word_combination(ident: Identity) -> Dict[Word, int]:
     return combined
 
 
+def _word_columns(ident: Identity):
+    """(word, weight, columns) for each word of lhs - rhs, `columns` holding
+    the packed coordinate monomial of each of the word's 2^l tensor columns:
+    a column picks a basis index for every leaf, so it belongs to the
+    monomial with one coordinate variable per leaf."""
+    check_budget(ident)
+    varnames = identity_variables(ident)
+    coordinate_env(QQ, varnames)  # rejects more variables than prefixes
+    index = {name: k for k, name in enumerate(varnames)}
+    for word, weight in _word_combination(ident).items():
+        cols = [0]
+        for name in word_leaves(word):
+            unit = 1 << (_BITS * 2 * index[name])
+            cols = [c + u for c in cols for u in (unit, unit << _BITS)]
+        yield word, weight, cols
+
+
+_COORD_NAMES = [f"{prefix}{i}" for prefix in COORD_PREFIXES for i in (1, 2)]
+
+
+def _coordinate_monomial(col: int) -> Monomial:
+    """The named coordinate monomial of a packed tensor column."""
+    return tuple(sorted((_COORD_NAMES[k], x) for k, x in _unpack(col)))
+
+
+def functional_monomial(mon: Monomial, p: int) -> Monomial:
+    """The monomial that agrees with `mon` at every point of F_p: x^e and
+    x^((e - 1) mod (p - 1) + 1) take the same values for e >= 1."""
+    return tuple((v, (e - 1) % (p - 1) + 1) for v, e in mon)
+
+
 def generic_system(ident: Identity, field: Field):
     """The identity's system on the generic algebra over `field`, as
     (row, coordinate monomial, terms) in canonical `PolySystem` order, a term
     being (int coefficient, ((entry index 0..7 of a1..b4, exponent), ...)).
     Coefficients are residues in [0, p) over F_p.
 
-    Each word contributes its tensor matrix, column by column: a column picks
-    a basis index for every leaf, so it belongs to the coordinate monomial
-    with one coordinate variable per leaf.
+    Each word contributes its tensor matrix, column by column, to the
+    equation of the column's coordinate monomial.
     """
-    check_budget(ident)
-    varnames = identity_variables(ident)
-    coordinate_env(field, varnames)  # rejects more variables than prefixes
-    index = {name: k for k, name in enumerate(varnames)}
     memo: Dict[tuple, tuple] = {}
     sums: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for word, weight in _word_combination(ident).items():
+    for word, weight, cols in _word_columns(ident):
         mat = _tensor_matrix(_shape(word), memo)
-        cols = [0]
-        for name in word_leaves(word):
-            unit = 1 << (_BITS * 2 * index[name])
-            cols = [c + u for c in cols for u in (unit, unit << _BITS)]
         for row in (0, 1):
             for col, poly in zip(cols, mat[row]):
                 acc = sums.get((row, col))
@@ -401,7 +427,6 @@ def generic_system(ident: Identity, field: Field):
                     for e, c in poly.items():
                         acc[e] = get(e, 0) + weight * c
     p = field.p if field.kind == "Fp" else 0
-    coord_names = [f"{prefix}{i}" for prefix in COORD_PREFIXES for i in (1, 2)]
     factors_of: Dict[int, tuple] = {}  # one factor tuple per packed monomial
     out = []
     for (row, col), acc in sums.items():
@@ -415,10 +440,104 @@ def generic_system(ident: Identity, field: Field):
                     factors = factors_of[e] = _unpack(e)
                 terms.append((c, factors))
         if terms:
-            mon = tuple(sorted((coord_names[k], x) for k, x in _unpack(col)))
-            out.append((row, mon, tuple(terms)))
+            out.append((row, _coordinate_monomial(col), tuple(terms)))
     out.sort(key=lambda eq: (eq[0], mon_sort_key(eq[1])))
     return tuple(out)
+
+
+# -- concrete evaluation ------------------------------------------------------------
+
+
+def _program_index(shape: Shape, index: Dict[Shape, int],
+                   program: List[Tuple[int, int]]) -> int:
+    """The position of `shape` in a program of (left, right) shape positions,
+    appending it after its subshapes when it is new (the leaf is 0)."""
+    k = index.get(shape)
+    if k is None:
+        program.append((_program_index(shape[0], index, program),
+                        _program_index(shape[1], index, program)))
+        k = index[shape] = len(program)
+    return k
+
+
+class TensorPlan:
+    """What deciding an identity on concrete algebras over one field needs of
+    the identity, computed once: the recursion M(leaf) = I,
+    M(w1 w2) = A . (M(w1) (x) M(w2)) as a program over the words' distinct
+    subword shapes, and for each word its weight and the coordinate monomial
+    of each of its tensor columns.  Monomials are numbered in canonical
+    order, so equation slot (row, monomial) is row * len(monomials) + its
+    number, the canonical `PolySystem` order.  In functional mode (F_p only)
+    monomials that agree pointwise are one monomial.
+
+    `first_nonzero(A)` runs the recursion on A's entries as Python ints and
+    sums the columns into their slots.  Over F_p the entries are residues.
+    Over Q, A is scaled by d, the lcm of its denominators: a slot of
+    coordinate degree l is homogeneous of degree l - 1 in the entries, so
+    only the witness is divided, by d^(l - 1).
+    """
+
+    def __init__(self, ident: Identity, field: Field, functional: bool):
+        p = field.p if field.kind == "Fp" else 0
+        self.field = field
+        self.program: List[Tuple[int, int]] = []  # shape k >= 1 = (left, right)
+        index: Dict[Shape, int] = {None: 0}
+        words = []
+        for word, weight, cols in _word_columns(ident):
+            if p:
+                weight %= p
+            if weight:
+                mons = [_coordinate_monomial(col) for col in cols]
+                if functional:
+                    mons = [functional_monomial(mon, p) for mon in mons]
+                k = _program_index(_shape(word), index, self.program)
+                words.append((k, weight, mons))
+        self.monomials = tuple(sorted({mon for _, _, mons in words for mon in mons},
+                                      key=mon_sort_key))
+        number = {mon: s for s, mon in enumerate(self.monomials)}
+        self.words = tuple((k, weight, tuple(number[mon] for mon in mons))
+                           for k, weight, mons in words)
+
+    def first_nonzero(self, A: Msc) -> Optional[Equation]:
+        """The first equation of the system that does not vanish at A's
+        (concrete) entries, evaluated there; None when all vanish."""
+        f = self.field
+        vals = [x.value for x in A.entries_flat()]
+        p = f.p if f.kind == "Fp" else 0
+        if not p:
+            d = math.lcm(*(v.denominator for v in vals))
+            vals = [v.numerator * (d // v.denominator) for v in vals]
+        a0, a1, a2, a3, b0, b1, b2, b3 = vals
+        mats = [((1, 0), (0, 1))]
+        for left, right in self.program:
+            r0: List[int] = []
+            r1: List[int] = []
+            for x0, x1 in zip(*mats[left]):
+                for y0, y1 in zip(*mats[right]):
+                    k0, k1, k2, k3 = x0 * y0, x0 * y1, x1 * y0, x1 * y1
+                    r0.append(a0 * k0 + a1 * k1 + a2 * k2 + a3 * k3)
+                    r1.append(b0 * k0 + b1 * k1 + b2 * k2 + b3 * k3)
+            if p:
+                r0 = [x % p for x in r0]
+                r1 = [x % p for x in r1]
+            mats.append((r0, r1))
+        n = len(self.monomials)
+        acc = [0] * (2 * n)
+        for k, weight, numbers in self.words:
+            r0, r1 = mats[k]
+            for s, x0, x1 in zip(numbers, r0, r1):
+                acc[s] += weight * x0
+                acc[n + s] += weight * x1
+        for s, value in enumerate(acc):
+            if p:
+                value %= p
+            if value:
+                row, number = divmod(s, n)
+                mon = self.monomials[number]
+                if not p:
+                    value = Fraction(value, d ** (sum(e for _, e in mon) - 1))
+                return Equation(row, mon, MultiPoly.const(f, f.scalar(value)))
+        return None
 
 
 # -- tensor-matrix views ------------------------------------------------------------

@@ -17,37 +17,66 @@ of two arguments are commutators [a,b] = ab - ba, of three associators
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple, Union
 
 from .errors import IdentitySyntaxError, UnknownIdentity
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """A frozen tree node that hashes once, at construction.  A square shares
+    its operand node, so hashing by walking the tree would take time
+    exponential in the nesting; here it costs one tuple hash per node."""
+
+    __slots__ = ("_hash",)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((type(self), *self._fields())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
+
+    def __reduce__(self):
+        # Rebuild through the constructor: string hashes differ per process.
+        return type(self), self._fields()
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Prod:
+@dataclass(frozen=True, eq=False, slots=True)
+class Prod(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Comm:
+@dataclass(frozen=True, eq=False, slots=True)
+class Comm(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Assoc:
+@dataclass(frozen=True, eq=False, slots=True)
+class Assoc(_Node):
     a: "Node"
     b: "Node"
     c: "Node"
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False, slots=True)
+class Sum(_Node):
     terms: Tuple[Tuple[int, "Node"], ...]
 
 
@@ -454,6 +483,7 @@ IDENTITY_TEXTS: Dict[str, str] = {
 NUMBERED_IDENTITIES = tuple(f"I{k}" for k in range(1, 31))
 
 
+@lru_cache(maxsize=None)  # at most one entry per catalogued name
 def get_identity(name: str) -> Identity:
     try:
         text = IDENTITY_TEXTS[name]

@@ -415,7 +415,10 @@ def _evaluate(node: _Node, field: Field, env: Mapping[str, object], unbound):
             return root
         raise AlgidError(f"bad expression node {kind!r}")
 
-    return rec(node)
+    try:
+        return rec(node)
+    finally:
+        del rec  # rec reaches itself through its closure cell: break the cycle
 
 
 def _unbound(name: str):

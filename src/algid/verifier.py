@@ -43,10 +43,12 @@ from .errors import (
 from .exactnum import F2, F3, F5, QQ, Field, field_make, sqrt as scalar_sqrt
 from .expander import (
     Equation,
+    TensorPlan,
     check_budget,
     coordinate_env,
     eval_node,
     expand,
+    functional_monomial,
     generic_system,
     span_equal,
 )
@@ -61,7 +63,7 @@ from .identity_lang import (
     parse_identity,
     variables,
 )
-from .multipoly import MultiPoly, mon_sort_key, parse_poly, render_monomial
+from .multipoly import mon_sort_key, parse_poly, render_monomial
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,28 +88,22 @@ class FormalCheck:
             eq.row + 1, render_monomial(eq.monomial), eq.poly.render())
 
 
-# Any bound gives a paper pass 1021 hits and 92 misses (an identity's rows come
-# together); 8 keeps both modes of a few identities in about 0.2 MB.
+# Only scans use compiled systems, one per (identity, field, mode); the
+# functional system is merged from the formal one, so 8 entries hold both
+# modes of four identities, in about 0.2 MB.
 _COMPILED_SYSTEMS = 8
 
 
+@functools.lru_cache(maxsize=_COMPILED_SYSTEMS)
 def _compiled_system(ident: Identity, field: Field, functional: bool):
     """The generic system as (row, monomial, terms) in canonical order, a term
     being (coefficient value, ((entry index 0..7 of a1..b4, exponent), ...)).
-    Functional mode merges monomials that agree pointwise on F_p (x^p = x)."""
-    # Hashing the identity for the cache walks its tree once per path, which
-    # is exponential in nested squares; the budget check comes first.
-    check_budget(ident)
-    return _compile(ident, field, functional)
-
-
-@functools.lru_cache(maxsize=_COMPILED_SYSTEMS)
-def _compile(ident: Identity, field: Field, functional: bool):
+    Functional mode merges monomials that agree pointwise on F_p (x^p = x).
+    The expansion budget is checked on a miss, by `generic_system`."""
     if functional:
-        # x^e and x^((e - 1) mod (p - 1) + 1) agree at every x in F_p (e >= 1)
         merged: Dict[tuple, tuple] = {}
-        for row, mon, terms in _compile(ident, field, False):
-            key = (row, tuple((v, (e - 1) % (field.p - 1) + 1) for v, e in mon))
+        for row, mon, terms in _compiled_system(ident, field, False):
+            key = (row, functional_monomial(mon, field.p))
             merged[key] = merged.get(key, ()) + terms
         return tuple(sorted(((row, mon, terms)
                              for (row, mon), terms in merged.items()),
@@ -116,8 +112,8 @@ def _compile(ident: Identity, field: Field, functional: bool):
 
 
 def _equation_value(terms, vals):
-    """One compiled equation at the entries `vals`: Python numbers, or numpy
-    arrays of residues evaluated elementwise and reduced by the caller."""
+    """One compiled equation at the entries `vals`: numpy arrays of residues
+    evaluated elementwise and reduced by the caller."""
     total = 0
     for c, factors in terms:
         for i, e in factors:
@@ -126,25 +122,29 @@ def _equation_value(terms, vals):
     return total
 
 
-def _evaluate(A: Msc, system) -> FormalCheck:
-    """A concrete A satisfies a compiled system iff every equation vanishes
-    at its entries; the witness is the first that does not."""
-    f = A.field
-    vals = [x.value for x in A.entries_flat()]
-    for row, mon, terms in system:
-        value = f.scalar(_equation_value(terms, vals))
-        if value:
-            return FormalCheck(False, Equation(row, mon, MultiPoly.const(f, value)))
-    return FormalCheck(True, None)
+# An identity's rows are checked together, so a few plans serve a paper pass.
+_PLANS = 8
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(ident: Identity, field: Field, functional: bool) -> TensorPlan:
+    """The identity's concrete-check plan; the expansion budget is checked on
+    a miss, before any word is expanded."""
+    return TensorPlan(ident, field, functional)
+
+
+def _verdict(witness: Optional[Equation]) -> FormalCheck:
+    return FormalCheck(witness is None, witness)
 
 
 def check_formal(A: Msc, ident: Identity) -> FormalCheck:
     """Does the identity hold as a formal polynomial law on A?  Concrete
-    entries evaluate its compiled generic system; symbolic ones expand on A."""
+    entries run the tensor recursion on numbers (`TensorPlan`); symbolic
+    ones expand on A."""
     if A.is_concrete():
-        return _evaluate(A, _compiled_system(ident, A.field, False))
+        return _verdict(_plan(ident, A.field, False).first_nonzero(A))
     equations = expand(ident, A).equations
-    return FormalCheck(not equations, equations[0] if equations else None)
+    return _verdict(equations[0] if equations else None)
 
 
 def check_functional(A: Msc, ident: Identity) -> FormalCheck:
@@ -153,7 +153,7 @@ def check_functional(A: Msc, ident: Identity) -> FormalCheck:
         raise AlgidError("functional checking needs a finite field")
     if not A.is_concrete():
         raise AlgidError("functional checking needs concrete structure constants")
-    return _evaluate(A, _compiled_system(ident, A.field, True))
+    return _verdict(_plan(ident, A.field, True).first_nonzero(A))
 
 
 def holds_on_basis_tuples(A: Msc, ident: Identity) -> bool:

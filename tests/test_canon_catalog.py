@@ -30,7 +30,7 @@ from algid.errors import (
     UnknownIdentity,
 )
 from algid.exactnum import F2, F3, F5, QQ, field_make
-from algid.multipoly import MultiPoly, expr_to_poly, parse_expr
+from algid.multipoly import MultiPoly, eval_expr, expr_to_poly, parse_expr
 
 
 def _q(x) -> object:
@@ -76,6 +76,35 @@ class TestFamilies:
         # char0 families are fine over any p >= 5
         family("A12").instantiate(F5, ())
         family("A12").instantiate(field_make(11), ())
+
+    @pytest.mark.parametrize("field", [QQ, F2, F3, F5])
+    def test_instantiate_memo_matches_a_fresh_build(self, field):
+        """Every family of the field's regime at a few argument tuples: the
+        memoized algebra equals one built cell by cell from the template,
+        and a repeated call hands back the same object."""
+        values = [field.scalar(v) for v in (0, 1, 2, -1, "1/2" if field.p != 2 else 1)]
+        for fam in FAMILY_ORDER[regime_for_field(field)]:
+            for k in range(len(values)):
+                args = tuple(values[(k + j) % len(values)] for j in range(fam.arity))
+                env = dict(zip(fam.params, args))
+                fresh = [[eval_expr(parse_expr(cell), field, env) for cell in row]
+                         for row in fam.rows]
+                built = fam.instantiate(field, list(args))
+                assert built.field == field and [list(r) for r in built.rows] == fresh
+                assert fam.instantiate(field, args) is built
+
+    def test_instantiate_memo_raises_on_every_bad_call(self):
+        a4 = family("A4")
+        a4.instantiate(QQ, (_q(1), _q(0)))
+        for _ in range(3):
+            with pytest.raises(ParamCountMismatch):
+                a4.instantiate(QQ, (_q(1),))
+            with pytest.raises(ParamCountMismatch):
+                a4.instantiate(QQ, (_q(1), _q(0), _q(0)))
+            with pytest.raises(CharMismatch):
+                a4.instantiate(F2, (F2.scalar(1), F2.scalar(0)))
+            with pytest.raises(CharMismatch):
+                family("A4_2").instantiate(QQ, (_q(1), _q(0)))
 
     def test_unknown_family(self):
         with pytest.raises(UnknownFamily):

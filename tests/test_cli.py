@@ -520,6 +520,20 @@ class TestInputContracts:
         assert r.exit_code == 2
         assert "bad witness" in r.output and "exponent notation" in r.output
 
+    def test_non_number_string_is_usage_error(self, tmp_path, a4_file):
+        path = _f3_file(tmp_path, "abc")
+        r = runner.invoke(main, ["check", "--algebra", path, "--identity", "I1"])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == ("Error: %s: not a valid algebra document ('abc' is not "
+                            "an integer, decimal or 'num/den' string)\n" % path)
+        r = runner.invoke(main, ["iso", "--a", a4_file, "--b", a4_file,
+                                 "--witness", '[["abc",0],[0,1]]'])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == ("Error: bad witness: 'abc' is not an integer, decimal "
+                            "or 'num/den' string\n")
+
     def test_field_must_match_algebra_file(self, tmp_path):
         path = _f3_file(tmp_path, 1)
         r = runner.invoke(main, ["check", "--algebra", path, "--field", "F5",

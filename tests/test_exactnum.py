@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algid.errors import DivisionByZero, InexactScalar, NonPrimeModulus, UnsupportedModulus
+from algid.errors import (
+    DivisionByZero,
+    InexactScalar,
+    NonPrimeModulus,
+    NumberTooLong,
+    UnsupportedModulus,
+)
 from algid.exactnum import F2, F3, F5, QQ, Field, Scalar, field_make, inv, is_prime, sqrt
 
 
@@ -34,6 +40,19 @@ def test_field_make_specs():
 def test_scalar_refuses_non_numbers_and_exponents(field, value):
     with pytest.raises(InexactScalar, match=re.escape(repr(value))):
         field.scalar(value)
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+@pytest.mark.parametrize("value", ["abc", "", "1/2/3", "inf", "nan", "0x10"])
+def test_scalar_refuses_strings_that_are_no_number(field, value):
+    with pytest.raises(InexactScalar, match="^%s is not an integer, decimal or "
+                       "'num/den' string$" % re.escape(repr(value))):
+        field.scalar(value)
+
+
+def test_scalar_refuses_number_text_past_the_digit_limit():
+    with pytest.raises(NumberTooLong, match="more than 4300 characters"):
+        QQ.scalar("9" * 5000)
 
 
 def test_scalar_accepts_decimals_and_integer_types():

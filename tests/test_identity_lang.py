@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from algid.errors import IdentitySyntaxError, UnknownIdentity
@@ -192,3 +195,18 @@ def test_nesting_depth_is_bounded():
         for text in (parens(depth), commutators(depth)):
             with pytest.raises(IdentitySyntaxError, match="nested deeper"):
                 parse_identity(text)
+
+
+def test_nodes_hash_by_value_and_survive_copies():
+    """Nodes hash once, at construction; equal trees parsed apart are equal
+    and hash alike, and copies and pickles rebuild the hash."""
+    a, b = parse_identity("[u,v]*w^2 = 0"), parse_identity("[u,v]*w^2 = 0")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert parse_identity("[v,u]*w^2 = 0") != a
+    assert Prod(Var("u"), Var("v")) != Comm(Var("u"), Var("v"))
+    for c in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert c == a and hash(c) == hash(a)
+    tower = Var("u")
+    for _ in range(200):
+        tower = Prod(tower, tower)  # 2^200 paths, one node per level
+    assert hash(Prod(tower, tower)) != hash(tower)

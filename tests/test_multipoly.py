@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from algid.multipoly import (
     MultiPoly,
     SqrtUnavailable,
     eval_expr,
+    expr_to_poly,
     expr_variables,
     parse_expr,
     parse_poly,
@@ -244,3 +247,20 @@ def test_scalar_and_polynomial_of_other_fields_do_not_mix():
                 op(x, y)
         assert x != y
     assert F3.scalar(1) != MultiPoly.const(F5, 1)
+
+
+def test_evaluation_leaves_no_reference_cycles():
+    """An evaluation leaves no reference cycle (its recursive walker reaches
+    itself through its closure) for the cycle collector to reclaim: a paper
+    pass evaluates tens of thousands of expressions."""
+    node = parse_expr("(a + 1)*(a - 2)^2/3 - sqrt(4)")
+    poly = parse_expr("x^2 + 2*y")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            eval_expr(node, QQ, {"a": QQ.scalar(5)})
+            expr_to_poly(poly, F3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

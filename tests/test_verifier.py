@@ -7,10 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from algid.algebra_core import Msc, Vec, conjugates_to
 from algid.canon_catalog import FAMILY_ORDER, REGIME_CHAR0, REGIME_CHAR2, family
-from algid.errors import AlgidError, SearchSpaceTooLarge, UnsupportedPrime
+from algid.errors import (
+    AlgidError,
+    ExpansionTooLarge,
+    SearchSpaceTooLarge,
+    UnsupportedPrime,
+)
 from algid.exactnum import F2, F3, F5, QQ, field_make
 from algid.expander import coordinate_env, eval_node, expand
-from algid.identity_lang import get_identity, is_multilinear, parse_identity
+from algid.identity_lang import (
+    NUMBERED_IDENTITIES,
+    get_identity,
+    is_multilinear,
+    parse_identity,
+)
 from algid.multipoly import mon_sort_key, parse_poly, render_monomial
 from algid.verifier import (
     PASS,
@@ -227,9 +237,10 @@ def _small_char0_instances(field):
 
 
 class TestCompiledSystemDifferential:
-    """check_formal, check_functional and scan_algebras evaluate the
-    identity's compiled generic system; each verdict and witness text must be
-    the one the per-algebra expansion gives."""
+    """check_formal and check_functional run the tensor recursion on the
+    algebra's entries, scan_algebras evaluates the identity's compiled generic
+    system; each verdict and witness text must be the one the per-algebra
+    expansion gives."""
 
     def _assert_same(self, algebras, functional):
         """Compare I1..I30 on `algebras`; return the reference verdicts per
@@ -270,6 +281,37 @@ class TestCompiledSystemDifferential:
     def test_char0_families_over_f5(self):
         self._assert_same(_small_char0_instances(F5), functional=True)
 
+    def test_mixed_denominators_over_q(self):
+        """Entries with denominators 2, 3 and 7: the integer route scales A
+        by their lcm and divides each witness by d^(degree - 1)."""
+        vals = ["1/2", "-2/3", "5/7", 0, 3]
+        algebras = [Msc.from_scalars(QQ, [[vals[(k + j) % 5] for j in range(4)],
+                                          [vals[(3 * k + j + 2) % 5] for j in range(4)]])
+                    for k in range(5)]
+        # commutative, with the same denominators
+        algebras.append(Msc.from_scalars(QQ, [["1/2", "-2/3", "-2/3", "5/7"],
+                                              [3, "5/7", "5/7", "-1/2"]]))
+        self._assert_same(algebras, functional=False)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_algebras(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F5, QQ]))
+        if field.kind == "Q":
+            entry = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+        else:
+            entry = st.integers(min_value=0, max_value=field.p - 1)
+        entries = data.draw(st.lists(entry, min_size=8, max_size=8))
+        A = Msc.from_scalars(field, [entries[:4], entries[4:]])
+        ident = get_identity(data.draw(st.sampled_from(NUMBERED_IDENTITIES)))
+        equations = expand(ident, A).equations
+        checks = [(check_formal, None)]
+        if field.kind == "Fp":
+            checks.append((check_functional, field.p))
+        for check, p in checks:
+            res = check(A, ident)
+            assert (res.ok, res.witness_text()) == _expanded_check(equations, p)
+
     def test_functional_needs_concrete_constants(self):
         with pytest.raises(AlgidError, match="concrete structure constants"):
             check_functional(Msc.generic(F3), get_identity("I1"))
@@ -278,6 +320,26 @@ class TestCompiledSystemDifferential:
         with pytest.raises(AlgidError,
                            match="scan mode must be 'formal' or 'functional'"):
             scan_algebras(3, get_identity("I1"), "bogus")
+
+
+class TestExpansionBudget:
+    def test_every_check_refuses_an_over_budget_identity(self):
+        """The budget is checked when a plan is built, so a second check of
+        the same identity, which finds no cached plan, is refused again."""
+        tower, deep = "u", "u"
+        for _ in range(40):
+            tower = "(%s)^2" % tower
+        for _ in range(30):
+            deep = "[%s,v]" % deep
+        for text in (tower, deep):
+            ident = parse_identity(text + " = 0")
+            for A in (msc_from_scan_index(3, 1234), Msc.generic(F3)):
+                for _ in range(2):
+                    with pytest.raises(ExpansionTooLarge, match="expansion budget"):
+                        check_formal(A, ident)
+            for _ in range(2):
+                with pytest.raises(ExpansionTooLarge, match="expansion budget"):
+                    check_functional(msc_from_scan_index(3, 1234), ident)
 
 
 class TestScanPruning:
