@@ -7,15 +7,20 @@ constants a1..a4, b1..b4.  The identity holds formally iff the system is the
 zero system, and two identities impose the same constraints iff their systems
 span the same linear subspace.
 
-On the generic algebra the system is computed without substituting: a
-tensor kernel builds each word's matrix on integer polynomials with packed
-monomials and sums its Kronecker columns by coordinate monomial.  On a
-concrete algebra the same recursion runs on its entries as integers
-(`TensorPlan`), so deciding an identity there expands no polynomial.
+An identity is compiled once into a `TensorPlan`: the recursion
+M(leaf) = I, M(w1 w2) = A . (M(w1) (x) M(w2)) over its words' subword
+shapes, and the equation that each tensor column adds to.  Run on integer
+polynomials with packed monomials the plan gives the generic system, which
+`expand` returns for the generic algebra and scans evaluate; run on a
+concrete algebra's entries as integers it decides the identity there
+without expanding a polynomial.  Any other algebra given to `expand`,
+such as a symbolic family, is expanded by substituting coordinates
+(`substitute`), which also serves as the plan's test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra_core import GENERIC_NAMES, Msc, Vec
 from .errors import AlgidError, ExpansionTooLarge, FieldMismatch, TooManyVariables
-from .exactnum import QQ, Field, inv
+from .exactnum import QQ, Field, Scalar, inv
 from .identity_lang import (
     Assoc,
     Comm,
@@ -138,22 +143,41 @@ class PolySystem:
 
 
 def expand(ident: Identity, A: Optional[Msc] = None, field: Optional[Field] = None) -> PolySystem:
-    """Expand an identity over the algebra A (default: the generic algebra).
+    """Expand an identity over the algebra A (default: the generic algebra
+    over `field`, Q when neither is given).
 
     The system is empty exactly when the identity holds formally on A.  The
-    generic system comes from the tensor kernel (`generic_system`); a given A
-    is expanded by substituting coordinate vectors.
+    generic algebra, passed as `field` or as `Msc.generic(field)`, takes the
+    tensor plan on packed polynomials; any other A is expanded by
+    `substitute`.
     """
-    if A is None:
-        f = field if field is not None else QQ
-        equations = [
-            Equation(row, mon, MultiPoly(f, {
-                tuple((_GENERIC_VARS[k], x) for k, x in factors): f.scalar(c)
-                for c, factors in terms}))
-            for row, mon, terms in generic_system(ident, f)]
-        return PolySystem(f, equations, ident.name)
-    if field is not None and field != A.field:
-        raise FieldMismatch(f"{field} vs {A.field}")
+    if A is not None:
+        if field is not None and field != A.field:
+            raise FieldMismatch(f"{field} vs {A.field}")
+        if A != Msc.generic(A.field):
+            return substitute(ident, A)
+        field = A.field
+    f = field if field is not None else QQ
+    names: Dict[tuple, Monomial] = {}  # one named monomial per packed monomial
+    scalars: Dict[int, Scalar] = {}  # one Scalar per coefficient
+    equations = []
+    for row, mon, terms in tensor_plan(ident, f, False).generic_system():
+        poly = {}
+        for c, factors in terms:
+            name = names.get(factors)
+            if name is None:
+                name = names[factors] = tuple((_GENERIC_VARS[k], x) for k, x in factors)
+            s = scalars.get(c)
+            if s is None:
+                s = scalars[c] = f.scalar(c)
+            poly[name] = s
+        equations.append(Equation(row, mon, MultiPoly(f, poly)))
+    return PolySystem(f, equations, ident.name)
+
+
+def substitute(ident: Identity, A: Msc) -> PolySystem:
+    """The coordinate route: expand the identity over A by substituting
+    coordinate vectors into A itself and collecting coefficients."""
     check_budget(ident)
     varnames = identity_variables(ident)
     env = coordinate_env(A.field, varnames)
@@ -256,28 +280,27 @@ MAX_COLUMNS = 2048
 def expansion_columns(ident: Identity) -> int:
     """The identity's tensor column count, capped at MAX_COLUMNS + 1 and
     computed on the node tree without expanding it into words."""
-    cap = MAX_COLUMNS + 1
     seen: Dict[int, int] = {}  # by id: squares share their operand node
+    return min(_columns(ident.lhs, seen) + _columns(ident.rhs, seen), MAX_COLUMNS + 1)
 
-    def count(node: Node) -> int:
-        if id(node) in seen:
-            return seen[id(node)]
-        if isinstance(node, Var):
-            n = 2
-        elif isinstance(node, Prod):
-            n = count(node.left) * count(node.right)
-        elif isinstance(node, Comm):
-            n = 2 * count(node.left) * count(node.right)
-        elif isinstance(node, Assoc):
-            n = 2 * count(node.a) * count(node.b) * count(node.c)
-        elif isinstance(node, Sum):
-            n = sum(count(f) for _, f in node.terms)
-        else:
-            raise TypeError(f"not an identity node: {node!r}")
-        seen[id(node)] = n = min(n, cap)
-        return n
 
-    return min(count(ident.lhs) + count(ident.rhs), cap)
+def _columns(node: Node, seen: Dict[int, int]) -> int:
+    if id(node) in seen:
+        return seen[id(node)]
+    if isinstance(node, Var):
+        n = 2
+    elif isinstance(node, Prod):
+        n = _columns(node.left, seen) * _columns(node.right, seen)
+    elif isinstance(node, Comm):
+        n = 2 * _columns(node.left, seen) * _columns(node.right, seen)
+    elif isinstance(node, Assoc):
+        n = 2 * _columns(node.a, seen) * _columns(node.b, seen) * _columns(node.c, seen)
+    elif isinstance(node, Sum):
+        n = sum(_columns(f, seen) for _, f in node.terms)
+    else:
+        raise TypeError(f"not an identity node: {node!r}")
+    seen[id(node)] = n = min(n, MAX_COLUMNS + 1)
+    return n
 
 
 def check_budget(ident: Identity) -> None:
@@ -317,36 +340,43 @@ def _shape(word: Word) -> Shape:
     raise TypeError(f"not a plain word: {word!r}")
 
 
-def _tensor_matrix(shape: Shape, memo: Dict[tuple, tuple]):
-    """The generic word matrix of a shape as 2 rows of 2^l packed
-    polynomials: M(leaf) = I and M(w1 w2) = A . (M(w1) (x) M(w2)), memoized
-    per subword shape (the matrix does not depend on the leaves' names)."""
-    if shape is None:
-        return _LEAF
-    if shape in memo:
-        return memo[shape]
-    m1 = _tensor_matrix(shape[0], memo)
-    m2 = _tensor_matrix(shape[1], memo)
-    rows: Tuple[list, list] = ([], [])
-    # Row r of A . K at column (c1, c2) is sum_ij A[r][2i + j] M1[i][c1] M2[j][c2].
-    for col1 in zip(*m1):
-        for col2 in zip(*m2):
-            out0: Dict[int, int] = {}
-            out1: Dict[int, int] = {}
-            get0, get1 = out0.get, out1.get
-            for i, p1 in enumerate(col1):
-                for j, p2 in enumerate(col2):
-                    s0 = 1 << (_BITS * (2 * i + j))
-                    s1 = s0 << (4 * _BITS)
-                    for e2, c2 in p2.items():
-                        for e1, c1 in p1.items():
-                            e, c = e1 + e2, c1 * c2
-                            out0[e + s0] = get0(e + s0, 0) + c
-                            out1[e + s1] = get1(e + s1, 0) + c
-            rows[0].append(out0)
-            rows[1].append(out1)
-    memo[shape] = rows
-    return rows
+def _program_index(shape: Shape, index: Dict[Shape, int],
+                   program: List[Tuple[int, int]]) -> int:
+    """The position of `shape` in a program of (left, right) shape positions,
+    appending it after its subshapes when it is new (the leaf is 0)."""
+    k = index.get(shape)
+    if k is None:
+        program.append((_program_index(shape[0], index, program),
+                        _program_index(shape[1], index, program)))
+        k = index[shape] = len(program)
+    return k
+
+
+def _packed_matrices(program: List[Tuple[int, int]]) -> list:
+    """The generic matrix of every shape of a program, each as 2 rows of 2^l
+    packed polynomials: M(leaf) = I and M(w1 w2) = A . (M(w1) (x) M(w2))."""
+    mats = [_LEAF]
+    for left, right in program:
+        rows: Tuple[list, list] = ([], [])
+        # Row r of A . K at column (c1, c2) is sum_ij A[r][2i + j] M1[i][c1] M2[j][c2].
+        for col1 in zip(*mats[left]):
+            for col2 in zip(*mats[right]):
+                out0: Dict[int, int] = {}
+                out1: Dict[int, int] = {}
+                get0, get1 = out0.get, out1.get
+                for i, p1 in enumerate(col1):
+                    for j, p2 in enumerate(col2):
+                        s0 = 1 << (_BITS * (2 * i + j))
+                        s1 = s0 << (4 * _BITS)
+                        for e2, c2 in p2.items():
+                            for e1, c1 in p1.items():
+                                e, c = e1 + e2, c1 * c2
+                                out0[e + s0] = get0(e + s0, 0) + c
+                                out1[e + s1] = get1(e + s1, 0) + c
+                rows[0].append(out0)
+                rows[1].append(out1)
+        mats.append(rows)
+    return mats
 
 
 def _unpack(e: int) -> Tuple[Tuple[int, int], ...]:
@@ -361,18 +391,6 @@ def _unpack(e: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(out)
 
 
-def _word_combination(ident: Identity) -> Dict[Word, int]:
-    """lhs - rhs as a signed combination of plain words."""
-    combined: Dict[Word, int] = dict(word_terms(ident.lhs))
-    for w, c in word_terms(ident.rhs).items():
-        n = combined.get(w, 0) - c
-        if n:
-            combined[w] = n
-        else:
-            combined.pop(w, None)
-    return combined
-
-
 def _word_columns(ident: Identity):
     """(word, weight, columns) for each word of lhs - rhs, `columns` holding
     the packed coordinate monomial of each of the word's 2^l tensor columns:
@@ -382,7 +400,12 @@ def _word_columns(ident: Identity):
     varnames = identity_variables(ident)
     coordinate_env(QQ, varnames)  # rejects more variables than prefixes
     index = {name: k for k, name in enumerate(varnames)}
-    for word, weight in _word_combination(ident).items():
+    combined = dict(word_terms(ident.lhs))
+    for word, c in word_terms(ident.rhs).items():
+        combined[word] = combined.get(word, 0) - c
+    for word, weight in combined.items():
+        if not weight:
+            continue
         cols = [0]
         for name in word_leaves(word):
             unit = 1 << (_BITS * 2 * index[name])
@@ -404,82 +427,24 @@ def functional_monomial(mon: Monomial, p: int) -> Monomial:
     return tuple((v, (e - 1) % (p - 1) + 1) for v, e in mon)
 
 
-def generic_system(ident: Identity, field: Field):
-    """The identity's system on the generic algebra over `field`, as
-    (row, coordinate monomial, terms) in canonical `PolySystem` order, a term
-    being (int coefficient, ((entry index 0..7 of a1..b4, exponent), ...)).
-    Coefficients are residues in [0, p) over F_p.
-
-    Each word contributes its tensor matrix, column by column, to the
-    equation of the column's coordinate monomial.
-    """
-    memo: Dict[tuple, tuple] = {}
-    sums: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for word, weight, cols in _word_columns(ident):
-        mat = _tensor_matrix(_shape(word), memo)
-        for row in (0, 1):
-            for col, poly in zip(cols, mat[row]):
-                acc = sums.get((row, col))
-                if acc is None:
-                    sums[row, col] = {e: weight * c for e, c in poly.items()}
-                else:
-                    get = acc.get
-                    for e, c in poly.items():
-                        acc[e] = get(e, 0) + weight * c
-    p = field.p if field.kind == "Fp" else 0
-    factors_of: Dict[int, tuple] = {}  # one factor tuple per packed monomial
-    out = []
-    for (row, col), acc in sums.items():
-        terms = []
-        for e, c in acc.items():
-            if p:
-                c %= p
-            if c:
-                factors = factors_of.get(e)
-                if factors is None:
-                    factors = factors_of[e] = _unpack(e)
-                terms.append((c, factors))
-        if terms:
-            out.append((row, _coordinate_monomial(col), tuple(terms)))
-    out.sort(key=lambda eq: (eq[0], mon_sort_key(eq[1])))
-    return tuple(out)
-
-
-# -- concrete evaluation ------------------------------------------------------------
-
-
-def _program_index(shape: Shape, index: Dict[Shape, int],
-                   program: List[Tuple[int, int]]) -> int:
-    """The position of `shape` in a program of (left, right) shape positions,
-    appending it after its subshapes when it is new (the leaf is 0)."""
-    k = index.get(shape)
-    if k is None:
-        program.append((_program_index(shape[0], index, program),
-                        _program_index(shape[1], index, program)))
-        k = index[shape] = len(program)
-    return k
-
-
 class TensorPlan:
-    """What deciding an identity on concrete algebras over one field needs of
-    the identity, computed once: the recursion M(leaf) = I,
-    M(w1 w2) = A . (M(w1) (x) M(w2)) as a program over the words' distinct
-    subword shapes, and for each word its weight and the coordinate monomial
-    of each of its tensor columns.  Monomials are numbered in canonical
-    order, so equation slot (row, monomial) is row * len(monomials) + its
-    number, the canonical `PolySystem` order.  In functional mode (F_p only)
-    monomials that agree pointwise are one monomial.
+    """An identity compiled for one field and mode: the recursion
+    M(leaf) = I, M(w1 w2) = A . (M(w1) (x) M(w2)) as a program over the
+    words' distinct subword shapes, and for each word its weight and the
+    coordinate monomial of each of its tensor columns.  Monomials are
+    numbered in canonical order, so equation slot (row, monomial) is
+    row * len(monomials) + its number, the canonical `PolySystem` order.  In
+    functional mode (F_p only) monomials that agree pointwise are one
+    monomial.  This is the only place that maps tensor columns to equations.
 
-    `first_nonzero(A)` runs the recursion on A's entries as Python ints and
-    sums the columns into their slots.  Over F_p the entries are residues.
-    Over Q, A is scaled by d, the lcm of its denominators: a slot of
-    coordinate degree l is homogeneous of degree l - 1 in the entries, so
-    only the witness is divided, by d^(l - 1).
+    `generic_system()` runs the program on packed integer polynomials, and
+    `first_nonzero(A)` on a concrete algebra's entries as Python ints; both
+    sum the columns into their slots.
     """
 
     def __init__(self, ident: Identity, field: Field, functional: bool):
-        p = field.p if field.kind == "Fp" else 0
         self.field = field
+        self.p = p = field.p if field.kind == "Fp" else 0  # 0 over Q
         self.program: List[Tuple[int, int]] = []  # shape k >= 1 = (left, right)
         index: Dict[Shape, int] = {None: 0}
         words = []
@@ -498,12 +463,51 @@ class TensorPlan:
         self.words = tuple((k, weight, tuple(number[mon] for mon in mons))
                            for k, weight, mons in words)
 
+    def generic_system(self) -> tuple:
+        """The system on the generic algebra as (row, coordinate monomial,
+        terms) for each nonzero slot, in canonical order, a term being
+        (int coefficient, ((entry index 0..7 of a1..b4, exponent), ...)).
+        Coefficients are residues in [0, p) over F_p."""
+        mats = _packed_matrices(self.program)
+        n = len(self.monomials)
+        sums: List[Dict[int, int]] = [{} for _ in range(2 * n)]
+        for k, weight, numbers in self.words:
+            for row, polys in enumerate(mats[k]):
+                for s, poly in zip(numbers, polys):
+                    acc = sums[row * n + s]
+                    get = acc.get
+                    for e, c in poly.items():
+                        acc[e] = get(e, 0) + weight * c
+        p = self.p
+        factors_of: Dict[int, tuple] = {}  # one factor tuple per packed monomial
+        out = []
+        for s, acc in enumerate(sums):
+            terms = []
+            for e, c in acc.items():
+                if p:
+                    c %= p
+                if c:
+                    factors = factors_of.get(e)
+                    if factors is None:
+                        factors = factors_of[e] = _unpack(e)
+                    terms.append((c, factors))
+            if terms:
+                row, number = divmod(s, n)
+                out.append((row, self.monomials[number], tuple(terms)))
+        return tuple(out)
+
     def first_nonzero(self, A: Msc) -> Optional[Equation]:
         """The first equation of the system that does not vanish at A's
-        (concrete) entries, evaluated there; None when all vanish."""
+        (concrete) entries, evaluated there; None when all vanish.
+
+        Over F_p the entries are residues.  Over Q, A is scaled by d, the lcm
+        of its denominators: a slot of coordinate degree l is homogeneous of
+        degree l - 1 in the entries, so only the witness is divided, by
+        d^(l - 1).
+        """
         f = self.field
         vals = [x.value for x in A.entries_flat()]
-        p = f.p if f.kind == "Fp" else 0
+        p = self.p
         if not p:
             d = math.lcm(*(v.denominator for v in vals))
             vals = [v.numerator * (d // v.denominator) for v in vals]
@@ -540,7 +544,18 @@ class TensorPlan:
         return None
 
 
-# -- tensor-matrix views ------------------------------------------------------------
+# An identity's checks run together, so a few plans serve a paper pass.
+_PLANS = 8
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def tensor_plan(ident: Identity, field: Field, functional: bool) -> TensorPlan:
+    """The identity's cached plan, shared by `expand`, checks and scans; the
+    expansion budget is checked on a miss, before any word is expanded."""
+    return TensorPlan(ident, field, functional)
+
+
+# -- tensor-matrix view -------------------------------------------------------------
 
 
 def _at(A: Msc, poly: Dict[int, int]):
@@ -563,30 +578,6 @@ def word_tensor_matrix(A: Msc, word: Word):
     this is the kernel's generic matrix evaluated at A's entries.
     """
     check_budget(Identity("word", word, Sum(())))
-    return [[_at(A, poly) for poly in row] for row in _tensor_matrix(_shape(word), {})]
-
-
-def identity_tensor_matrix(A: Msc, ident: Identity):
-    """Tensor matrix of lhs - rhs for identities whose words are ordered and
-    multilinear (each word's leaves read exactly u1, .., ul in variable order).
-
-    The identity holds formally on A iff the matrix vanishes; its entries are
-    the same coefficient polynomials that `expand` produces, arranged by
-    Kronecker column.  Raises AlgidError when a word is not ordered.
-    """
-    check_budget(ident)
-    order = identity_variables(ident)
-    combined = _word_combination(ident)
-    for w in combined:
-        if list(word_leaves(w)) != order:
-            raise AlgidError(
-                f"word {w!r} is not the ordered product of the identity variables"
-            )
-    memo: Dict[tuple, tuple] = {}
-    total = [[{} for _ in range(2 ** len(order))] for _ in range(2)]
-    for w, weight in combined.items():
-        for acc_row, row in zip(total, _tensor_matrix(_shape(w), memo)):
-            for acc, poly in zip(acc_row, row):
-                for e, c in poly.items():
-                    acc[e] = acc.get(e, 0) + weight * c
-    return [[_at(A, poly) for poly in row] for row in total]
+    program: List[Tuple[int, int]] = []
+    k = _program_index(_shape(word), {None: 0}, program)
+    return [[_at(A, poly) for poly in row] for row in _packed_matrices(program)[k]]

@@ -302,24 +302,24 @@ def _atom_text(node: Node) -> str:
 def variables(node: Node) -> List[str]:
     """Variable names in order of first appearance."""
     out: List[str] = []
-
-    def walk(n: Node):
-        if isinstance(n, Var):
-            if n.name not in out:
-                out.append(n.name)
-        elif isinstance(n, Prod) or isinstance(n, Comm):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, Assoc):
-            walk(n.a)
-            walk(n.b)
-            walk(n.c)
-        elif isinstance(n, Sum):
-            for _, f in n.terms:
-                walk(f)
-
-    walk(node)
+    _collect_variables(node, out)
     return out
+
+
+def _collect_variables(n: Node, out: List[str]) -> None:
+    if isinstance(n, Var):
+        if n.name not in out:
+            out.append(n.name)
+    elif isinstance(n, Prod) or isinstance(n, Comm):
+        _collect_variables(n.left, out)
+        _collect_variables(n.right, out)
+    elif isinstance(n, Assoc):
+        _collect_variables(n.a, out)
+        _collect_variables(n.b, out)
+        _collect_variables(n.c, out)
+    elif isinstance(n, Sum):
+        for _, f in n.terms:
+            _collect_variables(f, out)
 
 
 def identity_variables(ident: Identity) -> List[str]:
@@ -340,35 +340,37 @@ def word_terms(node: Node) -> Dict[Word, int]:
     word to its integer coefficient (zero coefficients dropped).
     """
     out: Dict[Word, int] = {}
-
-    def add(w: Word, c: int):
-        n = out.get(w, 0) + c
-        if n:
-            out[w] = n
-        else:
-            out.pop(w, None)
-
-    def walk(n: Node, c: int):
-        if isinstance(n, Var):
-            add(n, c)
-        elif isinstance(n, Prod):
-            for lw, lc in word_terms(n.left).items():
-                for rw, rc in word_terms(n.right).items():
-                    add(Prod(lw, rw), c * lc * rc)
-        elif isinstance(n, Comm):
-            walk(Prod(n.left, n.right), c)
-            walk(Prod(n.right, n.left), -c)
-        elif isinstance(n, Assoc):
-            walk(Prod(Prod(n.a, n.b), n.c), c)
-            walk(Prod(n.a, Prod(n.b, n.c)), -c)
-        elif isinstance(n, Sum):
-            for w, f in n.terms:
-                walk(f, c * w)
-        else:
-            raise TypeError(f"not an identity node: {n!r}")
-
-    walk(node, 1)
+    _add_words(node, 1, out)
     return out
+
+
+def _add_word(out: Dict[Word, int], w: Word, c: int) -> None:
+    n = out.get(w, 0) + c
+    if n:
+        out[w] = n
+    else:
+        out.pop(w, None)
+
+
+def _add_words(n: Node, c: int, out: Dict[Word, int]) -> None:
+    """Add c times the words of n to out."""
+    if isinstance(n, Var):
+        _add_word(out, n, c)
+    elif isinstance(n, Prod):
+        for lw, lc in word_terms(n.left).items():
+            for rw, rc in word_terms(n.right).items():
+                _add_word(out, Prod(lw, rw), c * lc * rc)
+    elif isinstance(n, Comm):
+        _add_words(Prod(n.left, n.right), c, out)
+        _add_words(Prod(n.right, n.left), -c, out)
+    elif isinstance(n, Assoc):
+        _add_words(Prod(Prod(n.a, n.b), n.c), c, out)
+        _add_words(Prod(n.a, Prod(n.b, n.c)), -c, out)
+    elif isinstance(n, Sum):
+        for w, f in n.terms:
+            _add_words(f, c * w, out)
+    else:
+        raise TypeError(f"not an identity node: {n!r}")
 
 
 def word_leaves(w: Word) -> Iterator[str]:

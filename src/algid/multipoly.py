@@ -261,63 +261,66 @@ class MultiPoly:
 _Node = tuple
 
 
-def parse_expr(text: str) -> _Node:
-    """Parse the mini-language into a tuple tree (no field binding yet)."""
-    toks = tokenize(text, "+-*/^()")
-    pos = depth = 0
+class _ExprParser:
+    """Recursive descent over the grammar above.  Methods, not closures, so a
+    parse leaves no reference cycle behind."""
 
-    def peek():
-        return toks[pos] if pos < len(toks) else (len(text), "end", "")
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text, "+-*/^()")
+        self.pos = 0
+        self.depth = 0
 
-    def take(kind=None):
-        nonlocal pos
-        tok = peek()
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else (len(self.text), "end", "")
+
+    def take(self, kind=None):
+        tok = self.peek()
         if kind is not None and tok[1] != kind:
             raise IdentitySyntaxError(tok[0], f"expected {kind!r}, got {tok[2]!r}")
-        pos += 1
+        self.pos += 1
         return tok
 
-    def nested(tok, parse):
+    def nested(self, tok, parse):
         """parse() one level deeper than `tok`, within MAX_NESTING."""
-        nonlocal depth
-        depth += 1
-        if depth > MAX_NESTING:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
             raise IdentitySyntaxError(
                 tok[0], f"expression nested deeper than {MAX_NESTING} levels")
         node = parse()
-        depth -= 1
+        self.depth -= 1
         return node
 
-    def expr():
-        node = term()
-        while peek()[1] in "+-":
-            op = take()[1]
-            rhs = term()
+    def expr(self):
+        node = self.term()
+        while self.peek()[1] in "+-":
+            op = self.take()[1]
+            rhs = self.term()
             node = ("add" if op == "+" else "sub", node, rhs)
         return node
 
-    def term():
-        node = unary()
+    def term(self):
+        node = self.unary()
         while True:
-            kind = peek()[1]
+            kind = self.peek()[1]
             if kind in ("*", "/"):
-                op = take()[1]
-                node = ("mul" if op == "*" else "div", node, unary())
+                op = self.take()[1]
+                node = ("mul" if op == "*" else "div", node, self.unary())
             elif kind in ("int", "name", "("):
-                node = ("mul", node, unary())
+                node = ("mul", node, self.unary())
             else:
                 return node
 
-    def unary():
-        if peek()[1] == "-":
-            return ("neg", nested(take(), unary))
-        return power()
+    def unary(self):
+        if self.peek()[1] == "-":
+            return ("neg", self.nested(self.take(), self.unary))
+        return self.power()
 
-    def power():
-        node = atom()
-        if peek()[1] == "^":
-            take()
-            tok = take("int")
+    def power(self):
+        node = self.atom()
+        if self.peek()[1] == "^":
+            self.take()
+            tok = self.take("int")
             digits = tok[2].lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise IdentitySyntaxError(
@@ -325,27 +328,32 @@ def parse_expr(text: str) -> _Node:
             node = ("pow", node, int(digits))
         return node
 
-    def atom():
-        tok = peek()
+    def atom(self):
+        tok = self.peek()
         if tok[1] == "int":
-            take()
+            self.take()
             return ("num", literal_int(tok))
         if tok[1] == "name":
-            take()
+            self.take()
             if tok[2] == "sqrt":
-                inner = nested(take("("), expr)
-                take(")")
+                inner = self.nested(self.take("("), self.expr)
+                self.take(")")
                 return ("sqrt", inner)
             return ("var", tok[2])
         if tok[1] == "(":
-            inner = nested(take(), expr)
-            take(")")
+            inner = self.nested(self.take(), self.expr)
+            self.take(")")
             return inner
         raise IdentitySyntaxError(tok[0], f"unexpected token {tok[2]!r}")
 
-    node = expr()
-    if pos != len(toks):
-        raise IdentitySyntaxError(peek()[0], f"trailing input {peek()[2]!r}")
+
+def parse_expr(text: str) -> _Node:
+    """Parse the mini-language into a tuple tree (no field binding yet)."""
+    parser = _ExprParser(text)
+    node = parser.expr()
+    if parser.pos != len(parser.toks):
+        tok = parser.peek()
+        raise IdentitySyntaxError(tok[0], f"trailing input {tok[2]!r}")
     return node
 
 

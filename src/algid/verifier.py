@@ -11,7 +11,6 @@ order is the table order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -43,14 +42,12 @@ from .errors import (
 from .exactnum import F2, F3, F5, QQ, Field, field_make, sqrt as scalar_sqrt
 from .expander import (
     Equation,
-    TensorPlan,
     check_budget,
     coordinate_env,
     eval_node,
     expand,
-    functional_monomial,
-    generic_system,
     span_equal,
+    tensor_plan,
 )
 from .identity_lang import (
     Identity,
@@ -63,7 +60,7 @@ from .identity_lang import (
     parse_identity,
     variables,
 )
-from .multipoly import mon_sort_key, parse_poly, render_monomial
+from .multipoly import parse_poly, render_monomial
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,31 +85,8 @@ class FormalCheck:
             eq.row + 1, render_monomial(eq.monomial), eq.poly.render())
 
 
-# Only scans use compiled systems, one per (identity, field, mode); the
-# functional system is merged from the formal one, so 8 entries hold both
-# modes of four identities, in about 0.2 MB.
-_COMPILED_SYSTEMS = 8
-
-
-@functools.lru_cache(maxsize=_COMPILED_SYSTEMS)
-def _compiled_system(ident: Identity, field: Field, functional: bool):
-    """The generic system as (row, monomial, terms) in canonical order, a term
-    being (coefficient value, ((entry index 0..7 of a1..b4, exponent), ...)).
-    Functional mode merges monomials that agree pointwise on F_p (x^p = x).
-    The expansion budget is checked on a miss, by `generic_system`."""
-    if functional:
-        merged: Dict[tuple, tuple] = {}
-        for row, mon, terms in _compiled_system(ident, field, False):
-            key = (row, functional_monomial(mon, field.p))
-            merged[key] = merged.get(key, ()) + terms
-        return tuple(sorted(((row, mon, terms)
-                             for (row, mon), terms in merged.items()),
-                            key=lambda eq: (eq[0], mon_sort_key(eq[1]))))
-    return generic_system(ident, field)
-
-
 def _equation_value(terms, vals):
-    """One compiled equation at the entries `vals`: numpy arrays of residues
+    """One generic equation at the entries `vals`: numpy arrays of residues
     evaluated elementwise and reduced by the caller."""
     total = 0
     for c, factors in terms:
@@ -122,27 +96,16 @@ def _equation_value(terms, vals):
     return total
 
 
-# An identity's rows are checked together, so a few plans serve a paper pass.
-_PLANS = 8
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _plan(ident: Identity, field: Field, functional: bool) -> TensorPlan:
-    """The identity's concrete-check plan; the expansion budget is checked on
-    a miss, before any word is expanded."""
-    return TensorPlan(ident, field, functional)
-
-
 def _verdict(witness: Optional[Equation]) -> FormalCheck:
     return FormalCheck(witness is None, witness)
 
 
 def check_formal(A: Msc, ident: Identity) -> FormalCheck:
     """Does the identity hold as a formal polynomial law on A?  Concrete
-    entries run the tensor recursion on numbers (`TensorPlan`); symbolic
-    ones expand on A."""
+    entries run the identity's `TensorPlan` on numbers; symbolic ones are
+    expanded by `expand`."""
     if A.is_concrete():
-        return _verdict(_plan(ident, A.field, False).first_nonzero(A))
+        return _verdict(tensor_plan(ident, A.field, False).first_nonzero(A))
     equations = expand(ident, A).equations
     return _verdict(equations[0] if equations else None)
 
@@ -153,7 +116,7 @@ def check_functional(A: Msc, ident: Identity) -> FormalCheck:
         raise AlgidError("functional checking needs a finite field")
     if not A.is_concrete():
         raise AlgidError("functional checking needs concrete structure constants")
-    return _verdict(_plan(ident, A.field, True).first_nonzero(A))
+    return _verdict(tensor_plan(ident, A.field, True).first_nonzero(A))
 
 
 def holds_on_basis_tuples(A: Msc, ident: Identity) -> bool:
@@ -280,9 +243,7 @@ def alternating_sum(shape: Word, n: int) -> Sum:
 def alternating_vanishes(A: Msc, shape: Word, n: int = 3) -> bool:
     """The alternating sum over n variables is identically zero on A
     (always true when n exceeds the dimension)."""
-    node = alternating_sum(shape, n)
-    env = coordinate_env(A.field, variables(shape))
-    return eval_node(A, node, env).is_zero()
+    return expand(Identity("alternation", alternating_sum(shape, n), Sum(())), A).is_zero()
 
 
 def alternating_base_vector(A: Msc, shape: Word) -> Vec:
@@ -325,7 +286,7 @@ def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
             % (", ".join(map(str, SCAN_PRIMES))))
     if mode not in ("formal", "functional"):
         raise AlgidError("scan mode must be 'formal' or 'functional'")
-    system = _compiled_system(ident, field_make(p), mode == "functional")
+    system = tensor_plan(ident, field_make(p), mode == "functional").generic_system()
     # Each algebra leaves `alive` at its first nonzero equation, so later
     # equations are evaluated only on the algebras still undecided.
     alive = np.arange(p ** 8, dtype=np.int64)

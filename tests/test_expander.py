@@ -15,9 +15,9 @@ from algid.expander import (
     eval_node,
     expand,
     expansion_columns,
-    identity_tensor_matrix,
     span_contains,
     span_equal,
+    substitute,
     word_tensor_matrix,
 )
 from algid.identity_lang import (
@@ -242,42 +242,6 @@ def test_word_tensor_matrix_base_cases():
     assert word_tensor_matrix(A, Prod(Var("u"), Var("v"))) == [list(r) for r in A.rows]
 
 
-def test_tensor_route_matches_expansion_for_associativity():
-    ident = get_identity("I3")
-    mat = identity_tensor_matrix(Msc.generic(QQ), ident)
-    sys = expand(ident)
-    by_key = {(eq.row, eq.monomial): eq.poly for eq in sys.equations}
-    for i in (1, 2):
-        for j in (1, 2):
-            for k in (1, 2):
-                col = 4 * (i - 1) + 2 * (j - 1) + (k - 1)
-                mon = tuple(sorted(((f"x{i}", 1), (f"y{j}", 1), (f"z{k}", 1))))
-                for row in (0, 1):
-                    expected = by_key.get((row, mon))
-                    got = mat[row][col]
-                    if expected is None:
-                        assert got.is_zero()
-                    else:
-                        assert got == expected
-
-
-def test_tensor_route_requires_ordered_words():
-    with pytest.raises(AlgidError):
-        identity_tensor_matrix(Msc.generic(QQ), get_identity("I1"))
-    with pytest.raises(AlgidError):
-        identity_tensor_matrix(Msc.generic(QQ), get_identity("I10"))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=4), min_size=8, max_size=8))
-def test_tensor_and_expansion_agree_on_vanishing(entries):
-    A = Msc.from_scalars(F5, [entries[:4], entries[4:]])
-    ident = get_identity("I3")
-    mat = identity_tensor_matrix(A, ident)
-    vanished = all(x.is_zero() for row in mat for x in row)
-    assert vanished == expand(ident, A).is_zero()
-
-
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=8, max_size=8))
 def test_formal_zero_implies_pointwise_zero(entries):
@@ -332,14 +296,18 @@ DEGREE_6 = "(((u*v)*w)*u)*((v*w)*u) = 0"
 
 @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=str)
 def test_generic_system_matches_the_coordinate_route(field):
-    """`expand` on the generic algebra (the tensor kernel) gives, equation
-    for equation, what substituting coordinates into Msc.generic gives."""
+    """`expand` on the generic algebra (the tensor kernel), given by field or
+    as Msc.generic, gives, equation for equation, what substituting
+    coordinates into Msc.generic gives."""
     generic = Msc.generic(field)
     idents = [get_identity(name) for name in NUMBERED_IDENTITIES]
     idents += [parse_identity(DEGREE_6), parse_identity("0 = 0")]
     for ident in idents:
-        assert expand(ident, field=field).equations == expand(ident, generic).equations, \
-            ident.name
+        expected = substitute(ident, generic).equations
+        assert expand(ident, field=field).equations == expected, ident.name
+        assert expand(ident, generic).equations == expected, ident.name
+    with pytest.raises(FieldMismatch):
+        expand(idents[0], generic, field=F2 if field == QQ else QQ)
 
 
 _LETTERS = ("u", "v", "w")
@@ -380,7 +348,7 @@ def _expressions(draw, leaves, depth=3):
 def test_random_identities_match_the_coordinate_route(field, lhs, rhs):
     ident = Identity("random", Sum(tuple(lhs)), Sum(tuple(rhs)))
     assert expand(ident, field=field).equations == \
-        expand(ident, Msc.generic(field)).equations
+        substitute(ident, Msc.generic(field)).equations
 
 
 # -- the expansion budget ------------------------------------------------------------
@@ -397,7 +365,8 @@ def test_expansion_budget_bounds_both_routes():
     deep = _nested_commutator(30)
     assert expansion_columns(deep) == MAX_COLUMNS + 1
     for call in (lambda: expand(deep), lambda: expand(deep, COMMUTATIVE),
-                 lambda: identity_tensor_matrix(Msc.generic(QQ), deep)):
+                 lambda: expand(deep, Msc.generic(QQ)),
+                 lambda: substitute(deep, Msc.generic(QQ))):
         with pytest.raises(ExpansionTooLarge, match="expansion budget"):
             call()
     # commutators double, sums add, products multiply: 2 * 2^2 + 2 * 2^3

@@ -11,7 +11,14 @@ from algid.errors import (
     IdentitySyntaxError,
 )
 from algid.exactnum import F2, F3, F5, QQ
-from algid.identity_lang import MAX_EXPONENT, MAX_NESTING
+from algid.expander import expansion_columns
+from algid.identity_lang import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    parse_identity,
+    variables,
+    word_terms,
+)
 from algid.multipoly import (
     MultiPoly,
     SqrtUnavailable,
@@ -261,6 +268,23 @@ def test_evaluation_leaves_no_reference_cycles():
         for _ in range(50):
             eval_expr(node, QQ, {"a": QQ.scalar(5)})
             expr_to_poly(poly, F3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_parsing_and_walking_leave_no_reference_cycles():
+    """Parsing expressions and walking identity trees leave no reference
+    cycle either (no recursive closure reaches itself)."""
+    ident = parse_identity("2[u,v]*w + [u,v,w] = [u*v,w]")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            parse_expr("(a + 1)*(a - 2)^2/3 - sqrt(4)")
+            word_terms(ident.lhs)
+            variables(ident.rhs)
+            expansion_columns(ident)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algid.algebra_core import Msc, Vec, conjugates_to
+from algid.algebra_core import GENERIC_NAMES, Msc, Vec, conjugates_to
 from algid.canon_catalog import FAMILY_ORDER, REGIME_CHAR0, REGIME_CHAR2, family
 from algid.errors import (
     AlgidError,
@@ -14,9 +14,11 @@ from algid.errors import (
     UnsupportedPrime,
 )
 from algid.exactnum import F2, F3, F5, QQ, field_make
-from algid.expander import coordinate_env, eval_node, expand
+from algid.expander import coordinate_env, eval_node, expand, functional_monomial, substitute
 from algid.identity_lang import (
     NUMBERED_IDENTITIES,
+    Identity,
+    Sum,
     get_identity,
     is_multilinear,
     parse_identity,
@@ -322,6 +324,39 @@ class TestCompiledSystemDifferential:
             scan_algebras(3, get_identity("I1"), "bogus")
 
 
+class TestGenericAlgebraDifferential:
+    """An explicit Msc.generic algebra takes the packed kernel; the
+    coordinate route (`substitute`) is its oracle."""
+
+    @pytest.mark.parametrize("field", [QQ, F2, F3], ids=str)
+    def test_check_formal_matches_the_coordinate_route(self, field):
+        generic = Msc.generic(field)
+        names = ["I%d" % k for k in range(1, 31)]
+        names += ["comm-of-comms", "jacobi-left", "jacobi-right"]
+        idents = [get_identity(name) for name in names]
+        idents.append(parse_identity("(u*u)*v = u*(u*v)", name="left-alternative"))
+        failing = 0
+        for ident in idents:
+            equations = substitute(ident, generic).equations
+            expected = _expanded_check(equations)
+            res = check_formal(generic, ident)
+            assert (res.ok, res.witness_text()) == expected, ident.name
+            assert res.witness == (equations[0] if equations else None), ident.name
+            failing += not res.ok
+        assert failing > 0
+
+    @pytest.mark.parametrize("field", [QQ, F2, F3], ids=str)
+    def test_alternating_vanishes_matches_the_coordinate_route(self, field):
+        generic = Msc.generic(field)
+        cases = [(shape, 3) for _, shape in word_shapes(3)]
+        cases.append((word_shapes(2)[0][1], 2))
+        for shape, n in cases:
+            ident = Identity("alternation", alternating_sum(shape, n), Sum(()))
+            assert alternating_vanishes(generic, shape, n) == \
+                substitute(ident, generic).is_zero()
+        assert not alternating_vanishes(generic, word_shapes(2)[0][1], 2)
+
+
 class TestExpansionBudget:
     def test_every_check_refuses_an_over_budget_identity(self):
         """The budget is checked when a plan is built, so a second check of
@@ -348,19 +383,26 @@ class TestScanPruning:
 
     @staticmethod
     def _full_scan(p, ident, mode):
+        """Every equation of the coordinate-route system of Msc.generic(F_p),
+        merged along pointwise-equal monomials in functional mode, evaluated
+        at every algebra."""
         import numpy as np
 
-        from algid.verifier import _compiled_system
-
+        names = [name for row in GENERIC_NAMES for name in row]
         idx = np.arange(p ** 8, dtype=np.int64)
-        cols = [(idx // p ** (7 - j)) % p for j in range(8)]
+        cols = {name: (idx // p ** (7 - j)) % p for j, name in enumerate(names)}
+        merged = {}
+        for eq in substitute(ident, Msc.generic(field_make(p))).equations:
+            mon = functional_monomial(eq.monomial, p) if mode == "functional" else eq.monomial
+            key = (eq.row, mon)
+            merged[key] = merged[key] + eq.poly if key in merged else eq.poly
         ok = np.ones(p ** 8, dtype=bool)
-        for _, _, terms in _compiled_system(ident, field_make(p), mode == "functional"):
+        for poly in merged.values():
             value = np.zeros(p ** 8, dtype=np.int64)
-            for c, factors in terms:
-                term = np.full(p ** 8, c, dtype=np.int64)
-                for i, e in factors:
-                    term = term * cols[i] ** e
+            for mon, c in poly.terms.items():
+                term = np.full(p ** 8, c.value, dtype=np.int64)
+                for name, e in mon:
+                    term = term * cols[name] ** e
                 value = value + term
             ok &= value % p == 0
         return ok
