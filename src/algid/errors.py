@@ -79,4 +79,4 @@ class ExpansionTooLarge(AlgidError):
 
 
 class NumberTooLong(AlgidError):
-    """A number with more decimal digits than can be read or printed."""
+    """A number with more digits than can be read, printed or computed."""

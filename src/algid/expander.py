@@ -9,13 +9,12 @@ span the same linear subspace.
 
 An identity is compiled once into a `TensorPlan`: the recursion
 M(leaf) = I, M(w1 w2) = A . (M(w1) (x) M(w2)) over its words' subword
-shapes, and the equation that each tensor column adds to.  Run on integer
-polynomials with packed monomials the plan gives the generic system, which
-`expand` returns for the generic algebra and scans evaluate; run on a
-concrete algebra's entries as integers it decides the identity there
-without expanding a polynomial.  Any other algebra given to `expand`,
-such as a symbolic family, is expanded by substituting coordinates
-(`substitute`), which also serves as the plan's test oracle.
+shapes, and the equation that each tensor column adds to.  `expand` runs the
+plan on any algebra's entries as integer polynomials in the algebra's own
+variables, with packed monomials: a1..b4 on the generic algebra, whose system
+scans evaluate; the parameters of a symbolic family; none on a concrete
+algebra.  `first_nonzero` runs it on a concrete algebra's entries as
+integers and decides the identity there without expanding a polynomial.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra_core import GENERIC_NAMES, Msc, Vec
 from .errors import AlgidError, ExpansionTooLarge, FieldMismatch, TooManyVariables
-from .exactnum import QQ, Field, Scalar, inv
+from .exactnum import QQ, Field, inv
 from .identity_lang import (
     Assoc,
     Comm,
@@ -43,7 +42,7 @@ from .identity_lang import (
     word_leaves,
     word_terms,
 )
-from .multipoly import Monomial, MultiPoly, mon_sort_key
+from .multipoly import Monomial, MultiPoly, mon_degree, mon_sort_key
 
 COORD_PREFIXES = ("x", "y", "z", "s", "t", "q", "r")
 
@@ -146,50 +145,22 @@ def expand(ident: Identity, A: Optional[Msc] = None, field: Optional[Field] = No
     """Expand an identity over the algebra A (default: the generic algebra
     over `field`, Q when neither is given).
 
-    The system is empty exactly when the identity holds formally on A.  The
-    generic algebra, passed as `field` or as `Msc.generic(field)`, takes the
-    tensor plan on packed polynomials; any other A is expanded by
-    `substitute`.
+    The system is empty exactly when the identity holds formally on A.  Every
+    algebra takes the identity's tensor plan, run on A's entries as integer
+    polynomials in A's own variables (`TensorPlan.system`).
     """
-    if A is not None:
+    if A is None:
+        f = field if field is not None else QQ
+        names, entries, d = _GENERIC_VARS, _GENERIC_ENTRIES, 1
+    else:
         if field is not None and field != A.field:
             raise FieldMismatch(f"{field} vs {A.field}")
-        if A != Msc.generic(A.field):
-            return substitute(ident, A)
-        field = A.field
-    f = field if field is not None else QQ
-    names: Dict[tuple, Monomial] = {}  # one named monomial per packed monomial
-    scalars: Dict[int, Scalar] = {}  # one Scalar per coefficient
-    equations = []
-    for row, mon, terms in tensor_plan(ident, f, False).generic_system():
-        poly = {}
-        for c, factors in terms:
-            name = names.get(factors)
-            if name is None:
-                name = names[factors] = tuple((_GENERIC_VARS[k], x) for k, x in factors)
-            s = scalars.get(c)
-            if s is None:
-                s = scalars[c] = f.scalar(c)
-            poly[name] = s
-        equations.append(Equation(row, mon, MultiPoly(f, poly)))
+        f = A.field
+        names, entries, d = _integer_entries(A)
+    scalar = functools.lru_cache(maxsize=None)(f.scalar)
+    equations = [Equation(row, mon, _multipoly(f, terms, d ** (mon_degree(mon) - 1), scalar))
+                 for row, mon, terms in tensor_plan(ident, f, False).system(names, entries)]
     return PolySystem(f, equations, ident.name)
-
-
-def substitute(ident: Identity, A: Msc) -> PolySystem:
-    """The coordinate route: expand the identity over A by substituting
-    coordinate vectors into A itself and collecting coefficients."""
-    check_budget(ident)
-    varnames = identity_variables(ident)
-    env = coordinate_env(A.field, varnames)
-    delta = eval_node(A, ident.lhs, env) - eval_node(A, ident.rhs, env)
-    coord_names = {f"{COORD_PREFIXES[k]}{i}" for k in range(len(varnames)) for i in (1, 2)}
-    equations = []
-    for row in (0, 1):
-        # An identity without variables ("0 = 0") leaves a Scalar entry.
-        entry = MultiPoly.coerce(A.field, delta.entries[row])
-        for mon, coeff in entry.collect_coefficients(coord_names).items():
-            equations.append(Equation(row, mon, coeff))
-    return PolySystem(A.field, equations, ident.name)
 
 
 # -- linear span comparison ------------------------------------------------------
@@ -313,21 +284,62 @@ def check_budget(ident: Identity) -> None:
 
 # -- packed-integer tensor kernel -------------------------------------------------
 #
-# On the generic algebra the entries of a word's tensor matrix are integer
-# polynomials in a1..b4 (identity weights are integers).  Such a polynomial is
-# a dict {packed monomial: int coefficient}, a monomial packing one _BITS-wide
-# exponent field per structure constant (a1 lowest), so that multiplying two
-# monomials adds two ints.  Coordinate monomials are packed the same way, one
-# field per coordinate variable x1, x2, y1, ...
+# A word's tensor matrix has polynomial entries in the algebra's own variables
+# (a1..b4 on the generic algebra, a symbolic family's parameters, none on a
+# concrete algebra), with integer coefficients once the algebra is scaled by
+# the lcm of its denominators.  A polynomial is a dict {packed monomial: int
+# coefficient}, one exponent field per variable (the first lowest), so that
+# multiplying two monomials adds two ints.  Entries come unpacked, as
+# {((variable index, exponent), ...): int}.  Coordinate monomials are packed
+# _COORD_BITS wide, one field per coordinate variable x1, x2, y1, ...: a word
+# of l leaves has coordinate degree l, and 2^l <= MAX_COLUMNS.
 
-_BITS = 6
-_MASK = (1 << _BITS) - 1
-# The budget bounds every exponent: a word of l leaves has 2^l <= MAX_COLUMNS
-# columns, entries of degree l - 1 and coordinate degree l, so no packed field
-# carries into its neighbour.
-assert MAX_COLUMNS.bit_length() <= _MASK
+_COORD_BITS = 6
+assert MAX_COLUMNS.bit_length() < 1 << _COORD_BITS
 _GENERIC_VARS = tuple(itertools.chain(*GENERIC_NAMES))
+_GENERIC_ENTRIES = tuple({((k, 1),): 1} for k in range(8))  # entry k is variable k
 _LEAF = (({0: 1}, {}), ({}, {0: 1}))  # M(leaf) = I
+
+Entries = Tuple[Dict[tuple, int], ...]
+
+
+def _integer_entries(A: Msc) -> Tuple[Tuple[str, ...], Entries, int]:
+    """(A's variable names, sorted; its entries a1..b4 as unpacked integer
+    polynomials in them, scaled by d; d, the lcm of the denominators)."""
+    polys = [x.terms if isinstance(x, MultiPoly) else {(): x} for x in A.entries_flat()]
+    names = sorted({v for terms in polys for mon in terms for v, _ in mon})
+    index = {v: k for k, v in enumerate(names)}
+    d = math.lcm(*(c.value.denominator for terms in polys for c in terms.values()))
+    entries = tuple({tuple((index[v], x) for v, x in mon):
+                     c.value.numerator * (d // c.value.denominator)
+                     for mon, c in terms.items()} for terms in polys)
+    return tuple(names), entries, d
+
+
+def _unpack(e: int, bits: int, names: Sequence[str]) -> Monomial:
+    """The named monomial of a packed one, `names` naming the fields from
+    the lowest."""
+    mask = (1 << bits) - 1
+    out = []
+    for name in names:
+        if e & mask:
+            out.append((name, e & mask))
+        e >>= bits
+    return tuple(out)
+
+
+def _terms(poly: Dict[int, int], p: int, unpack) -> tuple:
+    """The (coefficient, monomial) terms of a packed polynomial whose
+    coefficient is nonzero (mod p when p); `unpack` names a packed monomial."""
+    terms = ((c % p if p else c, e) for e, c in poly.items())
+    return tuple((c, unpack(e)) for c, e in terms if c)
+
+
+def _multipoly(f: Field, terms: tuple, div: int, scalar) -> MultiPoly:
+    """Integer (coefficient, monomial) terms divided by `div` as a MultiPoly
+    over f; `scalar` makes a coefficient a Scalar."""
+    return MultiPoly(f, {mon: scalar(Fraction(c, div) if div > 1 else c) for c, mon in terms})
+
 
 Shape = Optional[tuple]  # None for a leaf, (left shape, right shape) for a product
 
@@ -352,43 +364,41 @@ def _program_index(shape: Shape, index: Dict[Shape, int],
     return k
 
 
-def _packed_matrices(program: List[Tuple[int, int]]) -> list:
-    """The generic matrix of every shape of a program, each as 2 rows of 2^l
-    packed polynomials: M(leaf) = I and M(w1 w2) = A . (M(w1) (x) M(w2))."""
+def _packed_matrices(program: List[Tuple[int, int]], entries: Entries,
+                     degree: int) -> Tuple[int, list]:
+    """(bits per packed field, the matrix of every shape of a program, each
+    as 2 rows of 2^l packed polynomials: M(leaf) = I and M(w1 w2) =
+    A . (M(w1) (x) M(w2))).  A word of l <= degree leaves has degree l - 1
+    in the entries, so no exponent passes their largest times (degree - 1)."""
+    top = max((x for entry in entries for factors in entry for _, x in factors), default=0)
+    bits = max(top * (degree - 1), 1).bit_length()
+    packed = [[(sum(x << (bits * k) for k, x in factors), c)
+               for factors, c in entry.items() if c] for entry in entries]
+    # Row r of A . K at column (c1, c2) is sum_ij A[r][2i + j] M1[i][c1] M2[j][c2];
+    # a product column (i, j) whose two entries are zero adds nothing.
+    products = [(i, j, packed[2 * i + j], packed[4 + 2 * i + j]) for i in (0, 1)
+                for j in (0, 1) if packed[2 * i + j] or packed[4 + 2 * i + j]]
     mats = [_LEAF]
     for left, right in program:
         rows: Tuple[list, list] = ([], [])
-        # Row r of A . K at column (c1, c2) is sum_ij A[r][2i + j] M1[i][c1] M2[j][c2].
         for col1 in zip(*mats[left]):
             for col2 in zip(*mats[right]):
                 out0: Dict[int, int] = {}
                 out1: Dict[int, int] = {}
                 get0, get1 = out0.get, out1.get
-                for i, p1 in enumerate(col1):
-                    for j, p2 in enumerate(col2):
-                        s0 = 1 << (_BITS * (2 * i + j))
-                        s1 = s0 << (4 * _BITS)
-                        for e2, c2 in p2.items():
-                            for e1, c1 in p1.items():
-                                e, c = e1 + e2, c1 * c2
-                                out0[e + s0] = get0(e + s0, 0) + c
-                                out1[e + s1] = get1(e + s1, 0) + c
+                for i, j, a0, a1 in products:
+                    p1 = col1[i]
+                    for e2, c2 in col2[j].items():
+                        for e1, c1 in p1.items():
+                            e, c = e1 + e2, c1 * c2
+                            for ea, ca in a0:
+                                out0[e + ea] = get0(e + ea, 0) + c * ca
+                            for ea, ca in a1:
+                                out1[e + ea] = get1(e + ea, 0) + c * ca
                 rows[0].append(out0)
                 rows[1].append(out1)
         mats.append(rows)
-    return mats
-
-
-def _unpack(e: int) -> Tuple[Tuple[int, int], ...]:
-    """(field index, exponent) pairs of a packed monomial, lowest field first."""
-    out = []
-    k = 0
-    while e:
-        if e & _MASK:
-            out.append((k, e & _MASK))
-        e >>= _BITS
-        k += 1
-    return tuple(out)
+    return bits, mats
 
 
 def _word_columns(ident: Identity):
@@ -408,8 +418,8 @@ def _word_columns(ident: Identity):
             continue
         cols = [0]
         for name in word_leaves(word):
-            unit = 1 << (_BITS * 2 * index[name])
-            cols = [c + u for c in cols for u in (unit, unit << _BITS)]
+            unit = 1 << (_COORD_BITS * 2 * index[name])
+            cols = [c + u for c in cols for u in (unit, unit << _COORD_BITS)]
         yield word, weight, cols
 
 
@@ -418,7 +428,7 @@ _COORD_NAMES = [f"{prefix}{i}" for prefix in COORD_PREFIXES for i in (1, 2)]
 
 def _coordinate_monomial(col: int) -> Monomial:
     """The named coordinate monomial of a packed tensor column."""
-    return tuple(sorted((_COORD_NAMES[k], x) for k, x in _unpack(col)))
+    return tuple(sorted(_unpack(col, _COORD_BITS, _COORD_NAMES)))
 
 
 def functional_monomial(mon: Monomial, p: int) -> Monomial:
@@ -437,15 +447,16 @@ class TensorPlan:
     functional mode (F_p only) monomials that agree pointwise are one
     monomial.  This is the only place that maps tensor columns to equations.
 
-    `generic_system()` runs the program on packed integer polynomials, and
-    `first_nonzero(A)` on a concrete algebra's entries as Python ints; both
-    sum the columns into their slots.
+    `system()` runs the program on an algebra's entries as packed integer
+    polynomials, and `first_nonzero(A)` on a concrete algebra's entries as
+    Python ints; both sum the columns into their slots.
     """
 
     def __init__(self, ident: Identity, field: Field, functional: bool):
         self.field = field
-        self.p = p = field.p if field.kind == "Fp" else 0  # 0 over Q
+        self.p = p = field.char  # 0 over Q
         self.program: List[Tuple[int, int]] = []  # shape k >= 1 = (left, right)
+        self.degree = 0  # the most leaves of a word
         index: Dict[Shape, int] = {None: 0}
         words = []
         for word, weight, cols in _word_columns(ident):
@@ -457,18 +468,21 @@ class TensorPlan:
                     mons = [functional_monomial(mon, p) for mon in mons]
                 k = _program_index(_shape(word), index, self.program)
                 words.append((k, weight, mons))
+                self.degree = max(self.degree, len(cols).bit_length() - 1)
         self.monomials = tuple(sorted({mon for _, _, mons in words for mon in mons},
                                       key=mon_sort_key))
         number = {mon: s for s, mon in enumerate(self.monomials)}
         self.words = tuple((k, weight, tuple(number[mon] for mon in mons))
                            for k, weight, mons in words)
 
-    def generic_system(self) -> tuple:
-        """The system on the generic algebra as (row, coordinate monomial,
-        terms) for each nonzero slot, in canonical order, a term being
-        (int coefficient, ((entry index 0..7 of a1..b4, exponent), ...)).
-        Coefficients are residues in [0, p) over F_p."""
-        mats = _packed_matrices(self.program)
+    def system(self, names: Sequence[str] = _GENERIC_VARS,
+               entries: Entries = _GENERIC_ENTRIES) -> tuple:
+        """The system on an algebra with the given integer polynomial entries
+        in the variables `names` (see `_integer_entries`; by default the
+        generic a1..b4) as (row, coordinate monomial, terms) for each
+        nonzero slot, in canonical order, a term being (int coefficient,
+        monomial).  Coefficients are residues in [0, p) over F_p."""
+        bits, mats = _packed_matrices(self.program, entries, self.degree)
         n = len(self.monomials)
         sums: List[Dict[int, int]] = [{} for _ in range(2 * n)]
         for k, weight, numbers in self.words:
@@ -478,22 +492,13 @@ class TensorPlan:
                     get = acc.get
                     for e, c in poly.items():
                         acc[e] = get(e, 0) + weight * c
-        p = self.p
-        factors_of: Dict[int, tuple] = {}  # one factor tuple per packed monomial
+        unpack = functools.lru_cache(maxsize=None)(lambda e: _unpack(e, bits, names))
         out = []
         for s, acc in enumerate(sums):
-            terms = []
-            for e, c in acc.items():
-                if p:
-                    c %= p
-                if c:
-                    factors = factors_of.get(e)
-                    if factors is None:
-                        factors = factors_of[e] = _unpack(e)
-                    terms.append((c, factors))
+            terms = _terms(acc, self.p, unpack)
             if terms:
                 row, number = divmod(s, n)
-                out.append((row, self.monomials[number], tuple(terms)))
+                out.append((row, self.monomials[number], terms))
         return tuple(out)
 
     def first_nonzero(self, A: Msc) -> Optional[Equation]:
@@ -558,26 +563,20 @@ def tensor_plan(ident: Identity, field: Field, functional: bool) -> TensorPlan:
 # -- tensor-matrix view -------------------------------------------------------------
 
 
-def _at(A: Msc, poly: Dict[int, int]):
-    """A packed polynomial evaluated at the entries of A."""
-    vals = A.entries_flat()
-    out = A.field.zero()
-    for e, c in poly.items():
-        term = A.field.scalar(c)
-        for k, x in _unpack(e):
-            for _ in range(x):
-                term = term * vals[k]
-        out = out + term
-    return out
-
-
-def word_tensor_matrix(A: Msc, word: Word):
+def word_tensor_matrix(A: Msc, word: Word) -> List[List[MultiPoly]]:
     """The 2 x 2^l matrix M with w(u1,..,ul) = M . (u1 (x) ... (x) ul).
 
-    Defined recursively by M(leaf) = I and M(w1 w2) = A . (M(w1) (x) M(w2));
-    this is the kernel's generic matrix evaluated at A's entries.
+    Defined recursively by M(leaf) = I and M(w1 w2) = A . (M(w1) (x) M(w2)),
+    the plan's recursion on A's entries; its entries are polynomials in A's
+    variables (constants on a concrete algebra).
     """
     check_budget(Identity("word", word, Sum(())))
     program: List[Tuple[int, int]] = []
     k = _program_index(_shape(word), {None: 0}, program)
-    return [[_at(A, poly) for poly in row] for row in _packed_matrices(program)[k]]
+    names, entries, d = _integer_entries(A)
+    degree = len(list(word_leaves(word)))
+    bits, mats = _packed_matrices(program, entries, degree)
+    unpack = functools.lru_cache(maxsize=None)(lambda e: _unpack(e, bits, names))
+    scalar = functools.lru_cache(maxsize=None)(A.field.scalar)
+    return [[_multipoly(A.field, _terms(poly, A.field.char, unpack), d ** (degree - 1), scalar)
+             for poly in row] for row in mats[k]]

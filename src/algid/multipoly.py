@@ -9,9 +9,10 @@ the family catalog and by transcribed fixture systems.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+import operator
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-from .errors import AlgidError, DivisionByZero, FieldMismatch, IdentitySyntaxError
+from .errors import AlgidError, DivisionByZero, FieldMismatch, IdentitySyntaxError, NumberTooLong
 from .exactnum import Field, Scalar, inv, sqrt
 from .identity_lang import MAX_EXPONENT, MAX_NESTING, literal_int, tokenize
 
@@ -181,7 +182,7 @@ class MultiPoly:
             return hash(self.constant_value())  # equal to its Scalar
         return hash((self.field, frozenset(self.terms.items())))
 
-    # -- substitution / collection -------------------------------------------
+    # -- substitution ----------------------------------------------------------
 
     def subs(self, assignment: Mapping[str, object]) -> "MultiPoly":
         """Substitute variables by scalars or polynomials; others stay symbolic."""
@@ -194,27 +195,6 @@ class MultiPoly:
                 term = term * (factor**e if factor is not None else MultiPoly.var(self.field, v, e))
             out = out + term
         return out
-
-    def collect_coefficients(self, varnames: Iterable[str]) -> Dict[Monomial, "MultiPoly"]:
-        """Group terms by their monomial part in `varnames`.
-
-        The returned coefficient polynomials involve only variables outside
-        `varnames`; recombining reproduces the polynomial exactly.  Empty map
-        iff the polynomial is zero.
-        """
-        vs = set(varnames)
-        out: Dict[Monomial, Dict[Monomial, Scalar]] = {}
-        for m, c in self.terms.items():
-            inner = tuple((v, e) for v, e in m if v in vs)
-            outer = tuple((v, e) for v, e in m if v not in vs)
-            bucket = out.setdefault(inner, {})
-            s = bucket.get(outer)
-            bucket[outer] = c if s is None else s + c
-        return {
-            mon: MultiPoly(self.field, coeffs)
-            for mon, coeffs in out.items()
-            if any(not c.is_zero() for c in coeffs.values())
-        }
 
     def eval_scalar(self, assignment: Mapping[str, Scalar]) -> Scalar:
         """Total evaluation; every variable must be assigned."""
@@ -390,6 +370,32 @@ def _constant(x, what: str) -> Scalar:
     return x
 
 
+# The longest value, in bits, that the expression language computes: of a
+# rational's numerator and denominator, of a polynomial's coefficients.  A
+# literal has at most 4300 digits, but a few characters of powers or products
+# of literals grow far past that; an operation that could pass the bound (a
+# power by its base's length times the exponent, any other binary operation by
+# the sum of its operands' lengths) is refused before it runs.  Residues mod p
+# never grow.
+MAX_BITS = 1 << 18
+
+
+def _bits(x) -> int:
+    if isinstance(x, MultiPoly):
+        return max((_bits(c) for c in x.terms.values()), default=0)
+    if x.field.kind == "Fp":
+        return 0
+    return max(x.value.numerator.bit_length(), x.value.denominator.bit_length())
+
+
+def _within_bound(bits: int) -> None:
+    if bits > MAX_BITS:
+        raise NumberTooLong(f"a value longer than {MAX_BITS} bits would be computed")
+
+
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
 def _evaluate(node: _Node, field: Field, env: Mapping[str, object], unbound):
     """The one walker of the expression language, on Scalar and MultiPoly
     values alike; variables missing from `env` are looked up by `unbound`."""
@@ -400,21 +406,23 @@ def _evaluate(node: _Node, field: Field, env: Mapping[str, object], unbound):
             return field.scalar(n[1])
         if kind == "var":
             return env[n[1]] if n[1] in env else unbound(n[1])
-        if kind == "add":
-            return rec(n[1]) + rec(n[2])
-        if kind == "sub":
-            return rec(n[1]) - rec(n[2])
-        if kind == "mul":
-            return rec(n[1]) * rec(n[2])
+        if kind in _ARITHMETIC:
+            x, y = rec(n[1]), rec(n[2])
+            _within_bound(_bits(x) + _bits(y))
+            return _ARITHMETIC[kind](x, y)
         if kind == "neg":
             return -rec(n[1])
         if kind == "pow":
-            return _power(rec(n[1]), n[2], field.one())
+            x = rec(n[1])
+            _within_bound(_bits(x) * n[2])
+            return _power(x, n[2], field.one())
         if kind == "div":
             den = _constant(rec(n[2]), "division by a non-constant expression")
             if den.is_zero():
                 raise DivisionByZero("denominator vanishes in expression")
-            return rec(n[1]) * inv(den)
+            x = rec(n[1])
+            _within_bound(_bits(x) + _bits(den))
+            return x * inv(den)
         if kind == "sqrt":
             rad = _constant(rec(n[1]), "sqrt of a non-constant expression")
             root = sqrt(rad)

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import Msc, Vec, conjugates_to
+from .algebra_core import GENERIC_NAMES, Msc, Vec, conjugates_to
 from .canon_catalog import (
     CHAR2_IDENTITY_PAIRS,
     OPPOSITE_TABLES,
@@ -56,7 +56,6 @@ from .identity_lang import (
     Var,
     Word,
     get_identity,
-    identity_variables,
     parse_identity,
     variables,
 )
@@ -86,12 +85,13 @@ class FormalCheck:
 
 
 def _equation_value(terms, vals):
-    """One generic equation at the entries `vals`: numpy arrays of residues
-    evaluated elementwise and reduced by the caller."""
+    """One generic equation at the entries `vals`, numpy arrays of residues
+    by structure-constant name, evaluated elementwise and reduced by the
+    caller."""
     total = 0
-    for c, factors in terms:
-        for i, e in factors:
-            c = c * vals[i] ** e
+    for c, mon in terms:
+        for name, e in mon:
+            c = c * vals[name] ** e
         total = total + c
     return total
 
@@ -101,9 +101,10 @@ def _verdict(witness: Optional[Equation]) -> FormalCheck:
 
 
 def check_formal(A: Msc, ident: Identity) -> FormalCheck:
-    """Does the identity hold as a formal polynomial law on A?  Concrete
-    entries run the identity's `TensorPlan` on numbers; symbolic ones are
-    expanded by `expand`."""
+    """Does the identity hold as a formal polynomial law on A?  Both run the
+    identity's `TensorPlan`: on a concrete algebra's entries as numbers,
+    stopping at the first nonzero equation; on symbolic entries through
+    `expand`, as polynomials in A's parameters."""
     if A.is_concrete():
         return _verdict(tensor_plan(ident, A.field, False).first_nonzero(A))
     equations = expand(ident, A).equations
@@ -117,18 +118,6 @@ def check_functional(A: Msc, ident: Identity) -> FormalCheck:
     if not A.is_concrete():
         raise AlgidError("functional checking needs concrete structure constants")
     return _verdict(tensor_plan(ident, A.field, True).first_nonzero(A))
-
-
-def holds_on_basis_tuples(A: Msc, ident: Identity) -> bool:
-    """Satisfaction at every tuple of basis vectors (enough for multilinear
-    identities over any field)."""
-    names = identity_variables(ident)
-    basis = [Vec.basis(A.field, 1), Vec.basis(A.field, 2)]
-    for combo in itertools.product(basis, repeat=len(names)):
-        env = dict(zip(names, combo))
-        if eval_node(A, ident.lhs, env) != eval_node(A, ident.rhs, env):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +275,18 @@ def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
             % (", ".join(map(str, SCAN_PRIMES))))
     if mode not in ("formal", "functional"):
         raise AlgidError("scan mode must be 'formal' or 'functional'")
-    system = tensor_plan(ident, field_make(p), mode == "functional").generic_system()
+    system = tensor_plan(ident, field_make(p), mode == "functional").system()
     # Each algebra leaves `alive` at its first nonzero equation, so later
     # equations are evaluated only on the algebras still undecided.
     alive = np.arange(p ** 8, dtype=np.int64)
-    cols = [(alive // p ** (7 - j)) % p for j in range(8)]
+    cols = {name: (alive // p ** (7 - j)) % p
+            for j, name in enumerate(itertools.chain(*GENERIC_NAMES))}
     for terms in dict.fromkeys(terms for _, _, terms in system):
         # Residues below p keep every term inside int64 up to degree 20.
         zero = np.broadcast_to(_equation_value(terms, cols) % p == 0, alive.shape)
         if not zero.all():
             alive = alive[zero]
-            cols = [c[zero] for c in cols]
+            cols = {name: c[zero] for name, c in cols.items()}
         if not alive.size:
             break
     ok = np.zeros(p ** 8, dtype=bool)

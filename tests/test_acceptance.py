@@ -12,6 +12,7 @@ for the full characterisation).
 
 from click.testing import CliRunner
 
+from coordinate_route import holds_on_basis_tuples
 from reference_systems import (
     KNOWN_MISPRINTED_SYSTEMS,
     PRINT_ERRATA,
@@ -32,7 +33,6 @@ from algid.verifier import (
     SKIP,
     alternating_determinant_law,
     alternating_vanishes,
-    holds_on_basis_tuples,
     msc_from_scan_index,
     scan_algebras,
     verify_identities,

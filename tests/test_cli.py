@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -616,6 +617,41 @@ class TestInputContracts:
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)
         assert "cannot be printed" in r.output
+
+    @pytest.mark.parametrize("command", [
+        ["catalog", "instantiate", "A4"],
+        ["check", "--family", "A4", "--identity", "I1"],
+    ])
+    def test_nested_power_tower_is_usage_error(self, command):
+        """Each exponent is within the cap, but the tower would build a
+        2^30-bit number (one more level, about 8.6 GB); it is refused before
+        it grows, in a child process whose timeout turns a slow evaluation
+        into a failure."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+            os.path.abspath(algid.__file__))))
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "algid.cli"] + command
+                             + ["--args", "((((2^64)^64)^64)^64)^64, 0"],
+                             env=env, capture_output=True, text=True, timeout=30)
+        assert time.perf_counter() - start < 10
+        assert out.returncode == 2, out.stderr
+        assert "a value longer than 262144 bits would be computed" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["2", "99", "3/7", "-5"]),
+           st.lists(st.integers(0, 64), max_size=6))
+    def test_nested_powers_exit_by_the_contract(self, base, exponents):
+        """A tower of powers either gives an algebra or exits 2 with the
+        reason: the value is too long to compute or to print."""
+        expr = base
+        for e in exponents:
+            expr = "(%s)^%d" % (expr, e)
+        r = runner.invoke(main, ["catalog", "instantiate", "A4", "--args", expr + ", 0"])
+        assert r.exception is None or isinstance(r.exception, SystemExit), r.exception
+        assert r.exit_code in (0, 2)
+        if r.exit_code:
+            assert "would be computed" in r.output or "cannot be printed" in r.output
 
     @pytest.mark.parametrize("argv, identity", [
         (["check", "--family", "A12"], "commutator"),

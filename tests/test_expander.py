@@ -5,7 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coordinate_route import substitute
+
 from algid.algebra_core import Msc, Vec
+from algid.canon_catalog import (
+    CHAR5_I19_ROWS,
+    CLAIMED_SOLUTIONS,
+    OPPOSITE_TABLES,
+    REGIME_CHAR0,
+    REGIME_CHAR2,
+    REGIME_CHAR3,
+    SECTION3_ROWS,
+    SELF_OPPOSITE,
+    family,
+)
 from algid.errors import AlgidError, ExpansionTooLarge, FieldMismatch, TooManyVariables
 from algid.exactnum import F2, F3, F5, QQ
 from algid.expander import (
@@ -17,7 +30,6 @@ from algid.expander import (
     expansion_columns,
     span_contains,
     span_equal,
-    substitute,
     word_tensor_matrix,
 )
 from algid.identity_lang import (
@@ -242,6 +254,23 @@ def test_word_tensor_matrix_base_cases():
     assert word_tensor_matrix(A, Prod(Var("u"), Var("v"))) == [list(r) for r in A.rows]
 
 
+@pytest.mark.parametrize("A", [
+    Msc.from_scalars(QQ, [["1/3", 0, 0, 0], [1, "2/3", "-1/3", 0]]),
+    family("A5").instantiate_poly(QQ, (P("a1"),)),
+    Msc(F3, [[P("a1 + b1", F3), F3.scalar(2), F3.zero(), P("a1^2", F3)],
+             [F3.one(), P("2 b1", F3), F3.zero(), F3.one()]]),
+], ids=["concrete-Q", "symbolic-A5", "mixed-F3"])
+def test_word_tensor_matrix_columns_are_basis_values(A):
+    """Column c of M(w) is w at the basis vectors that c's bits pick, the
+    first leaf's bit most significant."""
+    word = Prod(Prod(Var("u"), Var("v")), Var("w"))
+    M = word_tensor_matrix(A, word)
+    for c in range(8):
+        env = {name: Vec.basis(A.field, 1 + (c >> (2 - k) & 1))
+               for k, name in enumerate(("u", "v", "w"))}
+        assert Vec(A.field, [M[0][c], M[1][c]]) == eval_node(A, word, env).lift(), c
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=8, max_size=8))
 def test_formal_zero_implies_pointwise_zero(entries):
@@ -397,3 +426,73 @@ def test_word_tensor_matrix_checks_the_budget():
     with pytest.raises(ExpansionTooLarge, match="expansion budget"):
         word_tensor_matrix(Msc.generic(QQ), word)
     assert time.perf_counter() - start < 0.5
+
+
+# -- one route: the plan on any algebra against the coordinate route ---------------
+
+_REGIME_FIELDS = {REGIME_CHAR0: (QQ, F5), REGIME_CHAR2: (F2,), REGIME_CHAR3: (F3,)}
+_NUMBERED = [get_identity(name) for name in NUMBERED_IDENTITIES]
+
+
+def _has_parameters(A):
+    return any(isinstance(x, MultiPoly) and x.variables() for x in A.entries_flat())
+
+
+def _table_algebras(field):
+    """The algebras with free parameters of the claimed-solution, char-5 I19,
+    self-opposite and opposite tables (sources and images) of the field's
+    regime, and over Q those of the Section 3 rows, each once."""
+    regime = next(r for r, fields in _REGIME_FIELDS.items() if field in fields)
+    rows = [row for rows in CLAIMED_SOLUTIONS[regime].values() for row in rows]
+    rows += SELF_OPPOSITE[regime]
+    if regime == REGIME_CHAR0:
+        rows += CHAR5_I19_ROWS
+    algebras = [row.symbolic_algebra(field) for row in rows]
+    for row in OPPOSITE_TABLES[regime]:
+        if row.fully_polynomial():
+            algebras += row.symbolic(field)[:2]
+    if field == QQ:
+        algebras += [row.algebra(field) for row in SECTION3_ROWS if row.family]
+    return list(dict.fromkeys(A for A in algebras if A is not None and _has_parameters(A)))
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F2, F3], ids=str)
+def test_table_algebras_match_the_coordinate_route(field):
+    """`expand` on every symbolic algebra of the tables gives exactly the
+    equations and polynomials that substituting coordinates gives."""
+    algebras = _table_algebras(field)
+    assert len(algebras) >= 10
+    for A in algebras:
+        for ident in _NUMBERED:
+            got, expected = expand(ident, A), substitute(ident, A)
+            assert got.equations == expected.equations, (A, ident.name)
+            assert got.polys == expected.polys, (A, ident.name)
+
+
+@pytest.mark.parametrize("A", [
+    COMMUTATIVE,
+    Msc.from_scalars(QQ, [["1/3", 0, 0, 0], [1, "2/3", "-1/3", 0]]),
+    Msc.from_scalars(F3, [[1, 2, 0, 1], [0, 2, 1, 0]]),
+    Msc(QQ, [[P("a1"), QQ.scalar("1/2"), QQ.zero(), P("2 b1 - 1/3")],
+             [QQ.one(), P("a1 b1"), P("-a1/2"), QQ.scalar(-3)]]),
+    Msc(F5, [[P("a1", F5), F5.scalar(3), F5.zero(), P("4 a1^2 + b1", F5)],
+             [F5.one(), F5.zero(), P("2 b1", F5), F5.scalar(2)]]),
+], ids=["concrete-Q", "concrete-Q-denominators", "concrete-F3", "mixed-Q", "mixed-F5"])
+def test_edge_algebras_match_the_coordinate_route(A):
+    for ident in _NUMBERED + [parse_identity("0 = 0"), parse_identity("u = 0")]:
+        got, expected = expand(ident, A), substitute(ident, A)
+        assert got.equations == expected.equations, ident.name
+        assert got.polys == expected.polys, ident.name
+
+
+def test_packing_width_follows_the_entries():
+    """I23's words have 4 leaves, so an entry a1^30 reaches a1^90 in them:
+    past a fixed 6-bit exponent field, which would carry into the next
+    variable's."""
+    A = Msc(QQ, [[P("a1^30"), P("b1"), QQ.zero(), P("a1")],
+                 [QQ.one(), P("a1^30 - b1^2"), P("a1 b1^3"), QQ.zero()]])
+    for name in ("I19", "I23"):
+        ident = get_identity(name)
+        assert expand(ident, A).equations == substitute(ident, A).equations, name
+    polys = expand(get_identity("I23"), A).polys
+    assert max(e for p in polys for m in p.terms for _, e in m) == 90

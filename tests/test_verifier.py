@@ -5,6 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coordinate_route import holds_on_basis_tuples, substitute
+
 from algid.algebra_core import GENERIC_NAMES, Msc, Vec, conjugates_to
 from algid.canon_catalog import FAMILY_ORDER, REGIME_CHAR0, REGIME_CHAR2, family
 from algid.errors import (
@@ -14,7 +16,7 @@ from algid.errors import (
     UnsupportedPrime,
 )
 from algid.exactnum import F2, F3, F5, QQ, field_make
-from algid.expander import coordinate_env, eval_node, expand, functional_monomial, substitute
+from algid.expander import coordinate_env, eval_node, expand, functional_monomial
 from algid.identity_lang import (
     NUMBERED_IDENTITIES,
     Identity,
@@ -37,7 +39,6 @@ from algid.verifier import (
     alternating_vanishes,
     check_formal,
     check_functional,
-    holds_on_basis_tuples,
     msc_from_scan_index,
     scan_algebras,
     scan_field,
