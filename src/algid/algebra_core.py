@@ -30,7 +30,8 @@ GENERIC_NAMES = (("a1", "a2", "a3", "a4"), ("b1", "b2", "b3", "b4"))
 
 
 class Vec:
-    """A coordinate vector (length 2) over scalars or polynomials."""
+    """A coordinate vector (length 2) over scalars or polynomials, as
+    `Msc.product` takes and returns it."""
 
     __slots__ = ("field", "entries")
 
@@ -39,37 +40,6 @@ class Vec:
             raise DimensionMismatch(f"expected 2 coordinates, got {len(entries)}")
         self.field = field
         self.entries: Tuple[Entry, Entry] = tuple(entries)
-
-    @classmethod
-    def basis(cls, field: Field, i: int) -> "Vec":
-        if i not in (1, 2):
-            raise DimensionMismatch(f"basis index {i} out of range for dimension 2")
-        return cls(field, [field.one() if k == i else field.zero() for k in (1, 2)])
-
-    @classmethod
-    def symbolic(cls, field: Field, prefix: str) -> "Vec":
-        return cls(field, [MultiPoly.var(field, f"{prefix}1"), MultiPoly.var(field, f"{prefix}2")])
-
-    def lift(self) -> "Vec":
-        """The same vector with every entry a polynomial."""
-        return Vec(self.field, [MultiPoly.coerce(self.field, x) for x in self.entries])
-
-    def __add__(self, other: "Vec") -> "Vec":
-        return Vec(self.field, [x + y for x, y in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        return Vec(self.field, [x - y for x, y in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "Vec":
-        return Vec(self.field, [-x for x in self.entries])
-
-    def scale(self, c) -> "Vec":
-        if not isinstance(c, MultiPoly):
-            c = self.field.scalar(c)
-        return Vec(self.field, [c * x for x in self.entries])
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.entries)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Vec) and self.field == other.field
@@ -80,9 +50,6 @@ class Vec:
 
     def __repr__(self) -> str:
         return f"Vec({self.entries[0]!r}, {self.entries[1]!r})"
-
-    def to_json(self) -> list:
-        return [_entry_json(x) for x in self.entries]
 
 
 def _entry_json(x: Entry):
@@ -126,11 +93,6 @@ class Msc:
     def is_concrete(self) -> bool:
         return all(isinstance(x, Scalar) for row in self.rows for x in row)
 
-    def lift(self) -> "Msc":
-        """The same algebra with every entry a polynomial."""
-        return Msc(self.field,
-                   [[MultiPoly.coerce(self.field, x) for x in row] for row in self.rows])
-
     def entries_flat(self) -> Tuple[Entry, ...]:
         """Row-major entries, matching the generic names a1..a4, b1..b4."""
         return tuple(x for row in self.rows for x in row)
@@ -147,12 +109,6 @@ class Msc:
             self.field,
             [sum_entries([row[k] * tensor[k] for k in range(4)]) for row in self.rows],
         )
-
-    def commutator(self, u: Vec, v: Vec) -> Vec:
-        return self.product(u, v) - self.product(v, u)
-
-    def associator(self, u: Vec, v: Vec, w: Vec) -> Vec:
-        return self.product(self.product(u, v), w) - self.product(u, self.product(v, w))
 
     def opposite(self) -> "Msc":
         """The algebra with reversed multiplication; swaps the e1e2/e2e1 columns."""
@@ -239,11 +195,6 @@ def mat_kron(A: Sequence[Sequence[Entry]], B: Sequence[Sequence[Entry]]):
         for rb in B:
             out.append([a * b for a in ra for b in rb])
     return out
-
-
-def identity_mat(field: Field, n: int):
-    one, zero = field.one(), field.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def det2(g: Sequence[Sequence[Entry]]) -> Entry:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import Msc, Vec
+from .algebra_core import Msc
 from .errors import (
     CharMismatch,
     DivisionByZero,
@@ -39,6 +39,7 @@ from .errors import (
 )
 from .exactnum import Field, Scalar
 from .multipoly import (
+    Monomial,
     MultiPoly,
     SqrtUnavailable,
     eval_expr,
@@ -1276,14 +1277,19 @@ SELF_OPPOSITE: Dict[str, Tuple[ClaimedRow, ...]] = {
 # Section 3 worked computations
 
 
+# The coordinates of the printed texts: u = (x1, x2), v = (y1, y2), w = (z1, z2).
+PRINTED_PREFIXES = {"u": "x", "v": "y", "w": "z"}
+_PRINTED_COORDINATES = {p + i for p in PRINTED_PREFIXES.values() for i in "12"}
+
+
 @dataclass(frozen=True)
 class WorkedRow:
     """One worked computation: `expression` (identity language) on a family
     with its parameters left symbolic, or on the generic algebra when
     `family` is None.  With `printed` (e1, e2) component texts in the
-    coordinates u = (x1, x2), v = (y1, y2), w = (z1, z2), the expression must
-    evaluate to that vector; without, `expression` names an identity that
-    must hold formally."""
+    coordinates of `PRINTED_PREFIXES`, the expression's expansion must have,
+    for each coordinate monomial, the printed coefficient; without,
+    `expression` names an identity that must hold formally."""
 
     section: str
     family: Optional[str]
@@ -1298,8 +1304,16 @@ class WorkedRow:
         fam = family(self.family)
         return fam.instantiate_poly(field, _symbolic(fam.params, field))
 
-    def printed_vector(self, field: Field) -> Vec:
-        return Vec(field, _symbolic(self.printed, field))
+    def printed_equations(self, field: Field) -> Dict[Tuple[int, Monomial], MultiPoly]:
+        """The printed components grouped by their coordinate part:
+        (row, monomial in x1..z2) -> polynomial in the family's parameters."""
+        out: Dict[Tuple[int, Monomial], Dict[Monomial, Scalar]] = {}
+        for row, poly in enumerate(_symbolic(self.printed, field)):
+            for mon, c in poly.terms.items():
+                coordinate = tuple(f for f in mon if f[0] in _PRINTED_COORDINATES)
+                rest = tuple(f for f in mon if f[0] not in _PRINTED_COORDINATES)
+                out.setdefault((row, coordinate), {})[rest] = c
+        return {key: MultiPoly(field, terms) for key, terms in out.items()}
 
 
 _GENERIC = "generic, symbolic"

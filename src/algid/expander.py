@@ -15,6 +15,11 @@ variables, with packed monomials: a1..b4 on the generic algebra, whose system
 scans evaluate; the parameters of a symbolic family; none on a concrete
 algebra.  `first_nonzero` runs it on a concrete algebra's entries as
 integers and decides the identity there without expanding a polynomial.
+
+The coordinates of the identity's variables, in order of first appearance,
+are x, y, z, s, t, q, r.  This is the package's one expansion mechanism:
+symbolic checks, `algid expand`, both alternation laws and the printed
+Section 3 rows all read `expand`'s system.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .algebra_core import GENERIC_NAMES, Msc, Vec
-from .errors import AlgidError, ExpansionTooLarge, FieldMismatch, TooManyVariables
+from .algebra_core import GENERIC_NAMES, Msc
+from .errors import ExpansionTooLarge, FieldMismatch, TooManyVariables
 from .exactnum import QQ, Field, inv
 from .identity_lang import (
     Assoc,
@@ -45,40 +50,6 @@ from .identity_lang import (
 from .multipoly import Monomial, MultiPoly, mon_degree, mon_sort_key
 
 COORD_PREFIXES = ("x", "y", "z", "s", "t", "q", "r")
-
-
-def coordinate_env(field: Field, varnames: Sequence[str]) -> Dict[str, Vec]:
-    """Assign symbolic coordinate vectors x, y, z, ... to identity variables."""
-    if len(varnames) > len(COORD_PREFIXES):
-        raise TooManyVariables(
-            f"{len(varnames)} variables exceed the {len(COORD_PREFIXES)} coordinate prefixes"
-        )
-    return {
-        name: Vec.symbolic(field, COORD_PREFIXES[k]) for k, name in enumerate(varnames)
-    }
-
-
-def eval_node(A: Msc, node: Node, env: Dict[str, Vec]) -> Vec:
-    """Evaluate an identity expression to a vector in the algebra A."""
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise AlgidError(f"unbound identity variable {node.name!r}") from None
-    if isinstance(node, Prod):
-        return A.product(eval_node(A, node.left, env), eval_node(A, node.right, env))
-    if isinstance(node, Comm):
-        return A.commutator(eval_node(A, node.left, env), eval_node(A, node.right, env))
-    if isinstance(node, Assoc):
-        return A.associator(
-            eval_node(A, node.a, env), eval_node(A, node.b, env), eval_node(A, node.c, env)
-        )
-    if isinstance(node, Sum):
-        out = Vec(A.field, [A.field.zero(), A.field.zero()])
-        for w, f in node.terms:
-            out = out + eval_node(A, f, env).scale(A.field.scalar(w))
-        return out
-    raise TypeError(f"not an identity node: {node!r}")
 
 
 @dataclass(frozen=True)
@@ -408,7 +379,9 @@ def _word_columns(ident: Identity):
     monomial with one coordinate variable per leaf."""
     check_budget(ident)
     varnames = identity_variables(ident)
-    coordinate_env(QQ, varnames)  # rejects more variables than prefixes
+    if len(varnames) > len(COORD_PREFIXES):
+        raise TooManyVariables(
+            f"{len(varnames)} variables exceed the {len(COORD_PREFIXES)} coordinate prefixes")
     index = {name: k for k, name in enumerate(varnames)}
     combined = dict(word_terms(ident.lhs))
     for word, c in word_terms(ident.rhs).items():

@@ -381,19 +381,6 @@ def word_leaves(w: Word) -> Iterator[str]:
         yield from word_leaves(w.right)
 
 
-def degree_profile(ident: Identity) -> Dict[str, int]:
-    """Maximum number of occurrences of each variable in any expanded word."""
-    out: Dict[str, int] = {v: 0 for v in identity_variables(ident)}
-    for side in (ident.lhs, ident.rhs):
-        for w in word_terms(side):
-            counts: Dict[str, int] = {}
-            for name in word_leaves(w):
-                counts[name] = counts.get(name, 0) + 1
-            for name, k in counts.items():
-                out[name] = max(out.get(name, 0), k)
-    return out
-
-
 def is_multilinear(ident: Identity) -> bool:
     """True when every expanded word contains each identity variable exactly once."""
     names = set(identity_variables(ident))
@@ -407,33 +394,6 @@ def is_multilinear(ident: Identity) -> bool:
             if set(counts) != names or any(k != 1 for k in counts.values()):
                 return False
     return True
-
-
-def mirror(node: Node) -> Node:
-    """Replace every product a*b by b*a (the opposite-algebra translation)."""
-    if isinstance(node, Var):
-        return node
-    if isinstance(node, Prod):
-        return Prod(mirror(node.right), mirror(node.left))
-    if isinstance(node, Comm):
-        return Comm(mirror(node.right), mirror(node.left))
-    if isinstance(node, Assoc):
-        # ((ab)c - a(bc)) reversed is c(ba) - (cb)a = -[c',b',a']
-        return Sum(((-1, Assoc(mirror(node.c), mirror(node.b), mirror(node.a))),))
-    if isinstance(node, Sum):
-        terms = []
-        for w, f in node.terms:
-            m = mirror(f)
-            if isinstance(m, Sum) and len(m.terms) == 1:
-                terms.append((w * m.terms[0][0], m.terms[0][1]))
-            else:
-                terms.append((w, m))
-        return _mk_sum(terms)
-    raise TypeError(f"not an identity node: {node!r}")
-
-
-def mirror_identity(ident: Identity) -> Identity:
-    return Identity(f"{ident.name}^op", mirror(ident.lhs), mirror(ident.rhs))
 
 
 # -- the standard catalogue of identities ---------------------------------------

@@ -103,12 +103,6 @@ class MultiPoly:
     def variables(self) -> set:
         return {v for m in self.terms for v, _ in m}
 
-    def degree_in(self, var: str) -> int:
-        return max((dict(m).get(var, 0) for m in self.terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((mon_degree(m) for m in self.terms), default=0)
-
     def sorted_terms(self) -> Iterator[Tuple[Monomial, Scalar]]:
         for m in sorted(self.terms, key=mon_sort_key):
             yield m, self.terms[m]
@@ -181,24 +175,6 @@ class MultiPoly:
         if self.is_constant():
             return hash(self.constant_value())  # equal to its Scalar
         return hash((self.field, frozenset(self.terms.items())))
-
-    # -- substitution ----------------------------------------------------------
-
-    def subs(self, assignment: Mapping[str, object]) -> "MultiPoly":
-        """Substitute variables by scalars or polynomials; others stay symbolic."""
-        vals = {v: MultiPoly.coerce(self.field, x) for v, x in assignment.items()}
-        out = MultiPoly.zero(self.field)
-        for m, c in self.terms.items():
-            term = c
-            for v, e in m:
-                factor = vals.get(v)
-                term = term * (factor**e if factor is not None else MultiPoly.var(self.field, v, e))
-            out = out + term
-        return out
-
-    def eval_scalar(self, assignment: Mapping[str, Scalar]) -> Scalar:
-        """Total evaluation; every variable must be assigned."""
-        return self.subs(assignment).constant_value()
 
     # -- rendering -----------------------------------------------------------
 

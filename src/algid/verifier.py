@@ -15,10 +15,11 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import GENERIC_NAMES, Msc, Vec, conjugates_to
+from .algebra_core import GENERIC_NAMES, Msc, conjugates_to
 from .canon_catalog import (
     CHAR2_IDENTITY_PAIRS,
     OPPOSITE_TABLES,
+    PRINTED_PREFIXES,
     REGIME_CHAR0,
     REGIME_CHAR2,
     REGIME_CHAR3,
@@ -41,10 +42,9 @@ from .errors import (
 )
 from .exactnum import F2, F3, F5, QQ, Field, field_make, sqrt as scalar_sqrt
 from .expander import (
+    COORD_PREFIXES,
     Equation,
     check_budget,
-    coordinate_env,
-    eval_node,
     expand,
     span_equal,
     tensor_plan,
@@ -56,6 +56,7 @@ from .identity_lang import (
     Var,
     Word,
     get_identity,
+    identity_variables,
     parse_identity,
     variables,
 )
@@ -235,27 +236,28 @@ def alternating_vanishes(A: Msc, shape: Word, n: int = 3) -> bool:
     return expand(Identity("alternation", alternating_sum(shape, n), Sum(())), A).is_zero()
 
 
-def alternating_base_vector(A: Msc, shape: Word) -> Vec:
-    """The distinguished vector: the 2-variable alternating sum evaluated at
-    the basis (e1, e2)."""
-    names = variables(shape)
-    if len(names) != 2:
-        raise ShapeArityMismatch("the basis value needs a 2-variable word")
-    node = alternating_sum(shape, 2)
-    env = {names[0]: Vec.basis(A.field, 1), names[1]: Vec.basis(A.field, 2)}
-    return eval_node(A, node, env)
+# The coordinate monomials of the determinant |u, v| = x1 y2 - x2 y1.
+_X1Y2 = (("x1", 1), ("y2", 1))
+_X2Y1 = (("x2", 1), ("y1", 1))
 
 
 def alternating_determinant_law(A: Msc, shape: Word) -> bool:
-    """w_alt(u, v) == |u, v| * w_alt(e1, e2) as polynomials over A."""
-    names = variables(shape)
-    node = alternating_sum(shape, 2)
-    env = coordinate_env(A.field, names)
-    got = eval_node(A, node, env)
-    det = parse_poly("x1 y2 - x2 y1", A.field)
-    u0 = alternating_base_vector(A, shape)
-    expected = u0.scale(det)
-    return (got - expected).is_zero()
+    """w_alt(u, v) == |u, v| * w_alt(e1, e2) as polynomials over A.
+
+    Read from the expansion of the 2-variable alternation: the law holds iff
+    each row's equations are exactly x1 y2 with some coefficient c and x2 y1
+    with -c (none when c = 0).  Then c is that row of w_alt(e1, e2), the sum
+    of the coefficients whose monomial uses only x1 and y2.
+    """
+    equations = expand(Identity("alternation", alternating_sum(shape, 2), Sum(())), A).equations
+    if len(variables(shape)) != 2:
+        raise ShapeArityMismatch("the basis value needs a 2-variable word")
+    for row in (0, 1):
+        got = {eq.monomial: eq.poly for eq in equations if eq.row == row}
+        c = got.get(_X1Y2)
+        if got != ({} if c is None else {_X1Y2: c, _X2Y1: -c}):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -574,17 +576,21 @@ def verify_self_opposite() -> List[ReportRow]:
 
 
 def _worked_row(row: WorkedRow) -> ReportRow:
-    """A printed row holds when its expression evaluates to the printed
-    vector at generic u, v, w; any other row names an identity that must
-    hold formally."""
+    """A printed row holds when the expansion of its expression on the row's
+    algebra, coordinates renamed to the printed ones, equals the printed
+    components grouped by coordinate monomial; any other row names an
+    identity that must hold formally."""
     A = row.algebra(QQ)
     if row.printed is None:
         ok = check_formal(A, get_identity(row.expression)).ok
     else:
         ident = parse_identity(row.expression)
-        env = coordinate_env(QQ, ("u", "v", "w"))
-        got = eval_node(A, ident.lhs, env) - eval_node(A, ident.rhs, env)
-        ok = (got - row.printed_vector(QQ)).is_zero()
+        # expand names coordinates by first appearance, the printed texts by variable
+        rename = {COORD_PREFIXES[k] + i: PRINTED_PREFIXES[name] + i
+                  for k, name in enumerate(identity_variables(ident)) for i in "12"}
+        got = {(eq.row, tuple(sorted((rename[v], e) for v, e in eq.monomial))): eq.poly
+               for eq in expand(ident, A).equations}
+        ok = got == row.printed_equations(QQ)
     return ReportRow(row.section, row.label, PASS if ok else FAIL, row.detail)
 
 

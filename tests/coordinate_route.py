@@ -5,25 +5,97 @@ into an identity over an algebra A, with the algebra's own product, and
 collecting the coefficient of every coordinate monomial in both components
 gives the identity's coefficient system on A.  This is the definition the
 plan (`algid.expander.TensorPlan`) computes by its tensor recursion, done
-the slow way with `MultiPoly` arithmetic and nothing shared with the plan.
-Evaluating the identity at every tuple of basis vectors is a second oracle,
-for multilinear identities.
+the slow way with `MultiPoly` arithmetic and nothing shared with the plan
+but `Msc.product`.  Evaluating the identity at every tuple of basis vectors
+is a second oracle, for multilinear identities.  The printed Section 3 rows
+and the 2-variable alternation law are decided here the same way, as the
+references for the verifier's readings of `expand`.
 """
 
 import itertools
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Sequence, Tuple
 
 from algid.algebra_core import Msc, Vec
-from algid.expander import (
-    COORD_PREFIXES,
-    Equation,
-    PolySystem,
-    check_budget,
-    coordinate_env,
-    eval_node,
+from algid.canon_catalog import WorkedRow
+from algid.errors import AlgidError, ShapeArityMismatch, TooManyVariables
+from algid.exactnum import QQ, Field
+from algid.expander import COORD_PREFIXES, Equation, PolySystem, check_budget
+from algid.identity_lang import (
+    Assoc,
+    Comm,
+    Identity,
+    Node,
+    Prod,
+    Sum,
+    Var,
+    Word,
+    identity_variables,
+    parse_identity,
+    variables,
 )
-from algid.identity_lang import Identity, identity_variables
-from algid.multipoly import Monomial, MultiPoly
+from algid.multipoly import Monomial, MultiPoly, parse_poly
+from algid.verifier import alternating_sum
+
+
+def symbolic_vec(field: Field, prefix: str) -> Vec:
+    """The generic vector prefix1 e1 + prefix2 e2."""
+    return Vec(field, [MultiPoly.var(field, prefix + "1"), MultiPoly.var(field, prefix + "2")])
+
+
+def basis_vec(field: Field, i: int) -> Vec:
+    """The basis vector e_i."""
+    return Vec(field, [field.one() if k == i else field.zero() for k in (1, 2)])
+
+
+def combine(field: Field, terms: Iterable[Tuple[object, Vec]]) -> Vec:
+    """The linear combination of the (coefficient, vector) pairs; a
+    coefficient is a number or a polynomial."""
+    out = [field.zero(), field.zero()]
+    for c, u in terms:
+        if not isinstance(c, MultiPoly):
+            c = field.scalar(c)
+        out = [x + c * y for x, y in zip(out, u.entries)]
+    return Vec(field, out)
+
+
+def vec_is_zero(u: Vec) -> bool:
+    return all(x.is_zero() for x in u.entries)
+
+
+def coordinate_env(field: Field, varnames: Sequence[str]) -> Dict[str, Vec]:
+    """Assign symbolic coordinate vectors x, y, z, ... to identity variables."""
+    if len(varnames) > len(COORD_PREFIXES):
+        raise TooManyVariables(
+            f"{len(varnames)} variables exceed the {len(COORD_PREFIXES)} coordinate prefixes"
+        )
+    return {name: symbolic_vec(field, COORD_PREFIXES[k]) for k, name in enumerate(varnames)}
+
+
+def eval_node(A: Msc, node: Node, env: Dict[str, Vec]) -> Vec:
+    """Evaluate an identity expression to a vector in the algebra A."""
+    if isinstance(node, Var):
+        try:
+            return env[node.name]
+        except KeyError:
+            raise AlgidError(f"unbound identity variable {node.name!r}") from None
+    if isinstance(node, Prod):
+        return A.product(eval_node(A, node.left, env), eval_node(A, node.right, env))
+    if isinstance(node, Comm):
+        u, v = eval_node(A, node.left, env), eval_node(A, node.right, env)
+        return combine(A.field, [(1, A.product(u, v)), (-1, A.product(v, u))])
+    if isinstance(node, Assoc):
+        a, b, c = (eval_node(A, x, env) for x in (node.a, node.b, node.c))
+        return combine(A.field, [(1, A.product(A.product(a, b), c)),
+                                 (-1, A.product(a, A.product(b, c)))])
+    if isinstance(node, Sum):
+        return combine(A.field, [(w, eval_node(A, f, env)) for w, f in node.terms])
+    raise TypeError(f"not an identity node: {node!r}")
+
+
+def _difference(A: Msc, ident: Identity, env: Dict[str, Vec]) -> Vec:
+    """lhs - rhs of the identity at the vectors of `env`."""
+    return combine(A.field, [(1, eval_node(A, ident.lhs, env)),
+                             (-1, eval_node(A, ident.rhs, env))])
 
 
 def collect_coefficients(poly: MultiPoly, varnames: Iterable[str]) -> Dict[Monomial, MultiPoly]:
@@ -53,8 +125,7 @@ def substitute(ident: Identity, A: Msc) -> PolySystem:
     itself and collecting coefficients."""
     check_budget(ident)
     varnames = identity_variables(ident)
-    env = coordinate_env(A.field, varnames)
-    delta = eval_node(A, ident.lhs, env) - eval_node(A, ident.rhs, env)
+    delta = _difference(A, ident, coordinate_env(A.field, varnames))
     coord_names = {f"{COORD_PREFIXES[k]}{i}" for k in range(len(varnames)) for i in (1, 2)}
     equations = []
     for row in (0, 1):
@@ -69,9 +140,32 @@ def holds_on_basis_tuples(A: Msc, ident: Identity) -> bool:
     """Satisfaction at every tuple of basis vectors (enough for multilinear
     identities over any field)."""
     names = identity_variables(ident)
-    basis = [Vec.basis(A.field, 1), Vec.basis(A.field, 2)]
+    basis = [basis_vec(A.field, 1), basis_vec(A.field, 2)]
     for combo in itertools.product(basis, repeat=len(names)):
-        env = dict(zip(names, combo))
-        if eval_node(A, ident.lhs, env) != eval_node(A, ident.rhs, env):
+        if not vec_is_zero(_difference(A, ident, dict(zip(names, combo)))):
             return False
     return True
+
+
+def worked_row_holds(row: WorkedRow) -> bool:
+    """A printed Section 3 row by substitution: the expression at u, v, w =
+    the coordinate vectors x, y, z of the printed texts, minus the printed
+    vector, is zero on the row's algebra over Q."""
+    A = row.algebra(QQ)
+    printed = Vec(QQ, [parse_poly(text, QQ) for text in row.printed])
+    env = coordinate_env(QQ, ("u", "v", "w"))
+    got = _difference(A, parse_identity(row.expression), env)
+    return vec_is_zero(combine(QQ, [(1, got), (-1, printed)]))
+
+
+def determinant_law_holds(A: Msc, shape: Word) -> bool:
+    """w_alt(u, v) == |u, v| * w_alt(e1, e2) by substitution, with the
+    errors of `verifier.alternating_determinant_law` in the same order."""
+    names = variables(shape)
+    node = alternating_sum(shape, 2)
+    got = eval_node(A, node, coordinate_env(A.field, names))
+    if len(names) != 2:
+        raise ShapeArityMismatch("the basis value needs a 2-variable word")
+    base = eval_node(A, node, {names[0]: basis_vec(A.field, 1), names[1]: basis_vec(A.field, 2)})
+    det = parse_poly("x1 y2 - x2 y1", A.field)
+    return vec_is_zero(combine(A.field, [(1, got), (-det, base)]))

@@ -430,6 +430,23 @@ class TestAlternating:
         validate(doc, ALTERNATING_SCHEMA)
         assert [row["holds"] for row in doc["rows"]] == [True, True]
 
+    @pytest.mark.parametrize("shape", [
+        "(u*v)*u", "u*(u*v)", "(u*u)*v", "(u*v)*(v*u)", "((u*v)*u)*v"])
+    def test_two_variable_law_fails_on_a_repeated_leaf(self, shape):
+        r = runner.invoke(main, ["alternating", "--n", "2", "--shape", shape])
+        assert r.exit_code == 1
+        assert r.output == (
+            "[fail] %s: alternation equals |u,v| times its basis value\n" % shape)
+
+    @pytest.mark.parametrize("shape, message", [
+        ("(u*v)*w", "the basis value needs a 2-variable word"),
+        ("((u*v)*(w*t))*((s*q)*(r*p))", "8 variables exceed the 7 coordinate prefixes"),
+    ])
+    def test_two_variable_law_input_errors(self, shape, message):
+        r = runner.invoke(main, ["alternating", "--n", "2", "--shape", shape])
+        assert r.exit_code == 2
+        assert r.output == "Error: %s\n" % message
+
     def test_explicit_shape(self):
         r = runner.invoke(main, ["alternating", "--shape", "(u*v)*w",
                                  "--l", "3"])
@@ -672,6 +689,7 @@ class TestInputContracts:
         for k in range(2, 25):
             shape = "(%s*v%d)" % (shape, 1 + k % 3)
         _assert_over_budget(["alternating", "--shape", shape])
+        _assert_over_budget(["alternating", "--n", "2", "--shape", shape])
 
 
 def _assert_over_budget(argv):

@@ -5,18 +5,34 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coordinate_route import holds_on_basis_tuples, substitute
+from coordinate_route import (
+    basis_vec,
+    determinant_law_holds,
+    eval_node,
+    holds_on_basis_tuples,
+    substitute,
+    worked_row_holds,
+)
 
 from algid.algebra_core import GENERIC_NAMES, Msc, Vec, conjugates_to
-from algid.canon_catalog import FAMILY_ORDER, REGIME_CHAR0, REGIME_CHAR2, family
+from algid.canon_catalog import (
+    FAMILY_ORDER,
+    REGIME_CHAR0,
+    REGIME_CHAR2,
+    SECTION3_ROWS,
+    WorkedRow,
+    family,
+)
 from algid.errors import (
     AlgidError,
     ExpansionTooLarge,
     SearchSpaceTooLarge,
+    ShapeArityMismatch,
+    TooManyVariables,
     UnsupportedPrime,
 )
 from algid.exactnum import F2, F3, F5, QQ, field_make
-from algid.expander import coordinate_env, eval_node, expand, functional_monomial
+from algid.expander import expand, functional_monomial
 from algid.identity_lang import (
     NUMBERED_IDENTITIES,
     Identity,
@@ -33,7 +49,7 @@ from algid.verifier import (
     REPORT_SCHEMA,
     SCAN_PRIMES,
     TARGETS,
-    alternating_base_vector,
+    _worked_row,
     alternating_determinant_law,
     alternating_sum,
     alternating_vanishes,
@@ -357,6 +373,39 @@ class TestGenericAlgebraDifferential:
                 substitute(ident, generic).is_zero()
         assert not alternating_vanishes(generic, word_shapes(2)[0][1], 2)
 
+    @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=str)
+    def test_determinant_law_matches_the_coordinate_route(self, field):
+        """The two built-in shapes obey the law; words that repeat a leaf
+        have an alternation of higher degree than |u, v| and do not."""
+        algebras = [Msc.generic(field)]
+        if field == QQ:
+            algebras += [row.algebra(QQ) for row in SECTION3_ROWS if row.family]
+        shapes = [shape for _, shape in word_shapes(2)]
+        shapes += [parse_identity(text).lhs.terms[0][1] for text in REPEATED_LEAF_SHAPES]
+        for A in algebras:
+            verdicts = [alternating_determinant_law(A, shape) for shape in shapes]
+            assert verdicts == [determinant_law_holds(A, shape) for shape in shapes], A
+        generic = [alternating_determinant_law(algebras[0], shape) for shape in shapes]
+        assert generic == [True, True] + [False] * len(REPEATED_LEAF_SHAPES)
+
+    @pytest.mark.parametrize("text, error", [
+        ("(u*v)*w", ShapeArityMismatch),
+        ("((u*v)*(w*t))*((s*q)*(r*p))", TooManyVariables),
+        ("u*u", ShapeArityMismatch),
+    ])
+    def test_determinant_law_errors_match_the_coordinate_route(self, text, error):
+        shape = parse_identity(text).lhs.terms[0][1]
+        generic = Msc.generic(QQ)
+        with pytest.raises(error) as got:
+            alternating_determinant_law(generic, shape)
+        with pytest.raises(error) as expected:
+            determinant_law_holds(generic, shape)
+        assert str(got.value) == str(expected.value)
+
+
+# Two-variable words that repeat a leaf: the determinant law fails on them.
+REPEATED_LEAF_SHAPES = ["(u*v)*u", "u*(u*v)", "(u*u)*v", "(u*v)*(v*u)", "((u*v)*u)*v"]
+
 
 class TestExpansionBudget:
     def test_every_check_refuses_an_over_budget_identity(self):
@@ -444,13 +493,18 @@ class TestAlternating:
             assert alternating_determinant_law(A, shape)
 
     def test_base_vector_of_plain_product(self):
-        # alternation of v1 v2 at (e1, e2) is e1 e2 - e2 e1 = column2 - column3
+        # alternation of v1 v2 at (e1, e2) is e1 e2 - e2 e1 = column2 - column3,
+        # and the law finds it as the x1 y2 coefficients of the expansion
         A = Msc.generic(QQ)
         label, shape = word_shapes(2)[0]
         assert label == "v1 v2"
-        u0 = alternating_base_vector(A, shape)
-        assert u0.lift().entries[0] == parse_poly("a2 - a3", QQ)
-        assert u0.lift().entries[1] == parse_poly("b2 - b3", QQ)
+        alternation = alternating_sum(shape, 2)
+        base = eval_node(A, alternation, {"v1": basis_vec(QQ, 1), "v2": basis_vec(QQ, 2)})
+        assert base.entries == (parse_poly("a2 - a3", QQ), parse_poly("b2 - b3", QQ))
+        equations = expand(Identity("alternation", alternation, Sum(())), A).equations
+        assert {(eq.row, render_monomial(eq.monomial)): eq.poly for eq in equations} == {
+            (0, "x1 y2"): base.entries[0], (0, "x2 y1"): -base.entries[0],
+            (1, "x1 y2"): base.entries[1], (1, "x2 y1"): -base.entries[1]}
 
     def test_alternating_sum_signs(self):
         node = alternating_sum(word_shapes(2)[0][1], 2)
@@ -521,6 +575,27 @@ class TestReports:
         assert rep.counts[FAIL] == 0 and rep.counts[SKIP] == 0
         corrected = [r for r in rep.rows if "sign corrected" in r.detail]
         assert len(corrected) == 1 and corrected[0].section == "A10"
+
+    def test_printed_rows_agree_with_the_coordinate_route(self):
+        printed = [row for row in SECTION3_ROWS if row.printed is not None]
+        assert len(printed) == 16
+        for row in printed:
+            assert _worked_row(row).status == PASS, row.label
+            assert worked_row_holds(row), row.label
+
+    @pytest.mark.parametrize("row", [
+        WorkedRow("A9", "A9", "u*v", ("1/3 x1 y1", "x1 y1 + 2/3 x1 y2 + 1/3 x2 y1"),
+                  "uv with the sign of x2 y1 flipped"),
+        WorkedRow("A9", "A9", "w*[u,v]", ("0", "(0 - z1/3)*(x1 y2 - x2 y1)"),
+                  "w[u,v] given the printed vector of [u,v]w"),
+        WorkedRow("A10", "A10", "[u,v,w]", ("2 y2*(x1 z2 - x2 z1)", "x1 y1 z1"),
+                  "[u,v,w] with an extra e2 term"),
+        WorkedRow("A9", "A9", "[u,v]", ("0", "x1 y2 - x2 y1 + z1"),
+                  "[u,v] with a term in the coordinates of an absent w"),
+    ], ids=lambda row: row.label)
+    def test_wrong_printed_vectors_fail(self, row):
+        assert _worked_row(row).status == FAIL
+        assert not worked_row_holds(row)
 
     def test_a10_printed_sign_variant_fails(self):
         A10 = family("A10").instantiate(QQ, ())
