@@ -24,9 +24,8 @@ witness, never silently dropped).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra_core import Msc
 from .errors import (
@@ -46,6 +45,7 @@ from .multipoly import (
     expr_to_poly,
     parse_expr,
 )
+from .records import record
 
 REGIME_CHAR0 = "char0"  # characteristic not 2 and not 3
 REGIME_CHAR2 = "char2"
@@ -148,8 +148,8 @@ def _parameter_points(field: Field, frees: Sequence[str],
             if _conditions_hold(field, dict(zip(frees, pt)), nonzero, zero)]
 
 
-@dataclass(frozen=True)
-class Family:
+@record
+class Family(NamedTuple):
     """One canonical family: a 2x4 template of cell expressions."""
 
     name: str
@@ -338,8 +338,8 @@ def family(name: str) -> Family:
 # Claim rows
 
 
-@dataclass(frozen=True)
-class ClaimedRow:
+@record
+class ClaimedRow(NamedTuple):
     """One entry of a claimed solution list: a family at given arguments.
 
     ``args`` are expressions over the ``frees``; ``nonzero``/``zero`` are
@@ -401,8 +401,8 @@ class ClaimedRow:
         return [self._instance_at(field, pt) for pt in pts]
 
 
-@dataclass(frozen=True)
-class ClaimInstance:
+@record
+class ClaimInstance(NamedTuple):
     row: ClaimedRow
     point: Tuple[Scalar, ...]
     arg_values: Optional[Tuple[Scalar, ...]]
@@ -1011,8 +1011,8 @@ def claimed_rows(regime: str, identity_name: str,
 # Opposite-algebra tables
 
 
-@dataclass(frozen=True)
-class OppositeRow:
+@record
+class OppositeRow(NamedTuple):
     """How one family (or a slice of it) relates to its opposite.
 
     kind == "equal": opposite(source) is literally the image matrix.
@@ -1081,8 +1081,8 @@ class OppositeRow:
             tuple(g) if g else None, "")
 
 
-@dataclass(frozen=True)
-class OppositeInstance:
+@record
+class OppositeInstance(NamedTuple):
     row: OppositeRow
     point: Tuple[Scalar, ...]
     source: Optional[Msc]
@@ -1282,8 +1282,8 @@ PRINTED_PREFIXES = {"u": "x", "v": "y", "w": "z"}
 _PRINTED_COORDINATES = {p + i for p in PRINTED_PREFIXES.values() for i in "12"}
 
 
-@dataclass(frozen=True)
-class WorkedRow:
+@record
+class WorkedRow(NamedTuple):
     """One worked computation: `expression` (identity language) on a family
     with its parameters left symbolic, or on the generic algebra when
     `family` is None.  With `printed` (e1, e2) component texts in the

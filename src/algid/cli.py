@@ -4,27 +4,23 @@ Exit codes: 0 when the requested checks hold (or the command just prints
 data), 1 when a verification produced failures, 2 for usage or input errors.
 Output is deterministic; `verify-paper` adds a timestamp that `--no-timestamp`
 removes so runs can be compared byte for byte.
+
+A one-shot process pays for every module it imports, so only the chosen
+command's parser is built, and each command imports the modules it uses when
+it runs: `expand` on the generic algebra loads neither the catalog nor the
+verifier, `catalog` loads neither the verifier nor the expander, and
+`opposite` and `iso --witness` load no catalog.
 """
 
 from __future__ import annotations
 
-import json as jsonlib
+import argparse
 import sys
-from datetime import datetime, timezone
-from typing import Optional, Tuple
-
-import click
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra_core import Msc, conjugates_to
-from .canon_catalog import (
-    FAMILY_ORDER,
-    REGIMES,
-    claimed_rows,
-    family,
-)
 from .errors import AlgidError, IdentitySyntaxError, NumberTooLong, UnknownIdentity
 from .exactnum import QQ, Field, field_make
-from .expander import expand
 from .identity_lang import (
     MAX_DIGITS,
     Identity,
@@ -35,35 +31,16 @@ from .identity_lang import (
     word_leaves,
 )
 from .multipoly import eval_expr, parse_expr
-from .verifier import (
-    TARGETS,
-    alternating_determinant_law,
-    alternating_vanishes,
-    check_formal,
-    check_functional,
-    scan_field,
-    search_iso,
-    verify_theorem,
-    word_shapes,
-)
 
 
-class _InputError(click.ClickException):
-    exit_code = 2
-
-
-class _Main(click.Group):
-    """Any AlgidError that reaches the command line is an input error."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except AlgidError as exc:
-            raise _InputError(str(exc)) from None
+class _InputError(AlgidError):
+    """A command line or input file the command cannot use."""
 
 
 def _echo_json(doc: dict) -> None:
-    click.echo(jsonlib.dumps(doc, indent=2, sort_keys=True))
+    import json
+
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _parse_field(spec: Optional[str], default: Field = QQ) -> Field:
@@ -82,12 +59,14 @@ def _json_int(text: str) -> int:
 
 
 def _load_algebra(path: str) -> Msc:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = jsonlib.load(fh, parse_int=_json_int)
+            data = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}")
-    except jsonlib.JSONDecodeError as exc:
+    except json.JSONDecodeError as exc:
         raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except NumberTooLong as exc:
         raise _InputError(f"{path}: {exc}")
@@ -121,6 +100,8 @@ def _resolve_algebra(algebra_path: Optional[str], family_name: Optional[str],
                 f"--field {fld} differs from the field {A.field} of {algebra_path}")
         return A
     if family_name:
+        from .canon_catalog import family
+
         fld = _parse_field(field_spec)
         return family(family_name).instantiate(fld, _parse_args_list(fld, args_text))
     raise _InputError("an algebra is required: --algebra FILE or --family NAME")
@@ -149,118 +130,171 @@ def _resolve_identity(selector: str) -> Identity:
     raise _InputError(f"unknown identity label {selector!r}")
 
 
-@click.group(cls=_Main)
-def main() -> None:
-    """Exact checks of polynomial identities on 2-dimensional algebras."""
+# -- parsing ---------------------------------------------------------------------
+
+Command = Callable[[str, List[str]], int]
 
 
-# ---------------------------------------------------------------------------
+def _parser(prog: str, command: Command) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(prog=prog, description=command.__doc__,
+                                   allow_abbrev=False)
 
 
-@main.command()
-@click.option("--algebra", "algebra_path", default=None,
-              help="JSON file with the algebra's structure constants.")
-@click.option("--family", "family_name", default=None,
-              help="Catalog family name, e.g. A4 or A5_3.")
-@click.option("--args", "args_text", default="",
-              help="Comma-separated family arguments, e.g. '0, -1'.")
-@click.option("--field", "field_spec", default=None,
-              help="Q (default), F2, F3, F5, or a prime p.")
-@click.option("--identity", "identity_sel", required=True,
-              help="Builtin label (I1..I30, ...) or an inline expression.")
-@click.option("--functional", is_flag=True,
-              help="Check pointwise over a finite field instead of formally.")
-@click.option("--json", "as_json", is_flag=True)
-def check(algebra_path, family_name, args_text, field_spec, identity_sel,
-          functional, as_json):
+def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv, each option that takes a value reading the next word as
+    its value even when it starts with '-' (`--args -1/3`), which argparse
+    alone reads as an unknown option.  The value `--` is refused: argparse
+    would drop it and store a list."""
+    takes_value = {option for action in parser._actions if action.nargs is None
+                   for option in action.option_strings}
+    words: List[str] = []
+    rest = iter(argv)
+    for word in rest:
+        option, eq, value = word.partition("=")
+        if word == "--":
+            words += [word, *rest]
+        elif option in takes_value:
+            value = value if eq else next(rest, None)
+            if value is None or value == "--":
+                parser.error(f"argument {option}: expected one argument")
+            words.append(f"{option}={value}")
+        else:
+            words.append(word)
+    return parser.parse_args(words)
+
+
+def _algebra_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--algebra",
+                        help="JSON file with the algebra's structure constants.")
+    parser.add_argument("--family",
+                        help="Catalog family name, e.g. A4 or A5_3.")
+    parser.add_argument("--args", default="",
+                        help="Comma-separated family arguments, e.g. '0, -1'.")
+    parser.add_argument("--field",
+                        help="Q (default), F2, F3, F5, or a prime p.")
+
+
+def _dispatch(prog: str, description: str, commands: Dict[str, Command],
+              argv: List[str]) -> int:
+    """Run the command that argv names; no other command's parser is built."""
+    if not argv or argv[0] not in commands:
+        parser = argparse.ArgumentParser(prog=prog, description=description,
+                                         allow_abbrev=False)
+        sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+        for name, command in commands.items():
+            sub.add_parser(name, help=command.__doc__)
+        # prints the help or the usage error and exits, unless argv is
+        # "-- COMMAND"
+        argv = [parser.parse_args(argv).command]
+    return commands[argv[0]](f"{prog} {argv[0]}", argv[1:])
+
+
+# -- commands ----------------------------------------------------------------------
+
+
+def _check(prog: str, argv: List[str]) -> int:
     """Does the algebra satisfy the identity?"""
-    A = _resolve_algebra(algebra_path, family_name, args_text, field_spec)
-    ident = _resolve_identity(identity_sel)
-    res = check_functional(A, ident) if functional else check_formal(A, ident)
-    if as_json:
+    parser = _parser(prog, _check)
+    _algebra_options(parser)
+    parser.add_argument("--identity", required=True,
+                        help="Builtin label (I1..I30, ...) or an inline expression.")
+    parser.add_argument("--functional", action="store_true",
+                        help="Check pointwise over a finite field instead of formally.")
+    parser.add_argument("--json", action="store_true")
+    a = _parse(parser, argv)
+    from .verifier import check_formal, check_functional
+
+    A = _resolve_algebra(a.algebra, a.family, a.args, a.field)
+    ident = _resolve_identity(a.identity)
+    res = check_functional(A, ident) if a.functional else check_formal(A, ident)
+    if a.json:
         _echo_json({
             "schema": "algid.check/1",
             "identity": ident.name or ident.render(),
-            "mode": "functional" if functional else "formal",
+            "mode": "functional" if a.functional else "formal",
             "algebra": A.to_json(),
             "holds": res.ok,
             "witness": res.witness_text() if not res.ok else None,
         })
     elif res.ok:
-        click.echo("holds")
+        print("holds")
     else:
-        click.echo(f"fails: {res.witness_text()}")
-    sys.exit(0 if res.ok else 1)
+        print(f"fails: {res.witness_text()}")
+    return 0 if res.ok else 1
 
 
-@main.command("expand")
-@click.option("--identity", "identity_sel", required=True)
-@click.option("--algebra", "algebra_path", default=None)
-@click.option("--family", "family_name", default=None)
-@click.option("--args", "args_text", default="")
-@click.option("--field", "field_spec", default=None)
-@click.option("--char", "char_spec", default=None,
-              help="Shorthand field choice: 0 -> Q, p -> F_p.")
-@click.option("--json", "as_json", is_flag=True)
-def expand_cmd(identity_sel, algebra_path, family_name, args_text, field_spec,
-               char_spec, as_json):
+def _expand(prog: str, argv: List[str]) -> int:
     """Print the coefficient system of an identity (generic by default)."""
-    if char_spec is not None:
+    parser = _parser(prog, _expand)
+    parser.add_argument("--identity", required=True)
+    _algebra_options(parser)
+    parser.add_argument("--char", help="Shorthand field choice: 0 -> Q, p -> F_p.")
+    parser.add_argument("--json", action="store_true")
+    a = _parse(parser, argv)
+    from .expander import expand
+
+    field_spec = a.field
+    if a.char is not None:
         if field_spec is not None:
             raise _InputError("give either --field or --char, not both")
-        field_spec = "Q" if char_spec.strip() == "0" else char_spec.strip()
-    ident = _resolve_identity(identity_sel)
-    if algebra_path or family_name:
-        A = _resolve_algebra(algebra_path, family_name, args_text, field_spec)
+        field_spec = "Q" if a.char.strip() == "0" else a.char.strip()
+    ident = _resolve_identity(a.identity)
+    if a.algebra or a.family:
+        A = _resolve_algebra(a.algebra, a.family, a.args, field_spec)
         system = expand(ident, A)
     else:
         system = expand(ident, field=_parse_field(field_spec))
-    if as_json:
+    if a.json:
         doc = system.to_json()
         doc["schema"] = "algid.expand/1"
         doc["equations"] = system.render_normalized_lines()
         _echo_json(doc)
-        return
+        return 0
     lines = system.render_normalized_lines()
     if not lines:
-        click.echo("(empty system: the identity holds identically)")
+        print("(empty system: the identity holds identically)")
     for line in lines:
-        click.echo(line)
+        print(line)
+    return 0
 
 
-@main.command()
-@click.option("--algebra", "algebra_path", required=True)
-@click.option("--json", "as_json", is_flag=True)
-def opposite(algebra_path, as_json):
+def _opposite(prog: str, argv: List[str]) -> int:
     """Print the opposite algebra (columns for e1e2 and e2e1 swapped)."""
-    A = _load_algebra(algebra_path).opposite()
-    doc = A.to_json()
-    if as_json:
+    parser = _parser(prog, _opposite)
+    parser.add_argument("--algebra", required=True)
+    parser.add_argument("--json", action="store_true")
+    a = _parse(parser, argv)
+    doc = _load_algebra(a.algebra).opposite().to_json()
+    if a.json:
         doc["schema"] = "algid.opposite/1"
         _echo_json(doc)
     else:
         for row in doc["entries"]:
-            click.echo("  ".join(str(x) for x in row))
+            print("  ".join(str(x) for x in row))
+    return 0
 
 
-@main.command()
-@click.option("--a", "path_a", required=True)
-@click.option("--b", "path_b", required=True)
-@click.option("--witness", "witness_text", default=None,
-              help="2x2 change of basis as JSON, e.g. '[[0,1],[1,0]]'.")
-@click.option("--search", "do_search", is_flag=True,
-              help="Enumerate GL2 of the (finite) base field.")
-@click.option("--json", "as_json", is_flag=True)
-def iso(path_a, path_b, witness_text, do_search, as_json):
+def _iso(prog: str, argv: List[str]) -> int:
     """Is B a change of basis of A?  Verify a witness or search for one."""
-    if bool(witness_text) == bool(do_search):
+    parser = _parser(prog, _iso)
+    parser.add_argument("--a", dest="path_a", required=True)
+    parser.add_argument("--b", dest="path_b", required=True)
+    parser.add_argument("--witness",
+                        help="2x2 change of basis as JSON, e.g. '[[0,1],[1,0]]'.")
+    parser.add_argument("--search", action="store_true",
+                        help="Enumerate GL2 of the (finite) base field.")
+    parser.add_argument("--json", action="store_true")
+    a = _parse(parser, argv)
+    import json
+
+    if bool(a.witness) == bool(a.search):
         raise _InputError("give exactly one of --witness or --search")
-    A = _load_algebra(path_a)
-    B = _load_algebra(path_b)
+    A = _load_algebra(a.path_a)
+    B = _load_algebra(a.path_b)
     witness_json = None
-    if witness_text:
+    if a.witness:
         try:
-            raw = jsonlib.loads(witness_text)
+            raw = json.loads(a.witness)
             g = tuple(tuple(A.field.scalar(x) for x in row) for row in raw)
             if len(g) != 2 or any(len(r) != 2 for r in g):
                 raise ValueError("expected a 2x2 matrix")
@@ -269,36 +303,41 @@ def iso(path_a, path_b, witness_text, do_search, as_json):
         found = conjugates_to(A, B, g)
         witness_json = raw if found else None
     else:
+        from .verifier import search_iso
+
         g = search_iso(A, B)
         found = g is not None
         if found:
             witness_json = [[x.to_json() for x in row] for row in g]
-    if as_json:
+    if a.json:
         _echo_json({
             "schema": "algid.iso/1",
             "isomorphic": found,
             "witness": witness_json,
         })
     else:
-        click.echo("isomorphic via %s" % jsonlib.dumps(witness_json)
-                   if found else "no isomorphism established")
-    sys.exit(0 if found else 1)
+        print("isomorphic via %s" % json.dumps(witness_json)
+              if found else "no isomorphism established")
+    return 0 if found else 1
 
 
-# ---------------------------------------------------------------------------
+# -- catalog ---------------------------------------------------------------------
 
 
-@main.group()
-def catalog() -> None:
+def _catalog(prog: str, argv: List[str]) -> int:
     """The canonical families and the claimed solution tables."""
+    return _dispatch(prog, _catalog.__doc__, CATALOG_COMMANDS, argv)
 
 
-@catalog.command("list")
-@click.option("--regime", type=click.Choice(REGIMES), default=None)
-@click.option("--json", "as_json", is_flag=True)
-def catalog_list(regime, as_json):
+def _catalog_list(prog: str, argv: List[str]) -> int:
     """List family names, parameters and notes."""
-    regimes = [regime] if regime else list(REGIMES)
+    from .canon_catalog import FAMILY_ORDER, REGIMES
+
+    parser = _parser(prog, _catalog_list)
+    parser.add_argument("--regime", choices=REGIMES)
+    parser.add_argument("--json", action="store_true")
+    a = _parse(parser, argv)
+    regimes = [a.regime] if a.regime else list(REGIMES)
     rows = []
     for reg in regimes:
         for fam in FAMILY_ORDER[reg]:
@@ -308,22 +347,26 @@ def catalog_list(regime, as_json):
                 "params": list(fam.params),
                 "note": fam.note,
             })
-    if as_json:
+    if a.json:
         _echo_json({"schema": "algid.catalog/1", "families": rows})
-        return
+        return 0
     for r in rows:
         params = "(%s)" % ", ".join(r["params"]) if r["params"] else ""
         note = f"  -- {r['note']}" if r["note"] else ""
-        click.echo(f"{r['name']}{params}  [{r['regime']}]{note}")
+        print(f"{r['name']}{params}  [{r['regime']}]{note}")
+    return 0
 
 
-@catalog.command("show")
-@click.argument("name")
-@click.option("--json", "as_json", is_flag=True)
-def catalog_show(name, as_json):
+def _catalog_show(prog: str, argv: List[str]) -> int:
     """Print a family's template."""
-    fam = family(name)
-    if as_json:
+    parser = _parser(prog, _catalog_show)
+    parser.add_argument("name")
+    parser.add_argument("--json", action="store_true")
+    a = _parse(parser, argv)
+    from .canon_catalog import family
+
+    fam = family(a.name)
+    if a.json:
         _echo_json({
             "schema": "algid.catalog/1",
             "name": fam.name,
@@ -332,43 +375,50 @@ def catalog_show(name, as_json):
             "rows": [list(r) for r in fam.rows],
             "note": fam.note,
         })
-        return
-    click.echo(fam.label())
+        return 0
+    print(fam.label())
     for row in fam.rows:
-        click.echo("  " + "  ".join(row))
+        print("  " + "  ".join(row))
+    return 0
 
 
-@catalog.command("instantiate")
-@click.argument("name")
-@click.option("--args", "args_text", default="")
-@click.option("--field", "field_spec", default=None)
-@click.option("--json", "as_json", is_flag=True)
-def catalog_instantiate(name, args_text, field_spec, as_json):
+def _catalog_instantiate(prog: str, argv: List[str]) -> int:
     """Evaluate a family at concrete arguments."""
-    fld = _parse_field(field_spec)
-    A = family(name).instantiate(fld, _parse_args_list(fld, args_text))
-    doc = A.to_json()
-    if as_json:
+    parser = _parser(prog, _catalog_instantiate)
+    parser.add_argument("name")
+    parser.add_argument("--args", default="")
+    parser.add_argument("--field")
+    parser.add_argument("--json", action="store_true")
+    a = _parse(parser, argv)
+    from .canon_catalog import family
+
+    fld = _parse_field(a.field)
+    doc = family(a.name).instantiate(fld, _parse_args_list(fld, a.args)).to_json()
+    if a.json:
         doc["schema"] = "algid.catalog/1"
         _echo_json(doc)
     else:
         for row in doc["entries"]:
-            click.echo("  ".join(str(x) for x in row))
+            print("  ".join(str(x) for x in row))
+    return 0
 
 
-@catalog.command("claims")
-@click.option("--identity", "identity_sel", required=True)
-@click.option("--regime", type=click.Choice(REGIMES), required=True)
-@click.option("--field", "field_spec", default=None,
-              help="Needed only for the characteristic-5 special case.")
-def catalog_claims(identity_sel, regime, field_spec):
+def _catalog_claims(prog: str, argv: List[str]) -> int:
     """Export one claimed-solution table as JSON."""
-    fld = _parse_field(field_spec) if field_spec else None
-    rows = claimed_rows(regime, identity_sel, fld)
+    from .canon_catalog import REGIMES, claimed_rows
+
+    parser = _parser(prog, _catalog_claims)
+    parser.add_argument("--identity", required=True)
+    parser.add_argument("--regime", choices=REGIMES, required=True)
+    parser.add_argument("--field",
+                        help="Needed only for the characteristic-5 special case.")
+    a = _parse(parser, argv)
+    fld = _parse_field(a.field) if a.field else None
+    rows = claimed_rows(a.regime, a.identity, fld)
     _echo_json({
         "schema": "algid.catalog/1",
-        "identity": identity_sel,
-        "regime": regime,
+        "identity": a.identity,
+        "regime": a.regime,
         "rows": [
             {
                 "label": r.label(),
@@ -382,58 +432,68 @@ def catalog_claims(identity_sel, regime, field_spec):
             for r in rows
         ],
     })
+    return 0
 
 
-# ---------------------------------------------------------------------------
+# -- verification --------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--field", "field_spec", required=True,
-              help="F2, F3 or F5 (the scan enumerates p^8 algebras).")
-@click.option("--identity", "identity_sel", required=True)
-@click.option("--mode", type=click.Choice(["formal", "functional"]),
-              default="formal")
-@click.option("--json", "as_json", is_flag=True)
-def scan(field_spec, identity_sel, mode, as_json):
+def _scan(prog: str, argv: List[str]) -> int:
     """Count the algebras over F_p satisfying an identity."""
-    fld = _parse_field(field_spec)
+    parser = _parser(prog, _scan)
+    parser.add_argument("--field", required=True,
+                        help="F2, F3 or F5 (the scan enumerates p^8 algebras).")
+    parser.add_argument("--identity", required=True)
+    parser.add_argument("--mode", choices=["formal", "functional"], default="formal")
+    parser.add_argument("--json", action="store_true")
+    a = _parse(parser, argv)
+    from .verifier import scan_field
+
+    fld = _parse_field(a.field)
     if fld.kind == "Q":
         raise _InputError("scans need a finite field")
-    ident = _resolve_identity(identity_sel)
-    count = scan_field(fld.p, ident, mode)
-    if as_json:
+    ident = _resolve_identity(a.identity)
+    count = scan_field(fld.p, ident, a.mode)
+    if a.json:
         _echo_json({
             "schema": "algid.scan/1",
             "prime": fld.p,
             "identity": ident.name or ident.render(),
-            "mode": mode,
+            "mode": a.mode,
             "count": count,
             "total": fld.p ** 8,
         })
     else:
-        click.echo(f"{count} of {fld.p ** 8} algebras over F{fld.p} "
-                   f"satisfy {ident.name or ident.render()} ({mode})")
+        print(f"{count} of {fld.p ** 8} algebras over F{fld.p} "
+              f"satisfy {ident.name or ident.render()} ({a.mode})")
+    return 0
 
 
-@main.command("verify-paper")
-@click.option("--target", type=click.Choice(TARGETS), default=None,
-              help="One claim group; default runs all of them.")
-@click.option("--field", "field_spec", default=None,
-              help="Override the target's default field (e.g. F5 for the "
-                   "characteristic-5 Jordan rows).")
-@click.option("--threads", type=int, default=None,
-              help="accepted for compatibility; has no effect")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--no-timestamp", "no_timestamp", is_flag=True)
-def verify_paper(target, field_spec, threads, as_json, no_timestamp):
+def _verify_paper(prog: str, argv: List[str]) -> int:
     """Re-verify the classification claims and report pass/fail/skip rows."""
-    fld = _parse_field(field_spec) if field_spec else None
-    targets = [target] if target else list(TARGETS)
+    from .verifier import TARGETS, verify_theorem
+
+    parser = _parser(prog, _verify_paper)
+    parser.add_argument("--target", choices=TARGETS,
+                        help="One claim group; default runs all of them.")
+    parser.add_argument("--field",
+                        help="Override the target's default field (e.g. F5 for the "
+                             "characteristic-5 Jordan rows).")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for compatibility; has no effect")
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--no-timestamp", action="store_true")
+    a = _parse(parser, argv)
+    fld = _parse_field(a.field) if a.field else None
+    targets = [a.target] if a.target else list(TARGETS)
     reports = [verify_theorem(t, field=fld) for t in targets]
     ok = all(r.ok for r in reports)
-    stamp = None if no_timestamp else (
-        datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"))
-    if as_json:
+    stamp = None
+    if not a.no_timestamp:
+        from datetime import datetime, timezone
+
+        stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    if a.json:
         doc = {
             "schema": "algid.verify/1",
             "ok": ok,
@@ -444,74 +504,109 @@ def verify_paper(target, field_spec, threads, as_json, no_timestamp):
         _echo_json(doc)
     else:
         if stamp:
-            click.echo(f"generated: {stamp}")
+            print(f"generated: {stamp}")
         for rep in reports:
-            click.echo(rep.render_text())
-            click.echo("")
-    sys.exit(0 if ok else 1)
+            print(rep.render_text())
+            print("")
+    return 0 if ok else 1
 
 
-@main.command()
-@click.option("--m", "dim", type=int, default=2,
-              help="Algebra dimension (only 2 is supported).")
-@click.option("--n", "n_alt", type=int, default=3,
-              help="Number of alternated variables (2 or 3).")
-@click.option("--l", "n_vars", type=int, default=None,
-              help="Total variables of the shape; inferred when omitted.")
-@click.option("--shape", "shape_text", default=None,
-              help="A product word in v1..vl, e.g. '(v1*v2)*v3'.")
-@click.option("--field", "field_spec", default=None)
-@click.option("--json", "as_json", is_flag=True)
-def alternating(dim, n_alt, n_vars, shape_text, field_spec, as_json):
+def _alternating(prog: str, argv: List[str]) -> int:
     """Alternating-sum laws on the generic algebra."""
-    if dim != 2:
+    parser = _parser(prog, _alternating)
+    parser.add_argument("--m", type=int, default=2,
+                        help="Algebra dimension (only 2 is supported).")
+    parser.add_argument("--n", type=int, default=3,
+                        help="Number of alternated variables (2 or 3).")
+    parser.add_argument("--l", type=int,
+                        help="Total variables of the shape; inferred when omitted.")
+    parser.add_argument("--shape",
+                        help="A product word in v1..vl, e.g. '(v1*v2)*v3'.")
+    parser.add_argument("--field")
+    parser.add_argument("--json", action="store_true")
+    a = _parse(parser, argv)
+    from .verifier import alternating_determinant_law, alternating_vanishes, word_shapes
+
+    if a.m != 2:
         raise _InputError("only dimension 2 is supported")
-    if n_alt not in (2, 3):
+    if a.n not in (2, 3):
         raise _InputError("--n must be 2 or 3")
-    fld = _parse_field(field_spec)
+    fld = _parse_field(a.field)
     A = Msc.generic(fld)
-    if shape_text is not None:
+    if a.shape is not None:
         try:
-            ident = parse_identity(shape_text, name="shape")
+            ident = parse_identity(a.shape, name="shape")
         except IdentitySyntaxError as exc:
-            raise _InputError(f"cannot parse shape {shape_text!r}: {exc}")
+            raise _InputError(f"cannot parse shape {a.shape!r}: {exc}")
         terms = ident.lhs.terms
         if len(terms) != 1 or terms[0][0] != 1 or ident.rhs.terms:
             raise _InputError("--shape must be a single product word")
         word = terms[0][1]
         _require_word(word)
         leaves = list(word_leaves(word))
-        if n_vars is not None and n_vars != len(leaves):
+        if a.l is not None and a.l != len(leaves):
             raise _InputError(
-                f"--l {n_vars} does not match the shape's {len(leaves)} leaves")
-        shapes = [(shape_text, word)]
+                f"--l {a.l} does not match the shape's {len(leaves)} leaves")
+        shapes = [(a.shape, word)]
     else:
-        if n_vars is not None and n_vars != n_alt:
+        if a.l is not None and a.l != a.n:
             raise _InputError("only l = n shapes are built in; pass --shape "
                               "for longer words")
-        shapes = word_shapes(n_alt)
+        shapes = word_shapes(a.n)
     rows = []
     for label, shape in shapes:
-        if n_alt == 2:
+        if a.n == 2:
             ok = alternating_determinant_law(A, shape)
             statement = "alternation equals |u,v| times its basis value"
         else:
-            ok = alternating_vanishes(A, shape, n_alt)
+            ok = alternating_vanishes(A, shape, a.n)
             statement = "alternation over 3 variables vanishes"
         rows.append({"shape": label, "statement": statement, "holds": ok})
     ok_all = all(r["holds"] for r in rows)
-    if as_json:
+    if a.json:
         _echo_json({
             "schema": "algid.alternating/1",
             "field": fld.to_json(),
-            "n": n_alt,
+            "n": a.n,
             "rows": rows,
         })
     else:
         for r in rows:
-            click.echo("[%s] %s: %s" % (
+            print("[%s] %s: %s" % (
                 "pass" if r["holds"] else "fail", r["shape"], r["statement"]))
-    sys.exit(0 if ok_all else 1)
+    return 0 if ok_all else 1
+
+
+COMMANDS: Dict[str, Command] = {
+    "check": _check,
+    "expand": _expand,
+    "opposite": _opposite,
+    "iso": _iso,
+    "catalog": _catalog,
+    "scan": _scan,
+    "verify-paper": _verify_paper,
+    "alternating": _alternating,
+}
+
+CATALOG_COMMANDS: Dict[str, Command] = {
+    "list": _catalog_list,
+    "show": _catalog_show,
+    "instantiate": _catalog_instantiate,
+    "claims": _catalog_claims,
+}
+
+
+def main(argv: Optional[Sequence[str]] = None, prog_name: str = "algid") -> None:
+    """Run one command line (default: the process's arguments) and exit with
+    its code; an AlgidError is reported as `Error: <message>` with exit 2."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    try:
+        code = _dispatch(prog_name, "Exact checks of polynomial identities on "
+                         "2-dimensional algebras.", COMMANDS, args)
+    except AlgidError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -27,9 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .algebra_core import GENERIC_NAMES, Msc
 from .errors import ExpansionTooLarge, FieldMismatch, TooManyVariables
@@ -48,12 +47,13 @@ from .identity_lang import (
     word_terms,
 )
 from .multipoly import Monomial, MultiPoly, mon_degree, mon_sort_key
+from .records import record
 
 COORD_PREFIXES = ("x", "y", "z", "s", "t", "q", "r")
 
 
-@dataclass(frozen=True)
-class Equation:
+@record
+class Equation(NamedTuple):
     """One coefficient equation: (component row, coordinate monomial, polynomial)."""
 
     row: int
@@ -137,8 +137,8 @@ def expand(ident: Identity, A: Optional[Msc] = None, field: Optional[Field] = No
 # -- linear span comparison ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpanReport:
+@record
+class SpanReport(NamedTuple):
     equal: bool
     missing_side: Optional[str] = None  # which input owns the unmatched polynomial
     missing_index: Optional[int] = None
@@ -522,8 +522,11 @@ class TensorPlan:
         return None
 
 
-# An identity's checks run together, so a few plans serve a paper pass.
-_PLANS = 8
+# One paper pass (the 8 verify-paper targets) uses 120 distinct
+# (identity, field, mode) plans, counted with an unbounded cache; a smaller
+# cache recompiles the plans it evicts within the pass.  128 holds a whole
+# pass.  Keeping the 64 plans of the golden scans costs about 0.1 MB.
+_PLANS = 128
 
 
 @functools.lru_cache(maxsize=_PLANS)

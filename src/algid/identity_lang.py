@@ -16,25 +16,42 @@ of two arguments are commutators [a,b] = ab - ba, of three associators
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Tuple, Union
 
 from .errors import IdentitySyntaxError, UnknownIdentity
+from .records import record
 
 
 class _Node:
     """A frozen tree node that hashes once, at construction.  A square shares
     its operand node, so hashing by walking the tree would take time
-    exponential in the nesting; here it costs one tuple hash per node."""
+    exponential in the nesting; here it costs one tuple hash per node.
+
+    Each subclass lists its fields, in constructor order, as its __slots__."""
 
     __slots__ = ("_hash",)
 
-    def _fields(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__match_args__))
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError("%s takes %d fields, got %d"
+                            % (type(self).__name__, len(self.__slots__), len(fields)))
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((type(self), *fields)))
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((type(self), *self._fields())))
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__))
 
     def __hash__(self) -> int:
         return self._hash
@@ -51,40 +68,40 @@ class _Node:
         return type(self), self._fields()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Var(_Node):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Prod(_Node):
+    __slots__ = ("left", "right")
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Comm(_Node):
+    __slots__ = ("left", "right")
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Assoc(_Node):
+    __slots__ = ("a", "b", "c")
     a: "Node"
     b: "Node"
     c: "Node"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Sum(_Node):
+    __slots__ = ("terms",)
     terms: Tuple[Tuple[int, "Node"], ...]
 
 
 Node = Union[Var, Prod, Comm, Assoc, Sum]
 
 
-@dataclass(frozen=True)
-class Identity:
+@record
+class Identity(NamedTuple):
     name: str
     lhs: Sum
     rhs: Sum

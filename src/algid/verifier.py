@@ -12,8 +12,7 @@ order is the table order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra_core import GENERIC_NAMES, Msc, conjugates_to
 from .canon_catalog import (
@@ -61,6 +60,7 @@ from .identity_lang import (
     variables,
 )
 from .multipoly import parse_poly, render_monomial
+from .records import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,8 +72,8 @@ _GL_ENUM_LIMIT = 20000
 # Formal and functional satisfaction
 
 
-@dataclass(frozen=True)
-class FormalCheck:
+@record
+class FormalCheck(NamedTuple):
     ok: bool
     witness: Optional[Equation]
 
@@ -319,8 +319,8 @@ FAIL = "fail"
 SKIP = "skip"
 
 
-@dataclass(frozen=True)
-class ReportRow:
+@record
+class ReportRow(NamedTuple):
     section: str
     label: str
     status: str
@@ -335,8 +335,8 @@ class ReportRow:
         }
 
 
-@dataclass
-class Report:
+@record
+class Report(NamedTuple):
     target: str
     field: Field
     rows: List[ReportRow]

@@ -10,8 +10,7 @@ contract (see the `known discrepancy` details and tests/reference_systems.py
 for the full characterisation).
 """
 
-from click.testing import CliRunner
-
+import cli_runner as runner
 from coordinate_route import holds_on_basis_tuples
 from reference_systems import (
     KNOWN_MISPRINTED_SYSTEMS,
@@ -276,7 +275,6 @@ def test_10_verification_report_bytes_are_identical_across_thread_counts():
     """Running the full verification suite with one worker thread and with
     eight produces byte-identical output (timestamps suppressed) and the
     same exit status."""
-    runner = CliRunner()
     args = ["verify-paper", "--no-timestamp"]
     one = runner.invoke(main, args, env={"ALGID_THREADS": "1"})
     eight = runner.invoke(main, args, env={"ALGID_THREADS": "8"})

@@ -7,16 +7,15 @@ import sys
 import time
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 from jsonschema import validate
 
 import algid
 from algid.canon_catalog import family
-from algid.cli import main
+from algid.cli import CATALOG_COMMANDS, COMMANDS, main
 from algid.exactnum import F2, QQ
 
-runner = CliRunner()
+import cli_runner as runner
 
 
 def _write_algebra(tmp_path, name, msc):
@@ -475,6 +474,95 @@ def test_cli_import_does_not_load_numpy():
          "import algid.cli, sys; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+class TestUsage:
+    """The parser's side of the exit-code contract: usage errors exit 2 with
+    their message on stderr, help exits 0."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: COMMAND"),
+        (["nope"], "argument COMMAND: invalid choice: 'nope'"),
+        (["catalog"], "the following arguments are required: COMMAND"),
+        (["check", "--family", "A12", "--identity", "I1", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["check", "--family", "A12"], "the following arguments are required: --identity"),
+        (["check", "--family", "A12", "--identity"], "argument --identity: expected one argument"),
+        (["scan", "--field", "F2", "--identity", "I1", "--mode", "fast"],
+         "argument --mode: invalid choice: 'fast'"),
+        (["catalog", "list", "--regime", "char5"], "argument --regime: invalid choice: 'char5'"),
+        (["catalog", "claims", "--identity", "I1", "--regime", "char5"],
+         "argument --regime: invalid choice: 'char5'"),
+        (["verify-paper", "--target", "Opp99"], "argument --target: invalid choice: 'Opp99'"),
+        (["alternating", "--n", "two"], "argument --n: invalid int value: 'two'"),
+    ])
+    def test_usage_error_exits_two_with_its_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert message in out.err and "Traceback" not in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["catalog", "--help"]]
+                             + [[name, "--help"] for name in COMMANDS]
+                             + [["catalog", name, "--help"] for name in CATALOG_COMMANDS])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: algid")
+
+    def test_option_values_may_start_with_a_dash(self):
+        r = runner.invoke(main, ["catalog", "instantiate", "A8", "--args", "-1/3"])
+        assert r.exit_code == 0
+        assert r.output == "-1/3  0  0  0\n0  4/3  1/3  0\n"
+        r = runner.invoke(main, ["check", "--family", "A12", "--identity", "-u*v"])
+        assert r.exit_code == 1
+        assert r.output.startswith("fails: ")
+
+    def test_missing_identity_in_a_child_process(self):
+        """The installed entry point's path: exit 2 and no traceback."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+            os.path.abspath(algid.__file__))))
+        out = subprocess.run([sys.executable, "-m", "algid.cli", "check", "--family", "A12"],
+                             env=env, capture_output=True, text=True, timeout=30)
+        assert out.returncode == 2
+        assert "required: --identity" in out.stderr and "Traceback" not in out.stderr
+
+
+_RUN_AND_LIST_MODULES = """
+import sys
+from algid.cli import CATALOG_COMMANDS, COMMANDS, main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    print(exc.code, *sorted(sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["expand", "--identity", "I20", "--field", "Q"],
+     {"algid.canon_catalog", "algid.verifier"}),
+    (["catalog", "instantiate", "A8", "--args", "-1/3"],
+     {"algid.verifier", "algid.expander"}),
+    (["opposite", "--algebra", "@a4"], {"algid.canon_catalog", "algid.verifier"}),
+    (["iso", "--a", "@a4", "--b", "@a4", "--witness", "[[1,0],[0,1]]"],
+     {"algid.canon_catalog", "algid.verifier"}),
+    (["check", "--family", "A12", "--identity", "I1"], set()),
+], ids=["expand", "catalog-instantiate", "opposite", "iso-witness", "check"])
+def test_each_command_imports_only_what_it_uses(a4_file, argv, absent):
+    """A one-shot process loads the modules its command uses and no others;
+    no command loads click or dataclasses."""
+    src = os.path.dirname(os.path.dirname(algid.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [a4_file if word == "@a4" else word for word in argv]
+    out = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES] + argv,
+                         env=env, capture_output=True, text=True, timeout=60)
+    code, *loaded = out.stdout.splitlines()[-1].split()
+    assert code == "0", out.stderr
+    assert not absent & set(loaded)
+    assert not {"click", "dataclasses"} & set(loaded)
 
 
 def _f3_file(tmp_path, first_entry):

@@ -32,7 +32,7 @@ from algid.errors import (
     UnsupportedPrime,
 )
 from algid.exactnum import F2, F3, F5, QQ, field_make
-from algid.expander import expand, functional_monomial
+from algid.expander import expand, functional_monomial, tensor_plan
 from algid.identity_lang import (
     NUMBERED_IDENTITIES,
     Identity,
@@ -575,6 +575,14 @@ class TestReports:
         assert rep.counts[FAIL] == 0 and rep.counts[SKIP] == 0
         corrected = [r for r in rep.rows if "sign corrected" in r.detail]
         assert len(corrected) == 1 and corrected[0].section == "A10"
+
+    def test_a_second_section3_pass_compiles_no_plan(self):
+        """The plan cache holds every plan of a pass (31 here), so a second
+        pass compiles none."""
+        verify_theorem("Section3Computations")
+        misses = tensor_plan.cache_info().misses
+        verify_theorem("Section3Computations")
+        assert tensor_plan.cache_info().misses == misses
 
     def test_printed_rows_agree_with_the_coordinate_route(self):
         printed = [row for row in SECTION3_ROWS if row.printed is not None]
