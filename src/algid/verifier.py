@@ -85,15 +85,23 @@ class FormalCheck(NamedTuple):
             eq.row + 1, render_monomial(eq.monomial), eq.poly.render())
 
 
-def _equation_value(terms, vals):
-    """One generic equation at the entries `vals`, numpy arrays of residues
-    by structure-constant name, evaluated elementwise and reduced by the
-    caller."""
-    total = 0
+def _equation_value(terms, cols, powers):
+    """One generic equation at the entries `cols`, numpy arrays of residues
+    by structure-constant name that broadcast against each other, evaluated
+    elementwise and reduced by the caller.  `powers` caches each
+    cols[name] ** e for these columns across terms and equations.  A
+    coefficient of 1 is not multiplied in, and an equation that uses no
+    entry is a Python int."""
+    total = None
     for c, mon in terms:
-        for name, e in mon:
-            c = c * vals[name] ** e
-        total = total + c
+        term = c if c != 1 or not mon else None
+        for factor in mon:
+            x = powers.get(factor)
+            if x is None:
+                name, e = factor
+                x = powers[factor] = cols[name] if e == 1 else cols[name] ** e
+            term = x if term is None else term * x
+        total = term if total is None else total + term
     return total
 
 
@@ -268,7 +276,14 @@ SCAN_PRIMES = (2, 3, 5)
 
 def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
     """Boolean satisfaction vector over all p^8 structure-constant matrices,
-    indexed by the row-major digit encoding a1..b4 (a1 most significant)."""
+    indexed by the row-major digit encoding a1..b4 (a1 most significant).
+
+    The identity's generic system is evaluated equation by equation, in
+    canonical order.  Until one is nonzero somewhere, each is evaluated on a
+    broadcast (p,)*8 digit grid restricted to the entries it uses; np.nonzero
+    of that equation's zero mask gives the surviving algebras' digit columns,
+    and later equations run on those columns only, which shrink at each
+    equation that drops an algebra."""
     import numpy as np
 
     if p not in SCAN_PRIMES:
@@ -278,21 +293,36 @@ def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
     if mode not in ("formal", "functional"):
         raise AlgidError("scan mode must be 'formal' or 'functional'")
     system = tensor_plan(ident, field_make(p), mode == "functional").system()
-    # Each algebra leaves `alive` at its first nonzero equation, so later
-    # equations are evaluated only on the algebras still undecided.
-    alive = np.arange(p ** 8, dtype=np.int64)
-    cols = {name: (alive // p ** (7 - j)) % p
-            for j, name in enumerate(itertools.chain(*GENERIC_NAMES))}
-    for terms in dict.fromkeys(terms for _, _, terms in system):
-        # Residues below p keep every term inside int64 up to degree 20.
-        zero = np.broadcast_to(_equation_value(terms, cols) % p == 0, alive.shape)
-        if not zero.all():
-            alive = alive[zero]
-            cols = {name: c[zero] for name, c in cols.items()}
-        if not alive.size:
+    # Residues below p keep every term inside int64 up to degree 20.
+    equations = iter(dict.fromkeys(terms for _, _, terms in system))
+    names = tuple(itertools.chain(*GENERIC_NAMES))
+    shape = (p,) * 8
+    digits = np.arange(p, dtype=np.int64)
+    # Until an equation prunes, entry j is the digit along axis j of the
+    # broadcast grid, and an equation is evaluated only on the axes it uses.
+    cols = {name: digits.reshape((1,) * j + (p,) + (1,) * (7 - j))
+            for j, name in enumerate(names)}
+    powers = {}
+    for terms in equations:
+        zero = _equation_value(terms, cols, powers) % p == 0
+        if not np.all(zero):
+            cols = dict(zip(names, np.nonzero(np.broadcast_to(zero, shape))))
             break
+    else:
+        return np.ones(p ** 8, dtype=bool)
+    # Then the entries are the surviving algebras' digit columns, and each
+    # algebra leaves them at its first nonzero equation.
+    powers = {}
+    for terms in equations:
+        if not cols["a1"].size:
+            break
+        zero = _equation_value(terms, cols, powers) % p == 0
+        if not np.all(zero):
+            keep = np.broadcast_to(zero, cols["a1"].shape)
+            cols = {name: c[keep] for name, c in cols.items()}
+            powers = {}
     ok = np.zeros(p ** 8, dtype=bool)
-    ok[alive] = True
+    ok[np.ravel_multi_index(tuple(cols.values()), shape)] = True
     return ok
 
 

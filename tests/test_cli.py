@@ -24,6 +24,14 @@ def _write_algebra(tmp_path, name, msc):
     return str(path)
 
 
+def _child_cli(argv):
+    """Run `python -m algid.cli` in a child process on this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        os.path.abspath(algid.__file__))))
+    return subprocess.run([sys.executable, "-m", "algid.cli"] + argv,
+                          env=env, capture_output=True, text=True, timeout=30)
+
+
 @pytest.fixture
 def a4_file(tmp_path):
     A = family("A4").instantiate(QQ, (QQ.scalar(0), QQ.scalar(-1)))
@@ -362,6 +370,14 @@ class TestScan:
         r = runner.invoke(main, ["scan", "--field", "F7", "--identity", "I1"])
         assert r.exit_code == 2
 
+    def test_mixed_degree_identity_in_a_child_process(self):
+        """A constant equation after a pruning one: exit 0, its count, and no
+        traceback."""
+        out = _child_cli(["scan", "--field", "F3", "--identity", "u*v + u = 0"])
+        assert out.returncode == 0
+        assert out.stdout == "0 of 6561 algebras over F3 satisfy inline (formal)\n"
+        assert "Traceback" not in out.stderr
+
 
 class TestVerifyPaper:
     def test_opp41_exits_zero(self):
@@ -523,10 +539,7 @@ class TestUsage:
 
     def test_missing_identity_in_a_child_process(self):
         """The installed entry point's path: exit 2 and no traceback."""
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
-            os.path.abspath(algid.__file__))))
-        out = subprocess.run([sys.executable, "-m", "algid.cli", "check", "--family", "A12"],
-                             env=env, capture_output=True, text=True, timeout=30)
+        out = _child_cli(["check", "--family", "A12"])
         assert out.returncode == 2
         assert "required: --identity" in out.stderr and "Traceback" not in out.stderr
 

@@ -463,6 +463,9 @@ class TestScanPruning:
 
         idents = [get_identity("I%d" % k) for k in range(1, 31)]
         idents += [parse_identity("u = 0"), parse_identity("0 = 0")]
+        # mixed degrees: the constant equation sorts after a pruning one
+        idents += [parse_identity(text) for text in
+                   ("u*v + u = 0", "u*v + u = u", "(u*v)*w + u*v = 0")]
         for ident in idents:
             for mode in ("formal", "functional"):
                 expected = self._full_scan(p, ident, mode)
@@ -470,9 +473,24 @@ class TestScanPruning:
                 assert got.dtype == bool and got.shape == (p ** 8,)
                 assert np.array_equal(got, expected), (ident.name, mode)
 
+    @pytest.mark.parametrize("name, count", [("I19", 1825), ("I23", 889)])
+    def test_matches_full_evaluation_over_f5(self, name, count):
+        """The benchmark's F5 scans: a grid phase, then several compactions."""
+        import numpy as np
+
+        ident = get_identity(name)
+        for mode in ("formal", "functional"):
+            got = scan_algebras(5, ident, mode)
+            assert got.dtype == bool and got.shape == (5 ** 8,)
+            assert int(got.sum()) == count, mode
+            assert np.array_equal(got, self._full_scan(5, ident, mode)), mode
+
     def test_constant_equations(self):
         assert scan_field(3, parse_identity("u = 0")) == 0
         assert scan_field(3, parse_identity("u = u")) == 3 ** 8
+        assert scan_field(3, parse_identity("u*v + u = 0")) == 0
+        assert scan_field(3, parse_identity("u*v + u = u")) == 1
+        assert scan_field(3, parse_identity("(u*v)*w + u*v = 0")) == 1
 
 
 class TestAlternating:
