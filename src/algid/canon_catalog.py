@@ -15,6 +15,15 @@ verified:
 * ``SECTION3_ROWS`` — the worked products, commutators, associators and
   degree-3 laws of Section 3, each with its printed components.
 
+Three facts are read from the texts rather than stated next to them:
+
+* a family's parameters are its bare template cells (a cell that is just a
+  name), in row-major order of first appearance; that is the order
+  ``--args`` takes,
+* a row's free parameters are its bare arguments, in order of first
+  appearance; for an opposite row, its source arguments,
+* a family's regime is the table it is listed in.
+
 This module is data plus instantiation helpers; the checking logic lives in
 ``verifier``.  Rows known to be wrong in the source tables carry a non-empty
 ``erratum`` note and are still checked (they are expected to fail with a
@@ -221,104 +230,81 @@ def _instance(fam: Family, field: Field, args: Tuple[Scalar, ...]) -> Msc:
     return fam._instantiate(field, args, eval_expr)
 
 
-def _fam(name, regime, params, row1, row2, note=""):
-    return Family(name, regime, tuple(params), (tuple(row1), tuple(row2)), note)
+def _bare_names(texts: Sequence[str]) -> Tuple[str, ...]:
+    """The texts that are a bare name once stripped, in order of first
+    appearance and without repeats."""
+    names = []
+    for text in texts:
+        name = text.strip()
+        if name.isidentifier() and name not in names:
+            names.append(name)
+    return tuple(names)
+
+
+def _fam(name, row1, row2, note=""):
+    return name, (tuple(row1), tuple(row2)), note
 
 
 # --- characteristic != 2, 3 ------------------------------------------------
 
 _CHAR0_FAMILIES = (
-    _fam("A1", REGIME_CHAR0, ("a1", "a2", "a4", "b1"),
-         ("a1", "a2", "a2 + 1", "a4"), ("b1", "-a1", "1 - a1", "-a2")),
-    _fam("A2", REGIME_CHAR0, ("a1", "b1", "b2"),
-         ("a1", "0", "0", "1"), ("b1", "b2", "1 - a1", "0"),
+    _fam("A1", ("a1", "a2", "a2 + 1", "a4"), ("b1", "-a1", "1 - a1", "-a2")),
+    _fam("A2", ("a1", "0", "0", "1"), ("b1", "b2", "1 - a1", "0"),
          note="A2(a1, b1, b2) and A2(a1, -b1, b2) are isomorphic"),
-    _fam("A3", REGIME_CHAR0, ("b1", "b2"),
-         ("0", "1", "1", "0"), ("b1", "b2", "1", "-1")),
-    _fam("A4", REGIME_CHAR0, ("a1", "b2"),
-         ("a1", "0", "0", "0"), ("0", "b2", "1 - a1", "0")),
-    _fam("A5", REGIME_CHAR0, ("a1",),
-         ("a1", "0", "0", "0"), ("1", "2*a1 - 1", "1 - a1", "0")),
-    _fam("A6", REGIME_CHAR0, ("a1", "b1"),
-         ("a1", "0", "0", "1"), ("b1", "1 - a1", "-a1", "0"),
+    _fam("A3", ("0", "1", "1", "0"), ("b1", "b2", "1", "-1")),
+    _fam("A4", ("a1", "0", "0", "0"), ("0", "b2", "1 - a1", "0")),
+    _fam("A5", ("a1", "0", "0", "0"), ("1", "2*a1 - 1", "1 - a1", "0")),
+    _fam("A6", ("a1", "0", "0", "1"), ("b1", "1 - a1", "-a1", "0"),
          note="A6(a1, b1) and A6(a1, -b1) are isomorphic"),
-    _fam("A7", REGIME_CHAR0, ("b1",),
-         ("0", "1", "1", "0"), ("b1", "1", "0", "-1")),
-    _fam("A8", REGIME_CHAR0, ("a1",),
-         ("a1", "0", "0", "0"), ("0", "1 - a1", "-a1", "0")),
-    _fam("A9", REGIME_CHAR0, (),
-         ("1/3", "0", "0", "0"), ("1", "2/3", "-1/3", "0")),
-    _fam("A10", REGIME_CHAR0, (),
-         ("0", "1", "1", "0"), ("0", "0", "0", "-1")),
-    _fam("A11", REGIME_CHAR0, (),
-         ("0", "1", "1", "0"), ("1", "0", "0", "-1")),
-    _fam("A12", REGIME_CHAR0, (),
-         ("0", "0", "0", "0"), ("1", "0", "0", "0")),
+    _fam("A7", ("0", "1", "1", "0"), ("b1", "1", "0", "-1")),
+    _fam("A8", ("a1", "0", "0", "0"), ("0", "1 - a1", "-a1", "0")),
+    _fam("A9", ("1/3", "0", "0", "0"), ("1", "2/3", "-1/3", "0")),
+    _fam("A10", ("0", "1", "1", "0"), ("0", "0", "0", "-1")),
+    _fam("A11", ("0", "1", "1", "0"), ("1", "0", "0", "-1")),
+    _fam("A12", ("0", "0", "0", "0"), ("1", "0", "0", "0")),
 )
 
 # --- characteristic 2 -------------------------------------------------------
 
 _CHAR2_FAMILIES = (
-    _fam("A1_2", REGIME_CHAR2, ("a1", "a2", "a4", "b1"),
-         ("a1", "a2", "1 + a2", "a4"), ("b1", "a1", "1 + a1", "a2")),
-    _fam("A2_2", REGIME_CHAR2, ("a1", "b1", "b2"),
-         ("a1", "0", "0", "1"), ("b1", "b2", "1 + a1", "0")),
-    _fam("A3_2", REGIME_CHAR2, ("a1", "b2"),
-         ("a1", "1", "1", "0"), ("0", "b2", "1 + a1", "1")),
-    _fam("A4_2", REGIME_CHAR2, ("a1", "b2"),
-         ("a1", "0", "0", "0"), ("0", "b2", "1 + a1", "0")),
-    _fam("A5_2", REGIME_CHAR2, ("a1",),
-         ("a1", "0", "0", "0"), ("1", "1", "1 + a1", "0")),
-    _fam("A6_2", REGIME_CHAR2, ("a1", "b1"),
-         ("a1", "0", "0", "1"), ("b1", "1 + a1", "a1", "0")),
-    _fam("A7_2", REGIME_CHAR2, ("a1",),
-         ("a1", "1", "1", "0"), ("0", "1 + a1", "a1", "1")),
-    _fam("A8_2", REGIME_CHAR2, ("a1",),
-         ("a1", "0", "0", "0"), ("0", "1 + a1", "a1", "0")),
-    _fam("A9_2", REGIME_CHAR2, (),
-         ("1", "0", "0", "0"), ("1", "0", "1", "0")),
-    _fam("A10_2", REGIME_CHAR2, (),
-         ("0", "1", "1", "0"), ("0", "0", "0", "1")),
-    _fam("A11_2", REGIME_CHAR2, (),
-         ("1", "1", "1", "0"), ("0", "1", "1", "1")),
-    _fam("A12_2", REGIME_CHAR2, (),
-         ("0", "0", "0", "0"), ("1", "0", "0", "0")),
+    _fam("A1_2", ("a1", "a2", "1 + a2", "a4"), ("b1", "a1", "1 + a1", "a2")),
+    _fam("A2_2", ("a1", "0", "0", "1"), ("b1", "b2", "1 + a1", "0")),
+    _fam("A3_2", ("a1", "1", "1", "0"), ("0", "b2", "1 + a1", "1")),
+    _fam("A4_2", ("a1", "0", "0", "0"), ("0", "b2", "1 + a1", "0")),
+    _fam("A5_2", ("a1", "0", "0", "0"), ("1", "1", "1 + a1", "0")),
+    _fam("A6_2", ("a1", "0", "0", "1"), ("b1", "1 + a1", "a1", "0")),
+    _fam("A7_2", ("a1", "1", "1", "0"), ("0", "1 + a1", "a1", "1")),
+    _fam("A8_2", ("a1", "0", "0", "0"), ("0", "1 + a1", "a1", "0")),
+    _fam("A9_2", ("1", "0", "0", "0"), ("1", "0", "1", "0")),
+    _fam("A10_2", ("0", "1", "1", "0"), ("0", "0", "0", "1")),
+    _fam("A11_2", ("1", "1", "1", "0"), ("0", "1", "1", "1")),
+    _fam("A12_2", ("0", "0", "0", "0"), ("1", "0", "0", "0")),
 )
 
 # --- characteristic 3 -------------------------------------------------------
 
 _CHAR3_FAMILIES = (
-    _fam("A1_3", REGIME_CHAR3, ("a1", "a2", "a4", "b1"),
-         ("a1", "a2", "a2 + 1", "a4"), ("b1", "-a1", "1 - a1", "-a2")),
-    _fam("A2_3", REGIME_CHAR3, ("a1", "b1", "b2"),
-         ("a1", "0", "0", "1"), ("b1", "b2", "1 - a1", "0"),
+    _fam("A1_3", ("a1", "a2", "a2 + 1", "a4"), ("b1", "-a1", "1 - a1", "-a2")),
+    _fam("A2_3", ("a1", "0", "0", "1"), ("b1", "b2", "1 - a1", "0"),
          note="A2_3(a1, b1, b2) and A2_3(a1, -b1, b2) are isomorphic"),
-    _fam("A3_3", REGIME_CHAR3, ("b1", "b2"),
-         ("0", "1", "1", "0"), ("b1", "b2", "1", "-1")),
-    _fam("A4_3", REGIME_CHAR3, ("a1", "b2"),
-         ("a1", "0", "0", "0"), ("0", "b2", "1 - a1", "0")),
-    _fam("A5_3", REGIME_CHAR3, ("a1",),
-         ("a1", "0", "0", "0"), ("1", "-a1 - 1", "1 - a1", "0")),
-    _fam("A6_3", REGIME_CHAR3, ("a1", "b1"),
-         ("a1", "0", "0", "1"), ("b1", "1 - a1", "-a1", "0")),
-    _fam("A7_3", REGIME_CHAR3, ("b1",),
-         ("0", "1", "1", "0"), ("b1", "1", "0", "-1")),
-    _fam("A8_3", REGIME_CHAR3, ("a1",),
-         ("a1", "0", "0", "0"), ("0", "1 - a1", "-a1", "0")),
-    _fam("A9_3", REGIME_CHAR3, (),
-         ("0", "1", "1", "0"), ("1", "0", "0", "-1")),
-    _fam("A10_3", REGIME_CHAR3, (),
-         ("0", "1", "1", "0"), ("0", "0", "0", "-1")),
-    _fam("A11_3", REGIME_CHAR3, (),
-         ("1", "0", "0", "0"), ("1", "-1", "-1", "0")),
-    _fam("A12_3", REGIME_CHAR3, (),
-         ("0", "0", "0", "0"), ("1", "0", "0", "0")),
+    _fam("A3_3", ("0", "1", "1", "0"), ("b1", "b2", "1", "-1")),
+    _fam("A4_3", ("a1", "0", "0", "0"), ("0", "b2", "1 - a1", "0")),
+    _fam("A5_3", ("a1", "0", "0", "0"), ("1", "-a1 - 1", "1 - a1", "0")),
+    _fam("A6_3", ("a1", "0", "0", "1"), ("b1", "1 - a1", "-a1", "0")),
+    _fam("A7_3", ("0", "1", "1", "0"), ("b1", "1", "0", "-1")),
+    _fam("A8_3", ("a1", "0", "0", "0"), ("0", "1 - a1", "-a1", "0")),
+    _fam("A9_3", ("0", "1", "1", "0"), ("1", "0", "0", "-1")),
+    _fam("A10_3", ("0", "1", "1", "0"), ("0", "0", "0", "-1")),
+    _fam("A11_3", ("1", "0", "0", "0"), ("1", "-1", "-1", "0")),
+    _fam("A12_3", ("0", "0", "0", "0"), ("1", "0", "0", "0")),
 )
 
 FAMILY_ORDER: Dict[str, Tuple[Family, ...]] = {
-    REGIME_CHAR0: _CHAR0_FAMILIES,
-    REGIME_CHAR2: _CHAR2_FAMILIES,
-    REGIME_CHAR3: _CHAR3_FAMILIES,
+    regime: tuple(Family(name, regime, _bare_names(rows[0] + rows[1]), rows, note)
+                  for name, rows, note in fams)
+    for regime, fams in ((REGIME_CHAR0, _CHAR0_FAMILIES),
+                         (REGIME_CHAR2, _CHAR2_FAMILIES),
+                         (REGIME_CHAR3, _CHAR3_FAMILIES))
 }
 
 FAMILIES: Dict[str, Family] = {
@@ -342,8 +328,9 @@ def family(name: str) -> Family:
 class ClaimedRow(NamedTuple):
     """One entry of a claimed solution list: a family at given arguments.
 
-    ``args`` are expressions over the ``frees``; ``nonzero``/``zero`` are
-    polynomial side conditions on the frees.  ``samples`` freezes rational
+    ``args`` are expressions over the ``frees``, which are the bare
+    arguments; ``nonzero``/``zero`` are polynomial side conditions on the
+    frees.  ``samples`` freezes rational
     points used over the rationals when an argument involves a square root
     (symbolic checking is used whenever all arguments are radical-free).
     ``sqrt_requirements`` lists constants whose square root the claimed
@@ -427,12 +414,12 @@ _POOL_32A1_MINUS_15 = (("1/2",), ("3/4",), ("5/4",), ("2",), ("3",))
 _POOL_12A1_7A1SQ_4 = (("1",), ("1/2",), ("5/7",), ("5/11",), ("13/23",))
 
 
-def _row(fam_name, *args, frees=(), nz=(), z=(), samples=(), sqrt_req=(),
+def _row(fam_name, *args, nz=(), z=(), samples=(), sqrt_req=(),
          erratum="", note=""):
     return ClaimedRow(
         family=fam_name,
         args=tuple(args),
-        frees=tuple(frees),
+        frees=_bare_names(args),
         nonzero=tuple(nz),
         zero=tuple(z),
         samples=tuple(samples),
@@ -445,9 +432,9 @@ def _row(fam_name, *args, frees=(), nz=(), z=(), samples=(), sqrt_req=(),
 # --- claimed solution lists, characteristic != 2, 3 -------------------------
 
 _C0_I1 = (
-    _row("A2", "a1", "b1", "1 - a1", frees=("a1", "b1")),
-    _row("A3", "b1", "1", frees=("b1",)),
-    _row("A4", "a1", "1 - a1", frees=("a1",)),
+    _row("A2", "a1", "b1", "1 - a1"),
+    _row("A3", "b1", "1"),
+    _row("A4", "a1", "1 - a1"),
     _row("A5", "2/3"),
     _row("A10"),
     _row("A11"),
@@ -455,7 +442,7 @@ _C0_I1 = (
 )
 
 _C0_I7 = _C0_I1 + (
-    _row("A4", "a1", "a1 - 1", frees=("a1",)),
+    _row("A4", "a1", "a1 - 1"),
     _row("A5", "0"),
     _row("A8", "1/2"),
 )
@@ -467,11 +454,11 @@ _C0_I14 = (
 )
 
 _C0_I21 = (
-    _row("A2", "a1", "b1", "1 - a1", frees=("a1", "b1")),
-    _row("A3", "b1", "1", frees=("b1",)),
+    _row("A2", "a1", "b1", "1 - a1"),
+    _row("A3", "b1", "1"),
     _row("A4", "0", "-1"),
     _row("A4", "0", "0"),
-    _row("A4", "a1", "1 - a1", frees=("a1",)),
+    _row("A4", "a1", "1 - a1"),
     _row("A5", "2/3"),
     _row("A10"),
     _row("A11"),
@@ -500,10 +487,10 @@ _CHAR0_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
     "I4": (_row("A12"),),
     "I5": (
         _row("A1", "1/3", "-1/3", "0", "0"),
-        _row("A2", "a1", "b1", "1 - a1", frees=("a1", "b1")),
-        _row("A3", "b1", "1", frees=("b1",)),
-        _row("A4", "a1", "1 - a1", frees=("a1",), nz=("3*a1 - 2",)),
-        _row("A4", "a1", "2*a1 - 1", frees=("a1",)),
+        _row("A2", "a1", "b1", "1 - a1"),
+        _row("A3", "b1", "1"),
+        _row("A4", "a1", "1 - a1", nz=("3*a1 - 2",)),
+        _row("A4", "a1", "2*a1 - 1"),
         _row("A5", "2/3"),
         _row("A8", "1/3"),
         _row("A10"),
@@ -515,7 +502,7 @@ _CHAR0_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
     "I8": _C0_I1,
     "I9": _C0_I1,
     "I10": _C0_I1 + (
-        _row("A4", "a1", "2*a1 - 1", frees=("a1",), nz=("3*a1 - 2",)),
+        _row("A4", "a1", "2*a1 - 1", nz=("3*a1 - 2",)),
         _row("A8", "1/3"),
     ),
     "I11": (_row("A12"),),
@@ -529,11 +516,11 @@ _CHAR0_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
     "I19": (
         _row("A2", "1/2", "0", "1/2"),
         _row("A2", "1/2", "0", "-1/2"),
-        _row("A4", "a1", "-1 + 2*a1", frees=("a1",),
+        _row("A4", "a1", "-1 + 2*a1",
              nz=("5*a1^2 - 5*a1 + 1",)),
-        _row("A4", "a1", "sqrt(a1 - a1^2)", frees=("a1",),
+        _row("A4", "a1", "sqrt(a1 - a1^2)",
              nz=("a1", "a1 - 1"), samples=_POOL_A1_MINUS_A1SQ),
-        _row("A4", "a1", "-sqrt(a1 - a1^2)", frees=("a1",),
+        _row("A4", "a1", "-sqrt(a1 - a1^2)",
              nz=("a1", "a1 - 1"), samples=_POOL_A1_MINUS_A1SQ),
         _row("A5", "(5 - sqrt(5))/10"),
         _row("A5", "(5 + sqrt(5))/10"),
@@ -563,8 +550,8 @@ _CHAR0_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
     "I27": (
         _row("A2", "1/2", "0", "1/2"),
         _row("A2", "1", "0", "1/2"),
-        _row("A4", "1", "b2", frees=("b2",)),
-        _row("A4", "1/2", "b2", frees=("b2",)),
+        _row("A4", "1", "b2"),
+        _row("A4", "1/2", "b2"),
         _row("A5", "1"),
         _row("A5", "1/2"),
         _row("A8", "0"),
@@ -583,17 +570,17 @@ _CHAR0_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
              "(sqrt(32*a1 - 15) - 8*a1 - 1)/8",
              "(4*a1 + 1 - sqrt(32*a1 - 15))/4",
              "(8*a1 - 1 + sqrt(32*a1 - 15))/8",
-             frees=("a1",), samples=_POOL_32A1_MINUS_15),
+             samples=_POOL_32A1_MINUS_15),
         _row("A1", "a1",
              "(-sqrt(32*a1 - 15) - 8*a1 - 1)/8",
              "(4*a1 + 1 + sqrt(32*a1 - 15))/4",
              "(8*a1 - 1 - sqrt(32*a1 - 15))/8",
-             frees=("a1",), samples=_POOL_32A1_MINUS_15),
+             samples=_POOL_32A1_MINUS_15),
         _row("A2", "1/2", "0", "1/2"),
         _row("A4", "a1", "(a1 - sqrt(12*a1 - 7*a1^2 - 4))/2",
-             frees=("a1",), samples=_POOL_12A1_7A1SQ_4),
+             samples=_POOL_12A1_7A1SQ_4),
         _row("A4", "a1", "(a1 + sqrt(12*a1 - 7*a1^2 - 4))/2",
-             frees=("a1",), samples=_POOL_12A1_7A1SQ_4),
+             samples=_POOL_12A1_7A1SQ_4),
         _row("A5", "1/2"),
         _row("A5", "1"),
         _row("A8", "(3 - sqrt(-7))/8"),
@@ -601,10 +588,10 @@ _CHAR0_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
         _row("A12"),
     ),
     "I30": (
-        _row("A2", "a1", "b1", "1 - a1", frees=("a1", "b1")),
-        _row("A3", "b1", "1", frees=("b1",)),
-        _row("A4", "a1", "1 - a1", frees=("a1",)),
-        _row("A4", "a1", "2*a1 - 1", frees=("a1",)),
+        _row("A2", "a1", "b1", "1 - a1"),
+        _row("A3", "b1", "1"),
+        _row("A4", "a1", "1 - a1"),
+        _row("A4", "a1", "2*a1 - 1"),
         _row("A5", "2/3"),
         _row("A8", "1/3"),
         _row("A10"),
@@ -620,9 +607,9 @@ _CHAR0_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
 CHAR5_I19_ROWS: Tuple[ClaimedRow, ...] = (
     _row("A2", "1/2", "0", "1/2"),
     _row("A2", "1/2", "0", "-1/2"),
-    _row("A4", "a1", "-1 + 2*a1", frees=("a1",)),
-    _row("A4", "a1", "sqrt(a1 - a1^2)", frees=("a1",), nz=("a1", "a1 - 1")),
-    _row("A4", "a1", "-sqrt(a1 - a1^2)", frees=("a1",), nz=("a1", "a1 - 1")),
+    _row("A4", "a1", "-1 + 2*a1"),
+    _row("A4", "a1", "sqrt(a1 - a1^2)", nz=("a1", "a1 - 1")),
+    _row("A4", "a1", "-sqrt(a1 - a1^2)", nz=("a1", "a1 - 1")),
     _row("A5", "(5 - sqrt(5))/10",
          note="branch collapses in characteristic 5 (division by 10 = 0)"),
     _row("A5", "(5 + sqrt(5))/10",
@@ -636,9 +623,9 @@ CHAR5_I19_ROWS: Tuple[ClaimedRow, ...] = (
 # --- claimed solution lists, characteristic 2 --------------------------------
 
 _C2_I1 = (
-    _row("A2_2", "a1", "b1", "1 + a1", frees=("a1", "b1")),
-    _row("A3_2", "a1", "1 + a1", frees=("a1",)),
-    _row("A4_2", "a1", "1 + a1", frees=("a1",)),
+    _row("A2_2", "a1", "b1", "1 + a1"),
+    _row("A3_2", "a1", "1 + a1"),
+    _row("A4_2", "a1", "1 + a1"),
     _row("A5_2", "0"),
     _row("A10_2"),
     _row("A11_2"),
@@ -655,9 +642,9 @@ _C2_I3 = (
 )
 
 _C2_I6 = (
-    _row("A2_2", "a1", "b1", "1 - a1", frees=("a1", "b1")),
-    _row("A3_2", "a1", "1 - a1", frees=("a1",)),
-    _row("A4_2", "a1", "1 - a1", frees=("a1",)),
+    _row("A2_2", "a1", "b1", "1 - a1"),
+    _row("A3_2", "a1", "1 - a1"),
+    _row("A4_2", "a1", "1 - a1"),
     _row("A5_2", "0"),
     _row("A10_2"),
     _row("A11_2"),
@@ -665,7 +652,7 @@ _C2_I6 = (
 )
 
 _C2_I10 = _C2_I1 + (
-    _row("A4_2", "a1", "1", frees=("a1",), nz=("a1",)),
+    _row("A4_2", "a1", "1", nz=("a1",)),
     _row("A8_2", "1"),
 )
 
@@ -678,10 +665,10 @@ _C2_I14 = (
 _C2_I19 = (
     _row("A3_2", "0", "0"),
     _row("A3_2", "1", "0"),
-    _row("A4_2", "a1", "1", frees=("a1",)),
-    _row("A4_2", "a1", "sqrt(a1 + a1^2)", frees=("a1",),
+    _row("A4_2", "a1", "1"),
+    _row("A4_2", "a1", "sqrt(a1 + a1^2)",
          nz=("a1^2 + a1 + 1",)),
-    _row("A5_2", "a1", frees=("a1",), z=("a1^2 + a1 + 1",),
+    _row("A5_2", "a1", z=("a1^2 + a1 + 1",),
          note="condition a1^2 + a1 + 1 = 0 has no solution in F_2"),
     _row("A8_2", "1"),
     _row("A10_2"),
@@ -701,23 +688,23 @@ _C2_I23 = (
 
 _C2_I27 = (
     _row("A3_2", "1", "0"),
-    _row("A4_2", "1", "b2", frees=("b2",)),
+    _row("A4_2", "1", "b2"),
     _row("A5_2", "1"),
-    _row("A6_2", "a1", "0", frees=("a1",)),
+    _row("A6_2", "a1", "0"),
     _row("A7_2", "1"),
-    _row("A8_2", "a1", frees=("a1",)),
+    _row("A8_2", "a1"),
     _row("A9_2"),
     _row("A10_2"),
     _row("A12_2"),
 )
 
 _C2_I29 = (
-    _row("A1_2", "a1", "1 + a1", "a1", "1 + a1", frees=("a1",)),
-    _row("A2_2", "a1", "b1", "1 + a1", frees=("a1", "b1")),
-    _row("A3_2", "a1", "1 + a1", frees=("a1",)),
-    _row("A4_2", "a1", "1 + a1", frees=("a1",)),
-    _row("A4_2", "a1", "1", frees=("a1",), nz=("a1",)),
-    _row("A5_2", "a1", frees=("a1",)),
+    _row("A1_2", "a1", "1 + a1", "a1", "1 + a1"),
+    _row("A2_2", "a1", "b1", "1 + a1"),
+    _row("A3_2", "a1", "1 + a1"),
+    _row("A4_2", "a1", "1 + a1"),
+    _row("A4_2", "a1", "1", nz=("a1",)),
+    _row("A5_2", "a1"),
     _row("A8_2", "1"),
     _row("A9_2"),
     _row("A10_2"),
@@ -739,10 +726,10 @@ _CHAR2_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
     "I4": _C2_I3,
     "I5": (
         _row("A1_2", "1", "1", "0", "0"),
-        _row("A2_2", "a1", "b1", "1 + a1", frees=("a1", "b1")),
-        _row("A3_2", "a1", "1 - a1", frees=("a1",)),
-        _row("A4_2", "a1", "1 + a1", frees=("a1",), nz=("a1",)),
-        _row("A4_2", "a1", "1", frees=("a1",)),
+        _row("A2_2", "a1", "b1", "1 + a1"),
+        _row("A3_2", "a1", "1 - a1"),
+        _row("A4_2", "a1", "1 + a1", nz=("a1",)),
+        _row("A4_2", "a1", "1"),
         _row("A5_2", "0"),
         _row("A8_2", "1"),
         _row("A10_2"),
@@ -799,9 +786,9 @@ _ERR_A53_COMM = (
 )
 
 _C3_I6 = (
-    _row("A2_3", "a1", "b1", "1 - a1", frees=("a1", "b1")),
-    _row("A3_3", "b1", "1", frees=("b1",)),
-    _row("A4_3", "a1", "1 - a1", frees=("a1",)),
+    _row("A2_3", "a1", "b1", "1 - a1"),
+    _row("A3_3", "b1", "1"),
+    _row("A4_3", "a1", "1 - a1"),
     _row("A9_3"),
     _row("A10_3"),
     _row("A11_3"),
@@ -809,7 +796,7 @@ _C3_I6 = (
 )
 
 _C3_I7 = _C3_I6 + (
-    _row("A4_3", "a1", "a1 - 1", frees=("a1",)),
+    _row("A4_3", "a1", "a1 - 1"),
     _row("A5_3", "0"),
     _row("A8_3", "-1"),
 )
@@ -817,18 +804,18 @@ _C3_I7 = _C3_I6 + (
 _C3_I23 = (
     _row("A2_3", "-1", "0", "-1"),
     _row("A2_3", "0", "0", "-1"),
-    _row("A4_3", "a1", "-(1 - a1)^2", frees=("a1",)),
+    _row("A4_3", "a1", "-(1 - a1)^2"),
     _row("A5_3", "0"),
     _row("A8_3", "0"),
     _row("A12_3"),
 )
 
 _C3_I21 = (
-    _row("A2_3", "a1", "b1", "1 - a1", frees=("a1", "b1")),
-    _row("A3_3", "b1", "1", frees=("b1",)),
+    _row("A2_3", "a1", "b1", "1 - a1"),
+    _row("A3_3", "b1", "1"),
     _row("A4_3", "0", "-1"),
     _row("A4_3", "0", "0"),
-    _row("A4_3", "a1", "1 - a1", frees=("a1",)),
+    _row("A4_3", "a1", "1 - a1"),
     _row("A9_3"),
     _row("A10_3"),
     _row("A11_3"),
@@ -837,10 +824,10 @@ _C3_I21 = (
 
 _CHAR3_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
     "I1": (
-        _row("A2_3", "a1", "b1", "1 - a1", frees=("a1", "b1")),
-        _row("A3_3", "b1", "1", frees=("b1",)),
-        _row("A4_3", "a1", "1 - a1", frees=("a1",)),
-        _row("A5_3", "a1", frees=("a1",), erratum=_ERR_A53_COMM),
+        _row("A2_3", "a1", "b1", "1 - a1"),
+        _row("A3_3", "b1", "1"),
+        _row("A4_3", "a1", "1 - a1"),
+        _row("A5_3", "a1", erratum=_ERR_A53_COMM),
         _row("A9_3"),
         _row("A10_3"),
         _row("A11_3"),
@@ -857,11 +844,11 @@ _CHAR3_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
     ),
     "I4": (_row("A12_3"),),
     "I5": (
-        _row("A2_3", "a1", "b1", "1 - a1", frees=("a1", "b1")),
-        _row("A3_3", "b1", "1", frees=("b1",)),
+        _row("A2_3", "a1", "b1", "1 - a1"),
+        _row("A3_3", "b1", "1"),
         _row("A3_3", "0", "-1"),
-        _row("A4_3", "a1", "1 - a1", frees=("a1",)),
-        _row("A4_3", "a1", "2*a1 - 1", frees=("a1",)),
+        _row("A4_3", "a1", "1 - a1"),
+        _row("A4_3", "a1", "2*a1 - 1"),
         _row("A9_3"),
         _row("A10_3"),
         _row("A11_3"),
@@ -871,7 +858,7 @@ _CHAR3_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
     "I7": _C3_I7,
     "I8": _C3_I6,
     "I9": _C3_I6,
-    "I10": _C3_I6 + (_row("A4_3", "a1", "2*a1 - 1", frees=("a1",)),),
+    "I10": _C3_I6 + (_row("A4_3", "a1", "2*a1 - 1"),),
     "I11": (_row("A12_3"),),
     "I12": _C3_I7,
     "I13": _C3_I6,
@@ -892,7 +879,7 @@ _CHAR3_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
     "I18": (
         _row("A2_3", "0", "0", "-1"),
         _row("A2_3", "2", "0", "-1"),
-        _row("A4_3", "a1", "-(1 - a1)^2", frees=("a1",)),
+        _row("A4_3", "a1", "-(1 - a1)^2"),
         _row("A5_3", "0"),
         _row("A8_3", "0"),
         _row("A12_3"),
@@ -900,11 +887,11 @@ _CHAR3_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
     "I19": (
         _row("A2_3", "-1", "0", "1"),
         _row("A2_3", "-1", "0", "-1"),
-        _row("A4_3", "a1", "-1 - a1", frees=("a1",),
+        _row("A4_3", "a1", "-1 - a1",
              nz=("(a1 + 1)^2 + 1",)),
-        _row("A4_3", "a1", "sqrt(a1 - a1^2)", frees=("a1",),
+        _row("A4_3", "a1", "sqrt(a1 - a1^2)",
              nz=("a1", "a1 - 1")),
-        _row("A4_3", "a1", "-sqrt(a1 - a1^2)", frees=("a1",),
+        _row("A4_3", "a1", "-sqrt(a1 - a1^2)",
              nz=("a1", "a1 - 1")),
         _row("A5_3", "-1 + sqrt(-1)"),
         _row("A5_3", "-1 - sqrt(-1)"),
@@ -933,8 +920,8 @@ _CHAR3_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
     "I27": (
         _row("A2_3", "-1", "0", "-1"),
         _row("A2_3", "1", "0", "-1"),
-        _row("A4_3", "1", "b2", frees=("b2",)),
-        _row("A4_3", "-1", "b2", frees=("b2",)),
+        _row("A4_3", "1", "b2"),
+        _row("A4_3", "-1", "b2"),
         _row("A5_3", "-1"),
         _row("A5_3", "1"),
         _row("A8_3", "0"),
@@ -952,16 +939,14 @@ _CHAR3_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
         _row("A1_3", "a1",
              "sqrt(2*a1) - a1 + 1",
              "a1 - 2 - 2*sqrt(2*a1)",
-             "a1 + 1 + sqrt(2*a1)",
-             frees=("a1",)),
+             "a1 + 1 + sqrt(2*a1)"),
         _row("A1_3", "a1",
              "-sqrt(2*a1) - a1 + 1",
              "a1 - 2 + 2*sqrt(2*a1)",
-             "a1 + 1 - sqrt(2*a1)",
-             frees=("a1",)),
+             "a1 + 1 - sqrt(2*a1)"),
         _row("A2_3", "-1", "0", "-1"),
-        _row("A4_3", "a1", "-a1 + sqrt(-a1^2 - 1)", frees=("a1",)),
-        _row("A4_3", "a1", "-a1 - sqrt(-a1^2 - 1)", frees=("a1",)),
+        _row("A4_3", "a1", "-a1 + sqrt(-a1^2 - 1)"),
+        _row("A4_3", "a1", "-a1 - sqrt(-a1^2 - 1)"),
         _row("A5_3", "-1"),
         _row("A5_3", "1"),
         _row("A8_3", "sqrt(-1)"),
@@ -969,10 +954,10 @@ _CHAR3_CLAIMS: Dict[str, Tuple[ClaimedRow, ...]] = {
         _row("A12_3"),
     ),
     "I30": (
-        _row("A2_3", "a1", "b1", "1 - a1", frees=("a1", "b1")),
-        _row("A3_3", "b1", "1", frees=("b1",)),
-        _row("A4_3", "a1", "1 - a1", frees=("a1",)),
-        _row("A4_3", "a1", "2*a1 - 1", frees=("a1",)),
+        _row("A2_3", "a1", "b1", "1 - a1"),
+        _row("A3_3", "b1", "1"),
+        _row("A4_3", "a1", "1 - a1"),
+        _row("A4_3", "a1", "2*a1 - 1"),
         _row("A9_3"),
         _row("A10_3"),
         _row("A11_3"),
@@ -1018,8 +1003,9 @@ class OppositeRow(NamedTuple):
     kind == "equal": opposite(source) is literally the image matrix.
     kind == "iso":   opposite(source) is isomorphic to the image; when a
     change-of-basis witness g is recorded, change_basis(opposite(source), g)
-    must equal the image.  ``samples`` freezes rational points for the
-    parametric rows; over finite fields the parameters are enumerated.
+    must equal the image.  The ``frees`` are the bare source arguments.
+    ``samples`` freezes rational points for the parametric rows; over
+    finite fields the parameters are enumerated.
     """
 
     source_family: str
@@ -1094,7 +1080,7 @@ class OppositeInstance(NamedTuple):
         return _point_label(self.row.label(), self.row.frees, self.point)
 
 
-def _opp(src, src_args, kind, img, img_args, frees=(), witness=None, nz=(),
+def _opp(src, src_args, kind, img, img_args, witness=None, nz=(),
          samples=(), note=""):
     return OppositeRow(
         source_family=src,
@@ -1102,7 +1088,7 @@ def _opp(src, src_args, kind, img, img_args, frees=(), witness=None, nz=(),
         kind=kind,
         image_family=img,
         image_args=tuple(img_args),
-        frees=tuple(frees),
+        frees=_bare_names(src_args),
         witness=witness,
         nonzero=tuple(nz),
         samples=tuple(samples),
@@ -1126,37 +1112,35 @@ _OPP_PTS_2 = (("1", "1"), ("2", "3"), ("-1", "2"), ("1/2", "5"), ("3", "-2"))
 _CHAR0_OPPOSITE = (
     _opp("A1", ("a1", "a2", "a4", "b1"), "iso",
          "A1", ("-a2", "-a1", "b1", "a4"),
-         frees=("a1", "a2", "a4", "b1"),
          witness=(("0", "1"), ("1", "0")), samples=_OPP_PTS_A1),
     _opp("A2", ("a1", "b1", "b2"), "iso",
          "A2", ("a1/(a1 + b2)", "b1/((a1 + b2)*sqrt(a1 + b2))",
                 "(1 - a1)/(a1 + b2)"),
-         frees=("a1", "b1", "b2"),
          witness=(("a1 + b2", "0"), ("0", "sqrt(a1 + b2)")),
          nz=("a1 + b2",), samples=_OPP_PTS_A2),
     _opp("A2", ("a1", "b1", "-a1"), "equal", "A6", ("a1", "b1"),
-         frees=("a1", "b1"), samples=_OPP_PTS_2),
+         samples=_OPP_PTS_2),
     _opp("A3", ("b1", "b2"), "iso", "A3", ("b1/b2^2", "1/b2"),
-         frees=("b1", "b2"), witness=(("b2", "0"), ("0", "1")),
+         witness=(("b2", "0"), ("0", "1")),
          nz=("b2",), samples=_OPP_PTS_A3),
     _opp("A3", ("b1", "0"), "equal", "A7", ("b1",),
-         frees=("b1",), samples=_OPP_PTS_1),
+         samples=_OPP_PTS_1),
     _opp("A4", ("a1", "b2"), "iso",
          "A4", ("a1/(a1 + b2)", "(1 - a1)/(a1 + b2)"),
-         frees=("a1", "b2"), witness=(("a1 + b2", "0"), ("0", "1")),
+         witness=(("a1 + b2", "0"), ("0", "1")),
          nz=("a1 + b2",), samples=_OPP_PTS_A4),
     _opp("A4", ("a1", "-a1"), "equal", "A8", ("a1",),
-         frees=("a1",), samples=_OPP_PTS_1),
+         samples=_OPP_PTS_1),
     _opp("A5", ("a1",), "iso", "A5", ("a1/(3*a1 - 1)",),
-         frees=("a1",), witness=(("3*a1 - 1", "0"), ("0", "(3*a1 - 1)^2")),
+         witness=(("3*a1 - 1", "0"), ("0", "(3*a1 - 1)^2")),
          nz=("3*a1 - 1",), samples=_OPP_PTS_1),
     _opp("A5", ("1/3",), "equal", "A9", ()),
     _opp("A6", ("a1", "b1"), "equal", "A2", ("a1", "b1", "-a1"),
-         frees=("a1", "b1"), samples=_OPP_PTS_2),
+         samples=_OPP_PTS_2),
     _opp("A7", ("b1",), "equal", "A3", ("b1", "0"),
-         frees=("b1",), samples=_OPP_PTS_1),
+         samples=_OPP_PTS_1),
     _opp("A8", ("a1",), "equal", "A4", ("a1", "-a1"),
-         frees=("a1",), samples=_OPP_PTS_1),
+         samples=_OPP_PTS_1),
     _opp("A9", (), "equal", "A5", ("1/3",)),
     _opp("A10", (), "equal", "A10", ()),
     _opp("A11", (), "equal", "A11", ()),
@@ -1165,30 +1149,27 @@ _CHAR0_OPPOSITE = (
 
 _CHAR2_OPPOSITE = (
     _opp("A1_2", ("a1", "a2", "a4", "b1"), "iso",
-         "A1_2", ("a2", "a1", "b1", "a4"),
-         frees=("a1", "a2", "a4", "b1")),
+         "A1_2", ("a2", "a1", "b1", "a4")),
     _opp("A2_2", ("a1", "b1", "b2"), "iso",
          "A2_2", ("a1/(a1 + b2)", "b1/((a1 + b2)*sqrt(a1 + b2))",
                   "(1 + a1)/(a1 + b2)"),
-         frees=("a1", "b1", "b2"), nz=("a1 + b2",)),
-    _opp("A2_2", ("a1", "b1", "a1"), "equal", "A6_2", ("a1", "b1"),
-         frees=("a1", "b1")),
+         nz=("a1 + b2",)),
+    _opp("A2_2", ("a1", "b1", "a1"), "equal", "A6_2", ("a1", "b1")),
     _opp("A3_2", ("a1", "b2"), "iso",
          "A3_2", ("a1/(a1 + b2)", "(1 + a1)/(a1 + b2)"),
-         frees=("a1", "b2"), witness=(("a1 + b2", "0"), ("0", "1")),
+         witness=(("a1 + b2", "0"), ("0", "1")),
          nz=("a1 + b2",)),
-    _opp("A3_2", ("a1", "a1"), "equal", "A7_2", ("a1",), frees=("a1",)),
+    _opp("A3_2", ("a1", "a1"), "equal", "A7_2", ("a1",)),
     _opp("A4_2", ("a1", "b2"), "iso",
          "A4_2", ("a1/(a1 + b2)", "(1 + a1)/(a1 + b2)"),
-         frees=("a1", "b2"), nz=("a1 + b2",)),
-    _opp("A4_2", ("a1", "a1"), "equal", "A8_2", ("a1",), frees=("a1",)),
+         nz=("a1 + b2",)),
+    _opp("A4_2", ("a1", "a1"), "equal", "A8_2", ("a1",)),
     _opp("A5_2", ("a1",), "iso", "A5_2", ("a1/(a1 + 1)",),
-         frees=("a1",), nz=("a1 + 1",)),
+         nz=("a1 + 1",)),
     _opp("A5_2", ("1",), "equal", "A9_2", ()),
-    _opp("A6_2", ("a1", "b1"), "equal", "A2_2", ("a1", "b1", "a1"),
-         frees=("a1", "b1")),
-    _opp("A7_2", ("a1",), "equal", "A3_2", ("a1", "a1"), frees=("a1",)),
-    _opp("A8_2", ("a1",), "equal", "A4_2", ("a1", "a1"), frees=("a1",)),
+    _opp("A6_2", ("a1", "b1"), "equal", "A2_2", ("a1", "b1", "a1")),
+    _opp("A7_2", ("a1",), "equal", "A3_2", ("a1", "a1")),
+    _opp("A8_2", ("a1",), "equal", "A4_2", ("a1", "a1")),
     _opp("A9_2", (), "equal", "A5_2", ("1",)),
     _opp("A10_2", (), "equal", "A10_2", ()),
     _opp("A11_2", (), "equal", "A11_2", ()),
@@ -1197,26 +1178,23 @@ _CHAR2_OPPOSITE = (
 
 _CHAR3_OPPOSITE = (
     _opp("A1_3", ("a1", "a2", "a4", "b1"), "iso",
-         "A1_3", ("-a2", "-a1", "b1", "a4"),
-         frees=("a1", "a2", "a4", "b1")),
+         "A1_3", ("-a2", "-a1", "b1", "a4")),
     _opp("A2_3", ("a1", "b1", "b2"), "iso",
          "A2_3", ("a1/(a1 + b2)", "b1/((a1 + b2)*sqrt(a1 + b2))",
                   "(1 - a1)/(a1 + b2)"),
-         frees=("a1", "b1", "b2"), nz=("a1 + b2",)),
-    _opp("A2_3", ("a1", "b1", "-a1"), "equal", "A6_3", ("a1", "b1"),
-         frees=("a1", "b1")),
+         nz=("a1 + b2",)),
+    _opp("A2_3", ("a1", "b1", "-a1"), "equal", "A6_3", ("a1", "b1")),
     _opp("A3_3", ("b1", "b2"), "iso", "A3_3", ("b1/b2^2", "1/b2"),
-         frees=("b1", "b2"), nz=("b2",)),
-    _opp("A3_3", ("b1", "0"), "equal", "A7_3", ("b1",), frees=("b1",)),
+         nz=("b2",)),
+    _opp("A3_3", ("b1", "0"), "equal", "A7_3", ("b1",)),
     _opp("A4_3", ("a1", "b2"), "iso",
          "A4_3", ("a1/(a1 + b2)", "(1 - a1)/(a1 + b2)"),
-         frees=("a1", "b2"), nz=("a1 + b2",)),
-    _opp("A4_3", ("a1", "-a1"), "equal", "A8_3", ("a1",), frees=("a1",)),
-    _opp("A5_3", ("a1",), "iso", "A5_3", ("-a1",), frees=("a1",)),
-    _opp("A6_3", ("a1", "b1"), "equal", "A2_3", ("a1", "b1", "-a1"),
-         frees=("a1", "b1")),
-    _opp("A7_3", ("b1",), "equal", "A3_3", ("b1", "0"), frees=("b1",)),
-    _opp("A8_3", ("a1",), "equal", "A4_3", ("a1", "-a1"), frees=("a1",)),
+         nz=("a1 + b2",)),
+    _opp("A4_3", ("a1", "-a1"), "equal", "A8_3", ("a1",)),
+    _opp("A5_3", ("a1",), "iso", "A5_3", ("-a1",)),
+    _opp("A6_3", ("a1", "b1"), "equal", "A2_3", ("a1", "b1", "-a1")),
+    _opp("A7_3", ("b1",), "equal", "A3_3", ("b1", "0")),
+    _opp("A8_3", ("a1",), "equal", "A4_3", ("a1", "-a1")),
     _opp("A9_3", (), "equal", "A9_3", ()),
     _opp("A10_3", (), "equal", "A10_3", ()),
     _opp("A11_3", (), "equal", "A11_3", ()),
@@ -1233,12 +1211,12 @@ OPPOSITE_TABLES: Dict[str, Tuple[OppositeRow, ...]] = {
 
 SELF_OPPOSITE: Dict[str, Tuple[ClaimedRow, ...]] = {
     REGIME_CHAR0: (
-        _row("A1", "a1", "-a1", "a2", "a2", frees=("a1", "a2")),
-        _row("A2", "a1", "b1", "1 - a1", frees=("a1", "b1")),
+        _row("A1", "a1", "-a1", "a2", "a2"),
+        _row("A2", "a1", "b1", "1 - a1"),
         _row("A2", "0", "0", "-1", sqrt_req=("-1",)),
-        _row("A3", "b1", "-1", frees=("b1",)),
-        _row("A3", "b1", "1", frees=("b1",)),
-        _row("A4", "a1", "1 - a1", frees=("a1",)),
+        _row("A3", "b1", "-1"),
+        _row("A3", "b1", "1"),
+        _row("A4", "a1", "1 - a1"),
         _row("A4", "0", "-1"),
         _row("A5", "2/3"),
         _row("A5", "0"),
@@ -1247,22 +1225,22 @@ SELF_OPPOSITE: Dict[str, Tuple[ClaimedRow, ...]] = {
         _row("A12"),
     ),
     REGIME_CHAR2: (
-        _row("A1_2", "a1", "a1", "a2", "a2", frees=("a1", "a2")),
-        _row("A2_2", "a1", "b1", "1 + a1", frees=("a1", "b1")),
-        _row("A3_2", "a1", "1 + a1", frees=("a1",)),
-        _row("A4_2", "a1", "1 + a1", frees=("a1",)),
+        _row("A1_2", "a1", "a1", "a2", "a2"),
+        _row("A2_2", "a1", "b1", "1 + a1"),
+        _row("A3_2", "a1", "1 + a1"),
+        _row("A4_2", "a1", "1 + a1"),
         _row("A5_2", "0"),
         _row("A10_2"),
         _row("A11_2"),
         _row("A12_2"),
     ),
     REGIME_CHAR3: (
-        _row("A1_3", "a1", "-a1", "a2", "a2", frees=("a1", "a2")),
-        _row("A2_3", "a1", "b1", "1 - a1", frees=("a1", "b1")),
+        _row("A1_3", "a1", "-a1", "a2", "a2"),
+        _row("A2_3", "a1", "b1", "1 - a1"),
         _row("A2_3", "0", "0", "-1", sqrt_req=("-1",)),
-        _row("A3_3", "b1", "-1", frees=("b1",)),
-        _row("A3_3", "b1", "1", frees=("b1",)),
-        _row("A4_3", "a1", "1 - a1", frees=("a1",)),
+        _row("A3_3", "b1", "-1"),
+        _row("A3_3", "b1", "1"),
+        _row("A4_3", "a1", "1 - a1"),
         _row("A4_3", "0", "-1"),
         _row("A5_3", "0"),
         _row("A9_3"),
@@ -1385,19 +1363,18 @@ SECTION3_ROWS: Tuple[WorkedRow, ...] = tuple(WorkedRow(*r) for r in (
 def row_covers(row: ClaimedRow, field: Field, candidate: Msc) -> bool:
     """Whether some parameter assignment of `row` yields exactly `candidate`.
 
-    Every free parameter of a claim row appears verbatim as one of the
-    arguments (a module invariant, asserted below), and every family
-    parameter appears verbatim as a template cell; together these force the
+    The free parameters of a claim row are its bare arguments, and the
+    family's parameters are its bare template cells; so each free's first
+    argument slot reads its value off one cell of `candidate`.  That is the
     only possible binding, which is then verified by full instantiation.
     """
     fam = family(row.family)
     env: Dict[str, Scalar] = {}
-    for free in row.frees:
-        slot = next(
-            j for j, a in enumerate(row.args) if a.strip() == free
-        )
-        r, c = fam.param_cell(fam.params[slot])
-        env[free] = candidate.rows[r][c]
+    for arg, param in zip(row.args, fam.params):
+        name = arg.strip()
+        if name in row.frees and name not in env:
+            r, c = fam.param_cell(param)
+            env[name] = candidate.rows[r][c]
     vals, skip = _values_at(field, env, row.args)
     if skip or not _conditions_hold(field, env, row.nonzero, row.zero):
         return False
@@ -1431,11 +1408,7 @@ def negative_instances(regime: str, identity_name: str, field: Field,
 
 
 def _check_table_invariants() -> None:
-    # every family parameter is a bare template cell
-    for fam in FAMILIES.values():
-        for p in fam.params:
-            fam.param_cell(p)
-    # every claim-row free appears verbatim as an argument
+    # every row gives each family it names one argument per parameter
     all_rows: List[ClaimedRow] = []
     for table in CLAIMED_SOLUTIONS.values():
         for rows in table.values():
@@ -1449,11 +1422,6 @@ def _check_table_invariants() -> None:
             raise ParamCountMismatch(
                 "row %s: %d args for family of arity %d"
                 % (row.label(), len(row.args), fam.arity))
-        for free in row.frees:
-            if not any(a.strip() == free for a in row.args):
-                raise UnknownFamily(
-                    "row %s: free %s has no bare argument slot"
-                    % (row.label(), free))
     for table in OPPOSITE_TABLES.values():
         for orow in table:
             src = family(orow.source_family)

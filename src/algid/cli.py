@@ -294,7 +294,7 @@ def _iso(prog: str, argv: List[str]) -> int:
     witness_json = None
     if a.witness:
         try:
-            raw = json.loads(a.witness)
+            raw = json.loads(a.witness, parse_int=_json_int)
             g = tuple(tuple(A.field.scalar(x) for x in row) for row in raw)
             if len(g) != 2 or any(len(r) != 2 for r in g):
                 raise ValueError("expected a 2x2 matrix")

@@ -313,17 +313,6 @@ def parse_expr(text: str) -> _Node:
     return node
 
 
-def expr_variables(node: _Node) -> set:
-    kind = node[0]
-    if kind == "var":
-        return {node[1]}
-    if kind in ("num",):
-        return set()
-    if kind == "pow":
-        return expr_variables(node[1])
-    return set().union(*(expr_variables(c) for c in node[1:] if isinstance(c, tuple)))
-
-
 def _power(base, n: int, one):
     """base ** n by square-and-multiply; `one` is the empty product."""
     out = one

@@ -145,6 +145,11 @@ class TestClaimTables:
                 for row in rows:
                     assert family(row.family).regime == regime
 
+    def test_repeated_bare_argument_is_one_free(self):
+        row = SELF_OPPOSITE[REGIME_CHAR0][0]
+        assert row.label() == "A1(a1, -a1, a2, a2)"
+        assert row.frees == ("a1", "a2")
+
     def test_char5_swap_only_for_i19(self):
         assert claimed_rows(REGIME_CHAR0, "I19", F5) is CHAR5_I19_ROWS
         assert claimed_rows(REGIME_CHAR0, "I19", QQ) is not CHAR5_I19_ROWS
@@ -224,6 +229,12 @@ class TestClaimTables:
 
 
 class TestOppositeTables:
+    def test_frees_are_the_bare_source_arguments(self):
+        frees = {row.label(): row.frees for row in OPPOSITE_TABLES[REGIME_CHAR0]}
+        assert frees["opposite(A4(a1, -a1)) = A8(a1)"] == ("a1",)
+        assert frees["opposite(A8(a1)) = A4(a1, -a1)"] == ("a1",)
+        assert frees["opposite(A5(1/3)) = A9"] == ()
+
     def test_equal_rows_hold_symbolically_char0(self):
         for row in OPPOSITE_TABLES[REGIME_CHAR0]:
             if row.kind != "equal":

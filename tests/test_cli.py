@@ -348,6 +348,22 @@ class TestCatalog:
         flagged = [row["label"] for row in doc["rows"] if row["erratum"]]
         assert flagged == ["A5_2(0)"]
 
+    def test_claims_frees_are_the_bare_arguments(self):
+        r = runner.invoke(main, ["catalog", "claims", "--identity", "I5",
+                                 "--regime", "char0"])
+        frees = {row["label"]: row["frees"] for row in json.loads(r.output)["rows"]}
+        assert frees["A2(a1, b1, 1 - a1)"] == ["a1", "b1"]
+        assert frees["A4(a1, 1 - a1)"] == frees["A4(a1, 2*a1 - 1)"] == ["a1"]
+        assert frees["A10"] == []
+
+    def test_show_params_are_the_bare_cells_in_row_major_order(self):
+        r = runner.invoke(main, ["catalog", "show", "A1", "--json"])
+        assert json.loads(r.output)["params"] == ["a1", "a2", "a4", "b1"]
+
+    def test_list_gives_each_family_the_regime_of_its_table(self):
+        r = runner.invoke(main, ["catalog", "list", "--regime", "char3"])
+        assert r.output.splitlines()[0] == "A1_3(a1, a2, a4, b1)  [char3]"
+
 
 class TestScan:
     def test_text_count(self):
@@ -705,6 +721,14 @@ class TestInputContracts:
         assert isinstance(r.exception, SystemExit)
         assert "integer longer than 4300 digits" in r.output
 
+    def test_overlong_witness_number_is_usage_error(self, a4_file):
+        r = runner.invoke(main, ["iso", "--a", a4_file, "--b", a4_file,
+                                 "--witness", "[[%s,0],[0,1]]" % ("9" * 5000)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == "Error: bad witness: integer longer than 4300 digits\n"
+        assert "set_int_max_str_digits" not in r.output
+        assert "Traceback" not in r.output
 
     def test_overlong_json_number_is_usage_error(self, tmp_path):
         path = tmp_path / "big.json"
