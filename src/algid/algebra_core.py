@@ -14,13 +14,19 @@ promotion of a scalar to a constant polynomial lives in the Scalar and
 MultiPoly operators themselves: a scalar combines with a polynomial, and
 equals and hashes like the constant polynomial of its value, so nothing here
 converts entries before computing or comparing.
+
+A change of basis g carries A onto B when g.A == B.(g (x) g).
+`conjugates_to` checks a given g in that division-free form, on any entries;
+`search_iso` enumerates GL_2 of a small prime field for the first such g,
+on residues mod p.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+import itertools
+from typing import Sequence, Tuple, Union
 
-from .errors import AlgidError, DimensionMismatch, FieldMismatch
+from .errors import AlgidError, DimensionMismatch, FieldMismatch, SearchSpaceTooLarge
 from .exactnum import Field, Scalar, inv
 from .multipoly import MultiPoly
 
@@ -86,10 +92,6 @@ class Msc:
 
     # -- structure -----------------------------------------------------------
 
-    @property
-    def dim(self) -> int:
-        return 2
-
     def is_concrete(self) -> bool:
         return all(isinstance(x, Scalar) for row in self.rows for x in row)
 
@@ -127,29 +129,6 @@ class Msc:
         r1 = ", ".join(repr(x) for x in self.rows[0])
         r2 = ", ".join(repr(x) for x in self.rows[1])
         return f"Msc([{r1}; {r2}])"
-
-    def table(self) -> List[str]:
-        """Multiplication table lines e_i e_j = ... for display."""
-        cols = [(1, 1), (1, 2), (2, 1), (2, 2)]
-        lines = []
-        for k, (i, j) in enumerate(cols):
-            parts = []
-            for r in (0, 1):
-                c = self.rows[r][k]
-                text = str(c)
-                if text == "0":
-                    continue
-                if text == "1":
-                    parts.append(f"e{r + 1}")
-                elif text == "-1":
-                    parts.append(f"-e{r + 1}")
-                elif any(op in text for op in (" + ", " - ")):
-                    parts.append(f"({text}) e{r + 1}")
-                else:
-                    parts.append(f"{text} e{r + 1}")
-            rhs = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-            lines.append(f"e{i} e{j} = {rhs}")
-        return lines
 
     def to_json(self) -> dict:
         return {
@@ -227,3 +206,52 @@ def conjugates_to(A: Msc, B: Msc, g: Sequence[Sequence[Entry]]) -> bool:
     if det2(g).is_zero():
         return False
     return mat_mul(g, A.rows) == mat_mul(B.rows, mat_kron(g, g))
+
+
+# -- isomorphism search --------------------------------------------------------
+
+_GL_ENUM_LIMIT = 20000
+
+
+def _conjugates_mod_p(a, b, g, p: int) -> bool:
+    """g.a == b.(g (x) g) mod p on residue rows, stopping at the first
+    mismatched entry.  Column (j, l) of g (x) g is column j of g tensored
+    with column l, the layout of mat_kron."""
+    (g11, g12), (g21, g22) = g
+    cols = ((g11, g21), (g12, g22))
+    for c, ((x1, x2), (y1, y2)) in enumerate(
+            itertools.product(cols, repeat=2)):
+        k = (x1 * y1, x1 * y2, x2 * y1, x2 * y2)
+        for (r0, r1), brow in zip(g, b):
+            lhs = r0 * a[0][c] + r1 * a[1][c]
+            rhs = brow[0] * k[0] + brow[1] * k[1] + brow[2] * k[2] + brow[3] * k[3]
+            if (lhs - rhs) % p:
+                return False
+    return True
+
+
+def search_iso(A: Msc, B: Msc):
+    """First change of basis (in lexicographic entry order) carrying A to B,
+    or None.  Exhaustive over GL_2 of a small finite field; A and B need
+    concrete structure constants, which are compared as residues mod p."""
+    f = A.field
+    if B.field != f:
+        raise FieldMismatch("cannot search between different fields")
+    if f.kind == "Q":
+        raise AlgidError("isomorphism search enumerates GL2 of a finite field")
+    if f.p ** 4 > _GL_ENUM_LIMIT:
+        raise SearchSpaceTooLarge(
+            "GL2(F_%d) enumeration (%d matrices) is over the limit"
+            % (f.p, f.p ** 4))
+    if not (A.is_concrete() and B.is_concrete()):
+        raise AlgidError("isomorphism search needs concrete structure constants")
+    p = f.p
+    a = [[x.value for x in row] for row in A.rows]
+    b = [[x.value for x in row] for row in B.rows]
+    for g11, g12, g21, g22 in itertools.product(range(p), repeat=4):
+        if (g11 * g22 - g12 * g21) % p == 0:
+            continue
+        g = ((g11, g12), (g21, g22))
+        if _conjugates_mod_p(a, b, g, p):
+            return tuple(tuple(f.scalar(x) for x in row) for row in g)
+    return None

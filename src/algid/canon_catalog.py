@@ -107,15 +107,11 @@ def _symbolic(texts: Sequence[str], field: Field) -> Tuple[MultiPoly, ...]:
     return tuple(expr_to_poly(_node(t), field) for t in texts)
 
 
-def scalar_text(s: Scalar) -> str:
-    return str(s.value)
-
-
 def _point_label(base: str, frees: Sequence[str],
                  point: Tuple[Scalar, ...]) -> str:
     if not point:
         return base
-    at = ", ".join("%s=%s" % (f, scalar_text(v)) for f, v in zip(frees, point))
+    at = ", ".join("%s=%s" % (f, v) for f, v in zip(frees, point))
     return "%s @ %s" % (base, at)
 
 
@@ -402,7 +398,7 @@ class ClaimInstance(NamedTuple):
                 return self.row.family
             return "%s(%s)" % (
                 self.row.family,
-                ", ".join(scalar_text(v) for v in self.arg_values),
+                ", ".join(str(v) for v in self.arg_values),
             )
         return _point_label(self.row.label(), self.row.frees, self.point)
 

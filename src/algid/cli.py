@@ -1,24 +1,28 @@
 """Command-line interface.
 
 Exit codes: 0 when the requested checks hold (or the command just prints
-data), 1 when a verification produced failures, 2 for usage or input errors.
+data), 1 when a verification produced failures, 2 for usage or input errors
+and for output that could not be written because the reader closed the pipe.
 Output is deterministic; `verify-paper` adds a timestamp that `--no-timestamp`
 removes so runs can be compared byte for byte.
 
 A one-shot process pays for every module it imports, so only the chosen
 command's parser is built, and each command imports the modules it uses when
-it runs: `expand` on the generic algebra loads neither the catalog nor the
-verifier, `catalog` loads neither the verifier nor the expander, and
-`opposite` and `iso --witness` load no catalog.
+it runs.  Only `scan` and `verify-paper` load the verifier, and with it the
+catalog.  `check`, `expand` and `alternating` take their kernels from the
+expander and `iso` from algebra_core; of those, only an algebra named by
+`--family` loads the catalog.  `catalog` loads neither the verifier nor the
+expander, and `opposite` loads none of the three.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import Msc, conjugates_to
+from .algebra_core import Msc, conjugates_to, search_iso
 from .errors import AlgidError, IdentitySyntaxError, NumberTooLong, UnknownIdentity
 from .exactnum import QQ, Field, field_make
 from .identity_lang import (
@@ -68,7 +72,7 @@ def _load_algebra(path: str) -> Msc:
         raise _InputError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    except NumberTooLong as exc:
+    except (NumberTooLong, RecursionError) as exc:
         raise _InputError(f"{path}: {exc}")
     try:
         return Msc.from_json(data)
@@ -202,7 +206,7 @@ def _check(prog: str, argv: List[str]) -> int:
                         help="Check pointwise over a finite field instead of formally.")
     parser.add_argument("--json", action="store_true")
     a = _parse(parser, argv)
-    from .verifier import check_formal, check_functional
+    from .expander import check_formal, check_functional
 
     A = _resolve_algebra(a.algebra, a.family, a.args, a.field)
     ident = _resolve_identity(a.identity)
@@ -298,13 +302,11 @@ def _iso(prog: str, argv: List[str]) -> int:
             g = tuple(tuple(A.field.scalar(x) for x in row) for row in raw)
             if len(g) != 2 or any(len(r) != 2 for r in g):
                 raise ValueError("expected a 2x2 matrix")
-        except (ValueError, TypeError, AlgidError) as exc:
+        except (ValueError, TypeError, RecursionError, AlgidError) as exc:
             raise _InputError(f"bad witness: {exc}")
         found = conjugates_to(A, B, g)
         witness_json = raw if found else None
     else:
-        from .verifier import search_iso
-
         g = search_iso(A, B)
         found = g is not None
         if found:
@@ -525,7 +527,7 @@ def _alternating(prog: str, argv: List[str]) -> int:
     parser.add_argument("--field")
     parser.add_argument("--json", action="store_true")
     a = _parse(parser, argv)
-    from .verifier import alternating_determinant_law, alternating_vanishes, word_shapes
+    from .expander import alternating_determinant_law, alternating_vanishes, word_shapes
 
     if a.m != 2:
         raise _InputError("only dimension 2 is supported")
@@ -598,13 +600,21 @@ CATALOG_COMMANDS: Dict[str, Command] = {
 
 def main(argv: Optional[Sequence[str]] = None, prog_name: str = "algid") -> None:
     """Run one command line (default: the process's arguments) and exit with
-    its code; an AlgidError is reported as `Error: <message>` with exit 2."""
+    its code; an AlgidError is reported as `Error: <message>` with exit 2.
+    Output that cannot be written because the reader closed the pipe is
+    exit 2 with nothing on stderr."""
     args = sys.argv[1:] if argv is None else list(argv)
     try:
         code = _dispatch(prog_name, "Exact checks of polynomial identities on "
                          "2-dimensional algebras.", COMMANDS, args)
+        sys.stdout.flush()
     except AlgidError as exc:
         print(f"Error: {exc}", file=sys.stderr)
+        code = 2
+    except BrokenPipeError:
+        # What stdout still buffers goes to devnull when the interpreter
+        # flushes it at exit, instead of failing there a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 2
     sys.exit(code)
 

@@ -19,7 +19,9 @@ integers and decides the identity there without expanding a polynomial.
 The coordinates of the identity's variables, in order of first appearance,
 are x, y, z, s, t, q, r.  This is the package's one expansion mechanism:
 symbolic checks, `algid expand`, both alternation laws and the printed
-Section 3 rows all read `expand`'s system.
+Section 3 rows all read `expand`'s system.  The per-algebra checks live here
+too: `check_formal` and `check_functional` wrap `first_nonzero` (or `expand`
+on a symbolic algebra), and the alternating-word laws read `expand`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .algebra_core import GENERIC_NAMES, Msc
-from .errors import ExpansionTooLarge, FieldMismatch, TooManyVariables
+from .errors import (
+    AlgidError,
+    ExpansionTooLarge,
+    FieldMismatch,
+    ShapeArityMismatch,
+    TooManyVariables,
+)
 from .exactnum import QQ, Field, inv
 from .identity_lang import (
     Assoc,
@@ -43,10 +51,11 @@ from .identity_lang import (
     Var,
     Word,
     identity_variables,
+    variables,
     word_leaves,
     word_terms,
 )
-from .multipoly import Monomial, MultiPoly, mon_degree, mon_sort_key
+from .multipoly import Monomial, MultiPoly, mon_degree, mon_sort_key, render_monomial
 from .records import record
 
 COORD_PREFIXES = ("x", "y", "z", "s", "t", "q", "r")
@@ -132,6 +141,96 @@ def expand(ident: Identity, A: Optional[Msc] = None, field: Optional[Field] = No
     equations = [Equation(row, mon, _multipoly(f, terms, d ** (mon_degree(mon) - 1), scalar))
                  for row, mon, terms in tensor_plan(ident, f, False).system(names, entries)]
     return PolySystem(f, equations, ident.name)
+
+
+# -- alternating words ------------------------------------------------------------
+
+
+def _perm_sign(perm: Sequence[int]) -> int:
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def _subst_word(word: Word, mapping: Dict[str, str]) -> Word:
+    if isinstance(word, Var):
+        return Var(mapping.get(word.name, word.name))
+    if isinstance(word, Prod):
+        return Prod(_subst_word(word.left, mapping),
+                    _subst_word(word.right, mapping))
+    raise ShapeArityMismatch("shapes are product words built with * only")
+
+
+def word_shapes(n: int) -> List[Tuple[str, Word]]:
+    """All product shapes in variables v1..vn, each used once.
+
+    n=2 gives the two orders; n=3 gives the twelve left/right bracketings.
+    """
+    names = tuple("v%d" % (k + 1) for k in range(n))
+    if n == 2:
+        return [
+            ("v1 v2", Prod(Var("v1"), Var("v2"))),
+            ("v2 v1", Prod(Var("v2"), Var("v1"))),
+        ]
+    if n == 3:
+        out = []
+        for p in itertools.permutations(names):
+            out.append(("(%s %s) %s" % p,
+                        Prod(Prod(Var(p[0]), Var(p[1])), Var(p[2]))))
+            out.append(("%s (%s %s)" % p,
+                        Prod(Var(p[0]), Prod(Var(p[1]), Var(p[2])))))
+        return out
+    raise AlgidError("shapes are provided for 2 or 3 variables")
+
+
+def alternating_sum(shape: Word, n: int) -> Sum:
+    """The signed sum of `shape` over permutations of its first n leaves."""
+    names = variables(shape)
+    if n > len(names):
+        raise ShapeArityMismatch(
+            f"cannot alternate {n} variables in a word with {len(names)}")
+    alt = names[:n]
+    terms = []
+    for perm in itertools.permutations(range(n)):
+        mapping = {alt[i]: alt[perm[i]] for i in range(n)}
+        terms.append((_perm_sign(perm), _subst_word(shape, mapping)))
+    out = Sum(tuple(terms))
+    # Callers evaluate the sum on the generic algebra.
+    check_budget(Identity("alternation", out, Sum(())))
+    return out
+
+
+def alternating_vanishes(A: Msc, shape: Word, n: int = 3) -> bool:
+    """The alternating sum over n variables is identically zero on A
+    (always true when n exceeds the dimension)."""
+    return expand(Identity("alternation", alternating_sum(shape, n), Sum(())), A).is_zero()
+
+
+# The coordinate monomials of the determinant |u, v| = x1 y2 - x2 y1.
+_X1Y2 = (("x1", 1), ("y2", 1))
+_X2Y1 = (("x2", 1), ("y1", 1))
+
+
+def alternating_determinant_law(A: Msc, shape: Word) -> bool:
+    """w_alt(u, v) == |u, v| * w_alt(e1, e2) as polynomials over A.
+
+    Read from the expansion of the 2-variable alternation: the law holds iff
+    each row's equations are exactly x1 y2 with some coefficient c and x2 y1
+    with -c (none when c = 0).  Then c is that row of w_alt(e1, e2), the sum
+    of the coefficients whose monomial uses only x1 and y2.
+    """
+    equations = expand(Identity("alternation", alternating_sum(shape, 2), Sum(())), A).equations
+    if len(variables(shape)) != 2:
+        raise ShapeArityMismatch("the basis value needs a 2-variable word")
+    for row in (0, 1):
+        got = {eq.monomial: eq.poly for eq in equations if eq.row == row}
+        c = got.get(_X1Y2)
+        if got != ({} if c is None else {_X1Y2: c, _X2Y1: -c}):
+            return False
+    return True
 
 
 # -- linear span comparison ------------------------------------------------------
@@ -534,6 +633,46 @@ def tensor_plan(ident: Identity, field: Field, functional: bool) -> TensorPlan:
     """The identity's cached plan, shared by `expand`, checks and scans; the
     expansion budget is checked on a miss, before any word is expanded."""
     return TensorPlan(ident, field, functional)
+
+
+# -- satisfaction checks ----------------------------------------------------------
+
+
+@record
+class FormalCheck(NamedTuple):
+    ok: bool
+    witness: Optional[Equation]
+
+    def witness_text(self) -> str:
+        if self.witness is None:
+            return ""
+        eq = self.witness
+        return "e%d coefficient of %s = %s" % (
+            eq.row + 1, render_monomial(eq.monomial), eq.poly.render())
+
+
+def _verdict(witness: Optional[Equation]) -> FormalCheck:
+    return FormalCheck(witness is None, witness)
+
+
+def check_formal(A: Msc, ident: Identity) -> FormalCheck:
+    """Does the identity hold as a formal polynomial law on A?  Both run the
+    identity's `TensorPlan`: on a concrete algebra's entries as numbers,
+    stopping at the first nonzero equation; on symbolic entries through
+    `expand`, as polynomials in A's parameters."""
+    if A.is_concrete():
+        return _verdict(tensor_plan(ident, A.field, False).first_nonzero(A))
+    equations = expand(ident, A).equations
+    return _verdict(equations[0] if equations else None)
+
+
+def check_functional(A: Msc, ident: Identity) -> FormalCheck:
+    """Does the identity hold for every tuple of elements of A over F_p?"""
+    if A.field.kind == "Q":
+        raise AlgidError("functional checking needs a finite field")
+    if not A.is_concrete():
+        raise AlgidError("functional checking needs concrete structure constants")
+    return _verdict(tensor_plan(ident, A.field, True).first_nonzero(A))
 
 
 # -- tensor-matrix view -------------------------------------------------------------

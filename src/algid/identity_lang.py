@@ -398,21 +398,6 @@ def word_leaves(w: Word) -> Iterator[str]:
         yield from word_leaves(w.right)
 
 
-def is_multilinear(ident: Identity) -> bool:
-    """True when every expanded word contains each identity variable exactly once."""
-    names = set(identity_variables(ident))
-    if not names:
-        return False
-    for side in (ident.lhs, ident.rhs):
-        for w in word_terms(side):
-            counts: Dict[str, int] = {}
-            for name in word_leaves(w):
-                counts[name] = counts.get(name, 0) + 1
-            if set(counts) != names or any(k != 1 for k in counts.values()):
-                return False
-    return True
-
-
 # -- the standard catalogue of identities ---------------------------------------
 
 IDENTITY_TEXTS: Dict[str, str] = {

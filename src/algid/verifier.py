@@ -1,5 +1,9 @@
-"""Mechanical verification: satisfaction checks, isomorphism search, scans,
-alternating-word laws, and report builders for the claim tables.
+"""Mechanical verification: brute-force scans over every algebra of a small
+prime field, and the report builders for the paper's claim tables.
+
+The checks the reports run on one algebra live with the data they read:
+`check_formal` and the alternation laws in `expander`, `search_iso` and
+`conjugates_to` in `algebra_core`.
 
 Reports never auto-correct the tables they check: a claimed row that does not
 hold is reported as a failure with the concrete witness (and, when the row is
@@ -12,9 +16,9 @@ order is the table order.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
 
-from .algebra_core import GENERIC_NAMES, Msc, conjugates_to
+from .algebra_core import GENERIC_NAMES, Msc, conjugates_to, search_iso
 from .canon_catalog import (
     CHAR2_IDENTITY_PAIRS,
     OPPOSITE_TABLES,
@@ -32,57 +36,36 @@ from .canon_catalog import (
     negative_instances,
     regime_for_field,
 )
-from .errors import (
-    AlgidError,
-    FieldMismatch,
-    SearchSpaceTooLarge,
-    ShapeArityMismatch,
-    UnsupportedPrime,
-)
+from .errors import AlgidError, UnsupportedPrime
 from .exactnum import F2, F3, F5, QQ, Field, field_make, sqrt as scalar_sqrt
 from .expander import (
     COORD_PREFIXES,
-    Equation,
-    check_budget,
+    alternating_determinant_law,
+    alternating_vanishes,
+    check_formal,
     expand,
     span_equal,
     tensor_plan,
+    word_shapes,
 )
 from .identity_lang import (
+    NUMBERED_IDENTITIES,
     Identity,
-    Prod,
-    Sum,
-    Var,
-    Word,
     get_identity,
     identity_variables,
     parse_identity,
-    variables,
 )
-from .multipoly import parse_poly, render_monomial
+from .multipoly import parse_poly
 from .records import record
 
 if TYPE_CHECKING:
     import numpy as np
 
-_GL_ENUM_LIMIT = 20000
-
 
 # ---------------------------------------------------------------------------
-# Formal and functional satisfaction
+# Brute-force scans over every algebra of a small prime field
 
-
-@record
-class FormalCheck(NamedTuple):
-    ok: bool
-    witness: Optional[Equation]
-
-    def witness_text(self) -> str:
-        if self.witness is None:
-            return ""
-        eq = self.witness
-        return "e%d coefficient of %s = %s" % (
-            eq.row + 1, render_monomial(eq.monomial), eq.poly.render())
+SCAN_PRIMES = (2, 3, 5)
 
 
 def _equation_value(terms, cols, powers):
@@ -103,175 +86,6 @@ def _equation_value(terms, cols, powers):
             term = x if term is None else term * x
         total = term if total is None else total + term
     return total
-
-
-def _verdict(witness: Optional[Equation]) -> FormalCheck:
-    return FormalCheck(witness is None, witness)
-
-
-def check_formal(A: Msc, ident: Identity) -> FormalCheck:
-    """Does the identity hold as a formal polynomial law on A?  Both run the
-    identity's `TensorPlan`: on a concrete algebra's entries as numbers,
-    stopping at the first nonzero equation; on symbolic entries through
-    `expand`, as polynomials in A's parameters."""
-    if A.is_concrete():
-        return _verdict(tensor_plan(ident, A.field, False).first_nonzero(A))
-    equations = expand(ident, A).equations
-    return _verdict(equations[0] if equations else None)
-
-
-def check_functional(A: Msc, ident: Identity) -> FormalCheck:
-    """Does the identity hold for every tuple of elements of A over F_p?"""
-    if A.field.kind == "Q":
-        raise AlgidError("functional checking needs a finite field")
-    if not A.is_concrete():
-        raise AlgidError("functional checking needs concrete structure constants")
-    return _verdict(tensor_plan(ident, A.field, True).first_nonzero(A))
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism checking and search
-
-
-def _conjugates_mod_p(a, b, g, p: int) -> bool:
-    """g.a == b.(g (x) g) mod p on residue rows, stopping at the first
-    mismatched entry.  Column (j, l) of g (x) g is column j of g tensored
-    with column l, the layout of mat_kron."""
-    (g11, g12), (g21, g22) = g
-    cols = ((g11, g21), (g12, g22))
-    for c, ((x1, x2), (y1, y2)) in enumerate(
-            itertools.product(cols, repeat=2)):
-        k = (x1 * y1, x1 * y2, x2 * y1, x2 * y2)
-        for (r0, r1), brow in zip(g, b):
-            lhs = r0 * a[0][c] + r1 * a[1][c]
-            rhs = brow[0] * k[0] + brow[1] * k[1] + brow[2] * k[2] + brow[3] * k[3]
-            if (lhs - rhs) % p:
-                return False
-    return True
-
-
-def search_iso(A: Msc, B: Msc):
-    """First change of basis (in lexicographic entry order) carrying A to B,
-    or None.  Exhaustive over GL_2 of a small finite field; A and B need
-    concrete structure constants, which are compared as residues mod p."""
-    f = A.field
-    if B.field != f:
-        raise FieldMismatch("cannot search between different fields")
-    if f.kind == "Q":
-        raise AlgidError("isomorphism search enumerates GL2 of a finite field")
-    if f.p ** 4 > _GL_ENUM_LIMIT:
-        raise SearchSpaceTooLarge(
-            "GL2(F_%d) enumeration (%d matrices) is over the limit"
-            % (f.p, f.p ** 4))
-    if not (A.is_concrete() and B.is_concrete()):
-        raise AlgidError("isomorphism search needs concrete structure constants")
-    p = f.p
-    a = [[x.value for x in row] for row in A.rows]
-    b = [[x.value for x in row] for row in B.rows]
-    for g11, g12, g21, g22 in itertools.product(range(p), repeat=4):
-        if (g11 * g22 - g12 * g21) % p == 0:
-            continue
-        g = ((g11, g12), (g21, g22))
-        if _conjugates_mod_p(a, b, g, p):
-            return tuple(tuple(f.scalar(x) for x in row) for row in g)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Alternating words
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def _subst_word(word: Word, mapping: Dict[str, str]) -> Word:
-    if isinstance(word, Var):
-        return Var(mapping.get(word.name, word.name))
-    if isinstance(word, Prod):
-        return Prod(_subst_word(word.left, mapping),
-                    _subst_word(word.right, mapping))
-    raise ShapeArityMismatch("shapes are product words built with * only")
-
-
-def word_shapes(n: int) -> List[Tuple[str, Word]]:
-    """All product shapes in variables v1..vn, each used once.
-
-    n=2 gives the two orders; n=3 gives the twelve left/right bracketings.
-    """
-    names = tuple("v%d" % (k + 1) for k in range(n))
-    if n == 2:
-        return [
-            ("v1 v2", Prod(Var("v1"), Var("v2"))),
-            ("v2 v1", Prod(Var("v2"), Var("v1"))),
-        ]
-    if n == 3:
-        out = []
-        for p in itertools.permutations(names):
-            out.append(("(%s %s) %s" % p,
-                        Prod(Prod(Var(p[0]), Var(p[1])), Var(p[2]))))
-            out.append(("%s (%s %s)" % p,
-                        Prod(Var(p[0]), Prod(Var(p[1]), Var(p[2])))))
-        return out
-    raise AlgidError("shapes are provided for 2 or 3 variables")
-
-
-def alternating_sum(shape: Word, n: int) -> Sum:
-    """The signed sum of `shape` over permutations of its first n leaves."""
-    names = variables(shape)
-    if n > len(names):
-        raise ShapeArityMismatch(
-            f"cannot alternate {n} variables in a word with {len(names)}")
-    alt = names[:n]
-    terms = []
-    for perm in itertools.permutations(range(n)):
-        mapping = {alt[i]: alt[perm[i]] for i in range(n)}
-        terms.append((_perm_sign(perm), _subst_word(shape, mapping)))
-    out = Sum(tuple(terms))
-    # Callers evaluate the sum on the generic algebra.
-    check_budget(Identity("alternation", out, Sum(())))
-    return out
-
-
-def alternating_vanishes(A: Msc, shape: Word, n: int = 3) -> bool:
-    """The alternating sum over n variables is identically zero on A
-    (always true when n exceeds the dimension)."""
-    return expand(Identity("alternation", alternating_sum(shape, n), Sum(())), A).is_zero()
-
-
-# The coordinate monomials of the determinant |u, v| = x1 y2 - x2 y1.
-_X1Y2 = (("x1", 1), ("y2", 1))
-_X2Y1 = (("x2", 1), ("y1", 1))
-
-
-def alternating_determinant_law(A: Msc, shape: Word) -> bool:
-    """w_alt(u, v) == |u, v| * w_alt(e1, e2) as polynomials over A.
-
-    Read from the expansion of the 2-variable alternation: the law holds iff
-    each row's equations are exactly x1 y2 with some coefficient c and x2 y1
-    with -c (none when c = 0).  Then c is that row of w_alt(e1, e2), the sum
-    of the coefficients whose monomial uses only x1 and y2.
-    """
-    equations = expand(Identity("alternation", alternating_sum(shape, 2), Sum(())), A).equations
-    if len(variables(shape)) != 2:
-        raise ShapeArityMismatch("the basis value needs a 2-variable word")
-    for row in (0, 1):
-        got = {eq.monomial: eq.poly for eq in equations if eq.row == row}
-        c = got.get(_X1Y2)
-        if got != ({} if c is None else {_X1Y2: c, _X2Y1: -c}):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Brute-force scans over every algebra of a small prime field
-
-SCAN_PRIMES = (2, 3, 5)
 
 
 def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
@@ -449,7 +263,7 @@ def _membership_rows(regime: str, name: str, field: Field) -> List[ReportRow]:
                                      res.witness_text() + _erratum_suffix(row)))
     for fam, args, candidate in negative_instances(regime, name, field):
         label = "negative: %s(%s)" % (
-            fam.name, ", ".join(str(a.value) for a in args)) \
+            fam.name, ", ".join(str(a) for a in args)) \
             if args else "negative: %s" % fam.name
         res = check_formal(candidate, ident)
         if res.ok:
@@ -464,10 +278,8 @@ def _membership_rows(regime: str, name: str, field: Field) -> List[ReportRow]:
 def verify_identities(regime: str, field: Field,
                       identities: Optional[Sequence[str]] = None
                       ) -> List[ReportRow]:
-    names = list(identities) if identities else [
-        "I%d" % k for k in range(1, 31)]
     rows: List[ReportRow] = []
-    for name in names:
+    for name in identities or NUMBERED_IDENTITIES:
         rows.extend(_membership_rows(regime, name, field))
     return rows
 
@@ -664,13 +476,8 @@ _TARGET_TABLE = {
 TARGETS = tuple(_TARGET_TABLE)
 
 
-def verify_theorem(target: str, field: Optional[Field] = None,
-                   threads: Optional[int] = None) -> Report:
-    """Build the verification report for one named claim group.
-
-    `threads` is accepted for compatibility and has no effect: every report
-    is built in one sequential pass.
-    """
+def verify_theorem(target: str, field: Optional[Field] = None) -> Report:
+    """Build the verification report for one named claim group."""
     if target not in _TARGET_TABLE:
         raise AlgidError(
             "unknown target %r (known: %s)" % (target, ", ".join(TARGETS)))

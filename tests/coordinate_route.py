@@ -9,7 +9,8 @@ the slow way with `MultiPoly` arithmetic and nothing shared with the plan
 but `Msc.product`.  Evaluating the identity at every tuple of basis vectors
 is a second oracle, for multilinear identities.  The printed Section 3 rows
 and the 2-variable alternation law are decided here the same way, as the
-references for the verifier's readings of `expand`.
+references for the readings of `expand` in `verifier._worked_row` and
+`expander.alternating_determinant_law`.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from algid.algebra_core import Msc, Vec
 from algid.canon_catalog import WorkedRow
 from algid.errors import AlgidError, ShapeArityMismatch, TooManyVariables
 from algid.exactnum import QQ, Field
-from algid.expander import COORD_PREFIXES, Equation, PolySystem, check_budget
+from algid.expander import COORD_PREFIXES, Equation, PolySystem, alternating_sum, check_budget
 from algid.identity_lang import (
     Assoc,
     Comm,
@@ -32,9 +33,10 @@ from algid.identity_lang import (
     identity_variables,
     parse_identity,
     variables,
+    word_leaves,
+    word_terms,
 )
 from algid.multipoly import Monomial, MultiPoly, parse_poly
-from algid.verifier import alternating_sum
 
 
 def symbolic_vec(field: Field, prefix: str) -> Vec:
@@ -136,6 +138,22 @@ def substitute(ident: Identity, A: Msc) -> PolySystem:
     return PolySystem(A.field, equations, ident.name)
 
 
+def is_multilinear(ident: Identity) -> bool:
+    """True when every expanded word contains each identity variable exactly
+    once: the identities `holds_on_basis_tuples` decides."""
+    names = set(identity_variables(ident))
+    if not names:
+        return False
+    for side in (ident.lhs, ident.rhs):
+        for w in word_terms(side):
+            counts: Dict[str, int] = {}
+            for name in word_leaves(w):
+                counts[name] = counts.get(name, 0) + 1
+            if set(counts) != names or any(k != 1 for k in counts.values()):
+                return False
+    return True
+
+
 def holds_on_basis_tuples(A: Msc, ident: Identity) -> bool:
     """Satisfaction at every tuple of basis vectors (enough for multilinear
     identities over any field)."""
@@ -160,7 +178,7 @@ def worked_row_holds(row: WorkedRow) -> bool:
 
 def determinant_law_holds(A: Msc, shape: Word) -> bool:
     """w_alt(u, v) == |u, v| * w_alt(e1, e2) by substitution, with the
-    errors of `verifier.alternating_determinant_law` in the same order."""
+    errors of `expander.alternating_determinant_law` in the same order."""
     names = variables(shape)
     node = alternating_sum(shape, 2)
     got = eval_node(A, node, coordinate_env(A.field, names))

@@ -199,14 +199,6 @@ def test_generic_msc_serialization_rejected():
         Msc.generic(QQ).to_json()
 
 
-def test_table_rendering():
-    lines = A9.table()
-    assert lines[0] == "e1 e1 = 1/3 e1 + e2"
-    assert lines[1] == "e1 e2 = 2/3 e2"
-    assert lines[2] == "e2 e1 = -1/3 e2"
-    assert lines[3] == "e2 e2 = 0"
-
-
 def test_vec_shape_checks():
     with pytest.raises(DimensionMismatch):
         Vec(QQ, [QQ.scalar(1)])

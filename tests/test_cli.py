@@ -13,7 +13,7 @@ from jsonschema import validate
 import algid
 from algid.canon_catalog import family
 from algid.cli import CATALOG_COMMANDS, COMMANDS, main
-from algid.exactnum import F2, QQ
+from algid.exactnum import F2, QQ, field_make
 
 import cli_runner as runner
 
@@ -422,20 +422,12 @@ class TestVerifyPaper:
                                  "--no-timestamp"])
         assert "generated" not in r.output
 
-    def test_byte_identical_across_thread_counts(self):
-        args = ["verify-paper", "--target", "Section3Computations",
-                "--json", "--no-timestamp"]
-        one = runner.invoke(main, args, env={"ALGID_THREADS": "1"})
-        many = runner.invoke(main, args, env={"ALGID_THREADS": "8"})
-        assert one.output == many.output
-
-    def test_non_numeric_thread_env_is_ignored(self):
+    def test_threads_option_is_accepted_and_ignored(self):
         args = ["verify-paper", "--target", "Opp41", "--no-timestamp"]
-        plain = runner.invoke(main, args)
-        odd = runner.invoke(main, args, env={"ALGID_THREADS": "abc"})
-        assert odd.exception is None
-        assert odd.exit_code == 0
-        assert odd.output == plain.output
+        runs = [runner.invoke(main, args + extra)
+                for extra in (["--threads", "1"], ["--threads", "4"], [])]
+        assert [r.exit_code for r in runs] == [0, 0, 0]
+        assert runs[0].output == runs[1].output == runs[2].output
 
     def test_field_override_for_char5(self):
         r = runner.invoke(main, ["verify-paper", "--target", "Char0Identities",
@@ -570,28 +562,66 @@ except SystemExit as exc:
 """
 
 
-@pytest.mark.parametrize("argv, absent", [
-    (["expand", "--identity", "I20", "--field", "Q"],
-     {"algid.canon_catalog", "algid.verifier"}),
+_NO_REPORTS = {"algid.canon_catalog", "algid.verifier"}
+
+
+@pytest.mark.parametrize("argv, present, absent", [
+    (["expand", "--identity", "I20", "--field", "Q"], set(), _NO_REPORTS),
     (["catalog", "instantiate", "A8", "--args", "-1/3"],
-     {"algid.verifier", "algid.expander"}),
-    (["opposite", "--algebra", "@a4"], {"algid.canon_catalog", "algid.verifier"}),
+     {"algid.canon_catalog"}, {"algid.verifier", "algid.expander"}),
+    (["opposite", "--algebra", "@a4"], set(), _NO_REPORTS),
     (["iso", "--a", "@a4", "--b", "@a4", "--witness", "[[1,0],[0,1]]"],
-     {"algid.canon_catalog", "algid.verifier"}),
-    (["check", "--family", "A12", "--identity", "I1"], set()),
-], ids=["expand", "catalog-instantiate", "opposite", "iso-witness", "check"])
-def test_each_command_imports_only_what_it_uses(a4_file, argv, absent):
-    """A one-shot process loads the modules its command uses and no others;
-    no command loads click or dataclasses."""
+     set(), _NO_REPORTS),
+    (["iso", "--a", "@f3", "--b", "@f3", "--search"], set(), _NO_REPORTS),
+    (["check", "--algebra", "@f3", "--identity", "I6", "--functional"],
+     {"algid.expander"}, _NO_REPORTS),
+    (["alternating", "--n", "2"], {"algid.expander"}, _NO_REPORTS),
+    (["check", "--family", "A12", "--identity", "I1"],
+     {"algid.canon_catalog", "algid.expander"}, {"algid.verifier"}),
+], ids=["expand", "catalog-instantiate", "opposite", "iso-witness",
+        "iso-search", "check-algebra", "alternating", "check"])
+def test_each_command_imports_only_what_it_uses(a4_file, tmp_path, argv,
+                                                present, absent):
+    """A one-shot process loads the modules its command uses and no others:
+    only the scans and the reports need the verifier, and only a named
+    family the catalog.  No command loads click or dataclasses."""
     src = os.path.dirname(os.path.dirname(algid.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    argv = [a4_file if word == "@a4" else word for word in argv]
+    files = {"@a4": a4_file, "@f3": _f3_file(tmp_path, 0)}
+    argv = [files.get(word, word) for word in argv]
     out = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES] + argv,
                          env=env, capture_output=True, text=True, timeout=60)
     code, *loaded = out.stdout.splitlines()[-1].split()
     assert code == "0", out.stderr
+    assert present <= set(loaded)
     assert not absent & set(loaded)
     assert not {"click", "dataclasses"} & set(loaded)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["catalog", "claims", "--identity", "I5", "--regime", "char0"],
+    ["check", "--family", "A12", "--identity", "I1"],
+], ids=["catalog-claims", "check"])
+def test_closed_output_pipe_exits_two_quietly(argv, unbuffered):
+    """Output that cannot be written because the reader closed the pipe
+    (`algid ... | head`) is exit 2 with nothing on stderr, whether the write
+    fails in a print or in the final flush."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        os.path.abspath(algid.__file__))))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "algid.cli"] + argv,
+                             stdout=write_end, stderr=subprocess.PIPE,
+                             env=env, timeout=30)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 2
+    assert out.stderr == b""
 
 
 def _f3_file(tmp_path, first_entry):
@@ -605,6 +635,13 @@ def _f3_file(tmp_path, first_entry):
 
 
 class TestInputContracts:
+    def test_deeply_nested_algebra_file_is_usage_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        r = runner.invoke(main, ["check", "--algebra", str(path), "--identity", "I1"])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+
     @pytest.mark.parametrize("entry, message", [
         ("1/0", "zero denominator"),
         (0.1, "not an exact scalar"),
@@ -830,6 +867,21 @@ def _assert_over_budget(argv):
 
 _IDENTITY_TEXT = st.text(alphabet="0123456789uvw*+-=[](),^' ", max_size=30)
 _ARGS_TEXT = st.text(alphabet="0123456789sqrt/*+-^(), ", max_size=30)
+# Words of up to 4 leaves, mostly products, with the forms --shape refuses
+# (brackets, sums, squares, numbers) mixed in.
+_SHAPE_TEXT = st.recursive(
+    st.sampled_from(["u", "v", "w", "v1", "v2", "v3", "0", "2"]),
+    lambda inner: st.one_of(
+        st.builds("{}*{}".format, inner, inner),
+        st.builds("({}*{})".format, inner, inner),
+        st.builds("[{},{}]".format, inner, inner),
+        st.builds("{} + {}".format, inner, inner),
+        st.builds("({})^2".format, inner)),
+    max_leaves=4)
+_FIELD_TEXT = st.one_of(
+    st.text(alphabet="QFp0123456789- ", max_size=8),
+    st.sampled_from(["Q", "F2", "F3", "F5", "F4", "F1", "F0", "0", "1", "7",
+                     "F2147483647", "F03", "f3", "F³", "", " F3"]))
 
 
 _JSON_LEAF = st.one_of(
@@ -873,6 +925,10 @@ def _algebra_documents(draw):
     return doc
 
 
+_DEEP_SHAPE = "(" * 5000 + "v1*v2" + ")" * 5000
+_WIDE_SHAPE = "*".join(["v1", "v2", "v3"] * 4)  # 12 leaves: 4096 columns
+
+
 def _assert_exit_contract(argv):
     r = runner.invoke(main, argv)
     assert r.exit_code in (0, 1, 2), r.output
@@ -909,6 +965,41 @@ class TestCliFuzz:
         path.write_text(json.dumps(document))
         _assert_exit_contract(["check", "--algebra", str(path),
                                "--identity", identity])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SHAPE_TEXT, st.sampled_from(["2", "3"]))
+    @example(_DEEP_SHAPE, "2")
+    @example(_DEEP_SHAPE, "3")
+    @example(_WIDE_SHAPE, "2")
+    @example(_WIDE_SHAPE, "3")
+    def test_alternating_shape_text(self, text, n):
+        _assert_exit_contract(["alternating", "--n", n, "--shape", text])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_JSON_VALUE.map(json.dumps),
+                     st.lists(st.lists(_JSON_LEAF, max_size=3), max_size=3).map(json.dumps),
+                     st.text(alphabet="[]{}0123456789,-/.e\" ", max_size=20)),
+           st.sampled_from(["Q", "F3"]))
+    @example("[" * 100000, "Q")
+    @example("[[%s,0],[0,1]]" % ("9" * 4301), "F3")
+    @example("[[NaN,0],[0,1]]", "Q")
+    @example("[[1e400,0],[0,1]]", "F3")
+    def test_iso_witness_text(self, tmp_path_factory, text, field):
+        path = tmp_path_factory.getbasetemp() / ("fuzz-iso-%s.json" % field)
+        path.write_text(json.dumps({"dim": 2, "field": field_make(field).to_json(),
+                                    "entries": [[1, 0, 0, 0], [0, 0, 0, 0]]}))
+        _assert_exit_contract(["iso", "--a", str(path), "--b", str(path),
+                               "--witness", text])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_FIELD_TEXT, st.sampled_from([
+        ["check", "--family", "A12", "--identity", "I1"],
+        ["expand", "--identity", "I1"],
+        ["scan", "--identity", "I1"]]))
+    @example("F" + "9" * 5000, ["check", "--family", "A12", "--identity", "I1"])
+    @example("9" * 5000, ["scan", "--identity", "I1"])
+    def test_field_text(self, text, argv):
+        _assert_exit_contract(argv + ["--field", text])
 
 
 def test_verify_paper_report_bytes_match_the_golden():

@@ -2,6 +2,7 @@ import copy
 import pickle
 
 import pytest
+from coordinate_route import is_multilinear
 
 from algid.errors import IdentitySyntaxError, UnknownIdentity
 from algid.identity_lang import (
@@ -16,7 +17,6 @@ from algid.identity_lang import (
     Var,
     get_identity,
     identity_variables,
-    is_multilinear,
     parse_identity,
     render,
     word_terms,

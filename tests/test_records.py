@@ -3,9 +3,9 @@ test true like frozen dataclasses."""
 
 import pytest
 
-from algid.expander import Equation, SpanReport
+from algid.expander import Equation, FormalCheck, SpanReport
 from algid.identity_lang import Identity, Prod, Var, parse_identity
-from algid.verifier import PASS, FormalCheck, ReportRow
+from algid.verifier import PASS, ReportRow
 
 
 def test_records_equal_only_records_of_their_own_class():

@@ -1,4 +1,5 @@
-"""Verifier semantics: checks, searches, scans, alternation, and reports."""
+"""Checks, searches, scans, alternation laws and reports: the verifier and the
+kernels its reports call."""
 
 import itertools
 
@@ -10,11 +11,12 @@ from coordinate_route import (
     determinant_law_holds,
     eval_node,
     holds_on_basis_tuples,
+    is_multilinear,
     substitute,
     worked_row_holds,
 )
 
-from algid.algebra_core import GENERIC_NAMES, Msc, Vec, conjugates_to
+from algid.algebra_core import GENERIC_NAMES, Msc, Vec, conjugates_to, search_iso
 from algid.canon_catalog import (
     FAMILY_ORDER,
     REGIME_CHAR0,
@@ -32,13 +34,22 @@ from algid.errors import (
     UnsupportedPrime,
 )
 from algid.exactnum import F2, F3, F5, QQ, field_make
-from algid.expander import expand, functional_monomial, tensor_plan
+from algid.expander import (
+    alternating_determinant_law,
+    alternating_sum,
+    alternating_vanishes,
+    check_formal,
+    check_functional,
+    expand,
+    functional_monomial,
+    tensor_plan,
+    word_shapes,
+)
 from algid.identity_lang import (
     NUMBERED_IDENTITIES,
     Identity,
     Sum,
     get_identity,
-    is_multilinear,
     parse_identity,
 )
 from algid.multipoly import mon_sort_key, parse_poly, render_monomial
@@ -50,17 +61,10 @@ from algid.verifier import (
     SCAN_PRIMES,
     TARGETS,
     _worked_row,
-    alternating_determinant_law,
-    alternating_sum,
-    alternating_vanishes,
-    check_formal,
-    check_functional,
     msc_from_scan_index,
     scan_algebras,
     scan_field,
-    search_iso,
     verify_theorem,
-    word_shapes,
 )
 
 
@@ -722,14 +726,3 @@ class TestReports:
         assert text.splitlines()[0].startswith("target: Opp45")
         assert text.splitlines()[-1].startswith("summary:")
         assert text.endswith("-> OK")
-
-    def test_thread_count_does_not_change_output(self):
-        for target in ("Opp43", "Section3Computations"):
-            one = verify_theorem(target, threads=1).to_json()
-            many = verify_theorem(target, threads=8).to_json()
-            assert one == many
-
-    def test_env_thread_override(self, monkeypatch):
-        monkeypatch.setenv("ALGID_THREADS", "2")
-        rep = verify_theorem("Opp45")
-        assert rep.ok
