@@ -422,6 +422,21 @@ class TestVerifyPaper:
                                  "--no-timestamp"])
         assert "generated" not in r.output
 
+    def test_byte_identical_across_thread_counts(self):
+        args = ["verify-paper", "--target", "Section3Computations",
+                "--json", "--no-timestamp"]
+        one = runner.invoke(main, args, env={"ALGID_THREADS": "1"})
+        many = runner.invoke(main, args, env={"ALGID_THREADS": "8"})
+        assert one.output == many.output
+
+    def test_non_numeric_thread_env_is_ignored(self):
+        args = ["verify-paper", "--target", "Opp41", "--no-timestamp"]
+        plain = runner.invoke(main, args)
+        odd = runner.invoke(main, args, env={"ALGID_THREADS": "abc"})
+        assert odd.exception is None
+        assert odd.exit_code == 0
+        assert odd.output == plain.output
+
     def test_threads_option_is_accepted_and_ignored(self):
         args = ["verify-paper", "--target", "Opp41", "--no-timestamp"]
         runs = [runner.invoke(main, args + extra)
