@@ -8,11 +8,11 @@ removes so runs can be compared byte for byte.
 
 A one-shot process pays for every module it imports, so only the chosen
 command's parser is built, and each command imports the modules it uses when
-it runs.  Only `scan` and `verify-paper` load the verifier, and with it the
-catalog.  `check`, `expand` and `alternating` take their kernels from the
+it runs.  Only `verify-paper` loads the verifier, and with it the catalog.
+`scan`, `check`, `expand` and `alternating` take their kernels from the
 expander and `iso` from algebra_core; of those, only an algebra named by
-`--family` loads the catalog.  `catalog` loads neither the verifier nor the
-expander, and `opposite` loads none of the three.
+`--family` loads the catalog, and only `scan` loads numpy.  `catalog` loads
+neither the verifier nor the expander, and `opposite` loads none of the three.
 """
 
 from __future__ import annotations
@@ -449,7 +449,7 @@ def _scan(prog: str, argv: List[str]) -> int:
     parser.add_argument("--mode", choices=["formal", "functional"], default="formal")
     parser.add_argument("--json", action="store_true")
     a = _parse(parser, argv)
-    from .verifier import scan_field
+    from .expander import scan_field
 
     fld = _parse_field(a.field)
     if fld.kind == "Q":

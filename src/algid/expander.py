@@ -21,7 +21,9 @@ are x, y, z, s, t, q, r.  This is the package's one expansion mechanism:
 symbolic checks, `algid expand`, both alternation laws and the printed
 Section 3 rows all read `expand`'s system.  The per-algebra checks live here
 too: `check_formal` and `check_functional` wrap `first_nonzero` (or `expand`
-on a symbolic algebra), and the alternating-word laws read `expand`.
+on a symbolic algebra), and the alternating-word laws read `expand`.  So do
+the brute-force scans: `scan_algebras` evaluates the generic system on all
+p^8 algebras over F_p with numpy, which only a scan imports.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .algebra_core import GENERIC_NAMES, Msc
 from .errors import (
@@ -39,8 +41,9 @@ from .errors import (
     FieldMismatch,
     ShapeArityMismatch,
     TooManyVariables,
+    UnsupportedPrime,
 )
-from .exactnum import QQ, Field, inv
+from .exactnum import QQ, Field, field_make, inv
 from .identity_lang import (
     Assoc,
     Comm,
@@ -57,6 +60,9 @@ from .identity_lang import (
 )
 from .multipoly import Monomial, MultiPoly, mon_degree, mon_sort_key, render_monomial
 from .records import record
+
+if TYPE_CHECKING:
+    import numpy as np
 
 COORD_PREFIXES = ("x", "y", "z", "s", "t", "q", "r")
 
@@ -104,13 +110,10 @@ class PolySystem:
     def render_lines(self) -> List[str]:
         return [f"{p.render()} = 0" for p in self.polys]
 
-    def normalized_polys(self) -> List[MultiPoly]:
+    def render_normalized_lines(self) -> List[str]:
         """Unique equations up to a scalar factor, each made monic in its
         graded-lex leading term (the form systems are usually printed in)."""
-        return list(dict.fromkeys(_monic(p) for p in self.polys))
-
-    def render_normalized_lines(self) -> List[str]:
-        return [f"{p.render()} = 0" for p in self.normalized_polys()]
+        return [f"{p.render()} = 0" for p in dict.fromkeys(_monic(p) for p in self.polys)]
 
     def to_json(self) -> dict:
         return {
@@ -633,6 +636,94 @@ def tensor_plan(ident: Identity, field: Field, functional: bool) -> TensorPlan:
     """The identity's cached plan, shared by `expand`, checks and scans; the
     expansion budget is checked on a miss, before any word is expanded."""
     return TensorPlan(ident, field, functional)
+
+
+# -- brute-force scans over every algebra of a small prime field -----------------
+
+SCAN_PRIMES = (2, 3, 5)
+
+
+def _equation_value(terms, cols, powers):
+    """One generic equation at the entries `cols`, numpy arrays of residues
+    by structure-constant name that broadcast against each other, evaluated
+    elementwise and reduced by the caller.  `powers` caches each
+    cols[name] ** e for these columns across terms and equations.  A
+    coefficient of 1 is not multiplied in, and an equation that uses no
+    entry is a Python int."""
+    total = None
+    for c, mon in terms:
+        term = c if c != 1 or not mon else None
+        for factor in mon:
+            x = powers.get(factor)
+            if x is None:
+                name, e = factor
+                x = powers[factor] = cols[name] if e == 1 else cols[name] ** e
+            term = x if term is None else term * x
+        total = term if total is None else total + term
+    return total
+
+
+def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
+    """Boolean satisfaction vector over all p^8 structure-constant matrices,
+    indexed by the row-major digit encoding a1..b4 (a1 most significant).
+
+    The identity's generic system is evaluated equation by equation, in
+    canonical order.  Until one is nonzero somewhere, each is evaluated on a
+    broadcast (p,)*8 digit grid restricted to the entries it uses; np.nonzero
+    of that equation's zero mask gives the surviving algebras' digit columns,
+    and later equations run on those columns only, which shrink at each
+    equation that drops an algebra."""
+    import numpy as np
+
+    if p not in SCAN_PRIMES:
+        raise UnsupportedPrime(
+            "scans enumerate p^8 algebras; supported primes: %s"
+            % (", ".join(map(str, SCAN_PRIMES))))
+    if mode not in ("formal", "functional"):
+        raise AlgidError("scan mode must be 'formal' or 'functional'")
+    system = tensor_plan(ident, field_make(p), mode == "functional").system()
+    # Residues below p keep every term inside int64 up to degree 20.
+    equations = iter(dict.fromkeys(terms for _, _, terms in system))
+    shape = (p,) * 8
+    digits = np.arange(p, dtype=np.int64)
+    # Until an equation prunes, entry j is the digit along axis j of the
+    # broadcast grid, and an equation is evaluated only on the axes it uses.
+    cols = {name: digits.reshape((1,) * j + (p,) + (1,) * (7 - j))
+            for j, name in enumerate(_GENERIC_VARS)}
+    powers = {}
+    for terms in equations:
+        zero = _equation_value(terms, cols, powers) % p == 0
+        if not np.all(zero):
+            cols = dict(zip(_GENERIC_VARS, np.nonzero(np.broadcast_to(zero, shape))))
+            break
+    else:
+        return np.ones(p ** 8, dtype=bool)
+    # Then the entries are the surviving algebras' digit columns, and each
+    # algebra leaves them at its first nonzero equation.
+    powers = {}
+    for terms in equations:
+        if not cols["a1"].size:
+            break
+        zero = _equation_value(terms, cols, powers) % p == 0
+        if not np.all(zero):
+            keep = np.broadcast_to(zero, cols["a1"].shape)
+            cols = {name: c[keep] for name, c in cols.items()}
+            powers = {}
+    ok = np.zeros(p ** 8, dtype=bool)
+    ok[np.ravel_multi_index(tuple(cols.values()), shape)] = True
+    return ok
+
+
+def scan_field(p: int, ident: Identity, mode: str = "formal") -> int:
+    """How many of the p^8 structure-constant matrices over F_p satisfy the
+    identity (formally, or as a function)."""
+    return int(scan_algebras(p, ident, mode).sum())
+
+
+def msc_from_scan_index(p: int, index: int) -> Msc:
+    """The algebra at a given scan position (inverse of the digit encoding)."""
+    digits = [(index // p ** (7 - j)) % p for j in range(8)]
+    return Msc.from_scalars(field_make(p), [digits[:4], digits[4:]])
 
 
 # -- satisfaction checks ----------------------------------------------------------

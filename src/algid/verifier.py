@@ -1,8 +1,8 @@
-"""Mechanical verification: brute-force scans over every algebra of a small
-prime field, and the report builders for the paper's claim tables.
+"""Mechanical verification: the report builders for the paper's claim tables.
 
 The checks the reports run on one algebra live with the data they read:
-`check_formal` and the alternation laws in `expander`, `search_iso` and
+`check_formal`, the alternation laws and the F_p scans (whose `scan_algebras`
+and `scan_field` keep their names here) in `expander`, `search_iso` and
 `conjugates_to` in `algebra_core`.
 
 Reports never auto-correct the tables they check: a claimed row that does not
@@ -15,10 +15,9 @@ order is the table order.
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from .algebra_core import GENERIC_NAMES, Msc, conjugates_to, search_iso
+from .algebra_core import Msc, conjugates_to, search_iso
 from .canon_catalog import (
     CHAR2_IDENTITY_PAIRS,
     OPPOSITE_TABLES,
@@ -36,120 +35,27 @@ from .canon_catalog import (
     negative_instances,
     regime_for_field,
 )
-from .errors import AlgidError, UnsupportedPrime
-from .exactnum import F2, F3, F5, QQ, Field, field_make, sqrt as scalar_sqrt
-from .expander import (
+from .errors import AlgidError
+from .exactnum import F2, F3, F5, QQ, Field, sqrt as scalar_sqrt
+from .expander import (  # noqa: F401 (scan_algebras, scan_field: public names)
     COORD_PREFIXES,
     alternating_determinant_law,
     alternating_vanishes,
     check_formal,
     expand,
+    scan_algebras,
+    scan_field,
     span_equal,
-    tensor_plan,
     word_shapes,
 )
 from .identity_lang import (
     NUMBERED_IDENTITIES,
-    Identity,
     get_identity,
     identity_variables,
     parse_identity,
 )
 from .multipoly import parse_poly
 from .records import record
-
-if TYPE_CHECKING:
-    import numpy as np
-
-
-# ---------------------------------------------------------------------------
-# Brute-force scans over every algebra of a small prime field
-
-SCAN_PRIMES = (2, 3, 5)
-
-
-def _equation_value(terms, cols, powers):
-    """One generic equation at the entries `cols`, numpy arrays of residues
-    by structure-constant name that broadcast against each other, evaluated
-    elementwise and reduced by the caller.  `powers` caches each
-    cols[name] ** e for these columns across terms and equations.  A
-    coefficient of 1 is not multiplied in, and an equation that uses no
-    entry is a Python int."""
-    total = None
-    for c, mon in terms:
-        term = c if c != 1 or not mon else None
-        for factor in mon:
-            x = powers.get(factor)
-            if x is None:
-                name, e = factor
-                x = powers[factor] = cols[name] if e == 1 else cols[name] ** e
-            term = x if term is None else term * x
-        total = term if total is None else total + term
-    return total
-
-
-def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
-    """Boolean satisfaction vector over all p^8 structure-constant matrices,
-    indexed by the row-major digit encoding a1..b4 (a1 most significant).
-
-    The identity's generic system is evaluated equation by equation, in
-    canonical order.  Until one is nonzero somewhere, each is evaluated on a
-    broadcast (p,)*8 digit grid restricted to the entries it uses; np.nonzero
-    of that equation's zero mask gives the surviving algebras' digit columns,
-    and later equations run on those columns only, which shrink at each
-    equation that drops an algebra."""
-    import numpy as np
-
-    if p not in SCAN_PRIMES:
-        raise UnsupportedPrime(
-            "scans enumerate p^8 algebras; supported primes: %s"
-            % (", ".join(map(str, SCAN_PRIMES))))
-    if mode not in ("formal", "functional"):
-        raise AlgidError("scan mode must be 'formal' or 'functional'")
-    system = tensor_plan(ident, field_make(p), mode == "functional").system()
-    # Residues below p keep every term inside int64 up to degree 20.
-    equations = iter(dict.fromkeys(terms for _, _, terms in system))
-    names = tuple(itertools.chain(*GENERIC_NAMES))
-    shape = (p,) * 8
-    digits = np.arange(p, dtype=np.int64)
-    # Until an equation prunes, entry j is the digit along axis j of the
-    # broadcast grid, and an equation is evaluated only on the axes it uses.
-    cols = {name: digits.reshape((1,) * j + (p,) + (1,) * (7 - j))
-            for j, name in enumerate(names)}
-    powers = {}
-    for terms in equations:
-        zero = _equation_value(terms, cols, powers) % p == 0
-        if not np.all(zero):
-            cols = dict(zip(names, np.nonzero(np.broadcast_to(zero, shape))))
-            break
-    else:
-        return np.ones(p ** 8, dtype=bool)
-    # Then the entries are the surviving algebras' digit columns, and each
-    # algebra leaves them at its first nonzero equation.
-    powers = {}
-    for terms in equations:
-        if not cols["a1"].size:
-            break
-        zero = _equation_value(terms, cols, powers) % p == 0
-        if not np.all(zero):
-            keep = np.broadcast_to(zero, cols["a1"].shape)
-            cols = {name: c[keep] for name, c in cols.items()}
-            powers = {}
-    ok = np.zeros(p ** 8, dtype=bool)
-    ok[np.ravel_multi_index(tuple(cols.values()), shape)] = True
-    return ok
-
-
-def scan_field(p: int, ident: Identity, mode: str = "formal") -> int:
-    """How many of the p^8 structure-constant matrices over F_p satisfy the
-    identity (formally, or as a function)."""
-    return int(scan_algebras(p, ident, mode).sum())
-
-
-def msc_from_scan_index(p: int, index: int) -> Msc:
-    """The algebra at a given scan position (inverse of the digit encoding)."""
-    digits = [(index // p ** (7 - j)) % p for j in range(8)]
-    return Msc.from_scalars(field_make(p), [digits[:4], digits[4:]])
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +363,10 @@ def verify_section3() -> List[ReportRow]:
 # --- target dispatch -----------------------------------------------------------
 
 
-def _char2_identities(field: Field) -> List[ReportRow]:
-    return verify_identities(REGIME_CHAR2, field) + _coincidence_rows(field)
-
-
 # target -> (default field, row builder taking the report's field)
 _TARGET_TABLE = {
     "Char0Identities": (QQ, lambda f: verify_identities(REGIME_CHAR0, f)),
-    "Char2Identities": (F2, _char2_identities),
+    "Char2Identities": (F2, lambda f: verify_identities(REGIME_CHAR2, f) + _coincidence_rows(f)),
     "Char3Identities": (F3, lambda f: verify_identities(REGIME_CHAR3, f)),
     "Opp41": (QQ, lambda f: verify_opposite(REGIME_CHAR0, f)),
     "Opp43": (F2, lambda f: verify_opposite(REGIME_CHAR2, f)),
@@ -475,6 +377,9 @@ _TARGET_TABLE = {
 
 TARGETS = tuple(_TARGET_TABLE)
 
+# Their rows fix their own fields, so no field but the default may be asked for.
+_FIXED_FIELD_TARGETS = ("SelfOppositeCorollaries", "Section3Computations")
+
 
 def verify_theorem(target: str, field: Optional[Field] = None) -> Report:
     """Build the verification report for one named claim group."""
@@ -483,4 +388,7 @@ def verify_theorem(target: str, field: Optional[Field] = None) -> Report:
             "unknown target %r (known: %s)" % (target, ", ".join(TARGETS)))
     default_field, build = _TARGET_TABLE[target]
     fld = field or default_field
+    if target in _FIXED_FIELD_TARGETS and fld != default_field:
+        raise AlgidError("target %s checks its rows over fixed fields and "
+                         "cannot be run over %s" % (target, fld))
     return Report(target, fld, build(fld))

@@ -27,6 +27,8 @@ from algid.expander import (
     alternating_determinant_law,
     alternating_vanishes,
     expand,
+    msc_from_scan_index,
+    scan_algebras,
     span_contains,
     span_equal,
     word_shapes,
@@ -38,8 +40,6 @@ from algid.verifier import (
     FAIL,
     PASS,
     SKIP,
-    msc_from_scan_index,
-    scan_algebras,
     verify_identities,
     verify_theorem,
 )

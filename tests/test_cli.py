@@ -444,6 +444,17 @@ class TestVerifyPaper:
         assert [r.exit_code for r in runs] == [0, 0, 0]
         assert runs[0].output == runs[1].output == runs[2].output
 
+    @pytest.mark.parametrize("target, field", [
+        ("SelfOppositeCorollaries", "F7"), ("Section3Computations", "F3")])
+    def test_field_override_of_a_fixed_field_target_is_an_error(self, capsys,
+                                                                 target, field):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-paper", "--target", target, "--field", field])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.err.startswith("Error: target %s " % target)
+        assert out.out == ""
+
     def test_field_override_for_char5(self):
         r = runner.invoke(main, ["verify-paper", "--target", "Char0Identities",
                                  "--field", "F5", "--json", "--no-timestamp"])
@@ -578,28 +589,31 @@ except SystemExit as exc:
 
 
 _NO_REPORTS = {"algid.canon_catalog", "algid.verifier"}
+_NO_SCANS = _NO_REPORTS | {"numpy"}
 
 
 @pytest.mark.parametrize("argv, present, absent", [
-    (["expand", "--identity", "I20", "--field", "Q"], set(), _NO_REPORTS),
+    (["expand", "--identity", "I20", "--field", "Q"], set(), _NO_SCANS),
     (["catalog", "instantiate", "A8", "--args", "-1/3"],
-     {"algid.canon_catalog"}, {"algid.verifier", "algid.expander"}),
-    (["opposite", "--algebra", "@a4"], set(), _NO_REPORTS),
+     {"algid.canon_catalog"}, {"algid.verifier", "algid.expander", "numpy"}),
+    (["opposite", "--algebra", "@a4"], set(), _NO_SCANS),
     (["iso", "--a", "@a4", "--b", "@a4", "--witness", "[[1,0],[0,1]]"],
-     set(), _NO_REPORTS),
-    (["iso", "--a", "@f3", "--b", "@f3", "--search"], set(), _NO_REPORTS),
+     set(), _NO_SCANS),
+    (["iso", "--a", "@f3", "--b", "@f3", "--search"], set(), _NO_SCANS),
     (["check", "--algebra", "@f3", "--identity", "I6", "--functional"],
-     {"algid.expander"}, _NO_REPORTS),
-    (["alternating", "--n", "2"], {"algid.expander"}, _NO_REPORTS),
+     {"algid.expander"}, _NO_SCANS),
+    (["alternating", "--n", "2"], {"algid.expander"}, _NO_SCANS),
     (["check", "--family", "A12", "--identity", "I1"],
-     {"algid.canon_catalog", "algid.expander"}, {"algid.verifier"}),
+     {"algid.canon_catalog", "algid.expander"}, {"algid.verifier", "numpy"}),
+    (["scan", "--field", "F2", "--identity", "I1"],
+     {"algid.expander", "numpy"}, _NO_REPORTS),
 ], ids=["expand", "catalog-instantiate", "opposite", "iso-witness",
-        "iso-search", "check-algebra", "alternating", "check"])
+        "iso-search", "check-algebra", "alternating", "check", "scan"])
 def test_each_command_imports_only_what_it_uses(a4_file, tmp_path, argv,
                                                 present, absent):
     """A one-shot process loads the modules its command uses and no others:
-    only the scans and the reports need the verifier, and only a named
-    family the catalog.  No command loads click or dataclasses."""
+    only the reports need the verifier, only a named family the catalog and
+    only the scans numpy.  No command loads click or dataclasses."""
     src = os.path.dirname(os.path.dirname(algid.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     files = {"@a4": a4_file, "@f3": _f3_file(tmp_path, 0)}

@@ -296,7 +296,7 @@ def _f3_sample_algebras():
     every parameter set to 2."""
     from algid.canon_catalog import FAMILY_ORDER, REGIME_CHAR3
     from algid.exactnum import F3
-    from algid.verifier import msc_from_scan_index
+    from algid.expander import msc_from_scan_index
 
     out = [msc_from_scan_index(3, k) for k in range(0, 3 ** 8, 729)]
     for fam in FAMILY_ORDER[REGIME_CHAR3]:

@@ -35,6 +35,7 @@ from algid.errors import (
 )
 from algid.exactnum import F2, F3, F5, QQ, field_make
 from algid.expander import (
+    SCAN_PRIMES,
     alternating_determinant_law,
     alternating_sum,
     alternating_vanishes,
@@ -42,6 +43,9 @@ from algid.expander import (
     check_functional,
     expand,
     functional_monomial,
+    msc_from_scan_index,
+    scan_algebras,
+    scan_field,
     tensor_plan,
     word_shapes,
 )
@@ -58,12 +62,8 @@ from algid.verifier import (
     FAIL,
     SKIP,
     REPORT_SCHEMA,
-    SCAN_PRIMES,
     TARGETS,
     _worked_row,
-    msc_from_scan_index,
-    scan_algebras,
-    scan_field,
     verify_theorem,
 )
 
@@ -569,11 +569,26 @@ class TestScan:
             ident = get_identity(name)
             assert scan_field(2, ident, "functional") >= scan_field(2, ident)
 
+    def test_verifier_keeps_the_scan_names(self):
+        from algid import expander, verifier
+
+        assert verifier.scan_field is expander.scan_field
+        assert verifier.scan_algebras is expander.scan_algebras
+
 
 class TestReports:
     def test_unknown_target(self):
         with pytest.raises(AlgidError):
             verify_theorem("NoSuchTarget")
+
+    @pytest.mark.parametrize("target, field", [
+        ("SelfOppositeCorollaries", field_make(7)), ("Section3Computations", F3)])
+    def test_fixed_field_targets_refuse_another_field(self, target, field):
+        # their rows fix their own fields, so a report over `field` would
+        # name a field that no row was checked over
+        with pytest.raises(AlgidError, match=target):
+            verify_theorem(target, field)
+        assert verify_theorem(target, QQ).field == QQ
 
     def test_targets_tuple(self):
         assert "Opp41" in TARGETS and "Section3Computations" in TARGETS
