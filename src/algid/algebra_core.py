@@ -210,7 +210,9 @@ def conjugates_to(A: Msc, B: Msc, g: Sequence[Sequence[Entry]]) -> bool:
 
 # -- isomorphism search --------------------------------------------------------
 
-_GL_ENUM_LIMIT = 20000
+# Most cases any enumeration visits: GL2 candidates here, parameter points
+# of a catalog row (p ** frees).
+ENUM_LIMIT = 20000
 
 
 def _conjugates_mod_p(a, b, g, p: int) -> bool:
@@ -239,7 +241,7 @@ def search_iso(A: Msc, B: Msc):
         raise FieldMismatch("cannot search between different fields")
     if f.kind == "Q":
         raise AlgidError("isomorphism search enumerates GL2 of a finite field")
-    if f.p ** 4 > _GL_ENUM_LIMIT:
+    if f.p ** 4 > ENUM_LIMIT:
         raise SearchSpaceTooLarge(
             "GL2(F_%d) enumeration (%d matrices) is over the limit"
             % (f.p, f.p ** 4))

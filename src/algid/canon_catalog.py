@@ -25,9 +25,16 @@ Three facts are read from the texts rather than stated next to them:
 * a family's regime is the table it is listed in.
 
 This module is data plus instantiation helpers; the checking logic lives in
-``verifier``.  Rows known to be wrong in the source tables carry a non-empty
-``erratum`` note and are still checked (they are expected to fail with a
-witness, never silently dropped).
+``verifier``.  A row has one path to its algebras: its argument texts are
+evaluated at a parameter point, and the family template at those values
+(`Family.instantiate`).  A point binds each free to a scalar or, at the
+row's symbolic point, to the polynomial variable of its own name; the one
+expression walker computes on both, so a symbolic check is the row's
+instance at its symbolic point.
+
+Rows known to be wrong in the source tables carry a non-empty ``erratum``
+note and are still checked (they are expected to fail with a witness, never
+silently dropped).
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import itertools
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra_core import Msc
+from .algebra_core import ENUM_LIMIT, Entry, Msc
 from .errors import (
     CharMismatch,
     DivisionByZero,
@@ -60,9 +67,6 @@ REGIME_CHAR0 = "char0"  # characteristic not 2 and not 3
 REGIME_CHAR2 = "char2"
 REGIME_CHAR3 = "char3"
 REGIMES = (REGIME_CHAR0, REGIME_CHAR2, REGIME_CHAR3)
-
-# Hard cap on brute-force parameter enumeration (p ** n_frees).
-_ENUM_LIMIT = 20000
 
 
 def regime_for_field(field: Field) -> str:
@@ -90,9 +94,10 @@ def _node_kinds(text: str) -> frozenset:
     return frozenset(kinds)
 
 
-def _values_at(field: Field, env: Dict[str, Scalar], *groups: Sequence[str]):
-    """(values, "") with a tuple of values per group of texts at `env`, or
-    (None, skip reason) when a square root or an inverse is unavailable."""
+def _values_at(field: Field, env: Dict[str, object], *groups: Sequence[str]):
+    """(values, "") with a tuple of values per group of texts at `env` (Scalars,
+    or polynomials where `env` binds one), or (None, skip reason) when a
+    square root or an inverse is unavailable."""
     try:
         return tuple(tuple(eval_expr(_node(t), field, env) for t in group)
                      for group in groups), ""
@@ -102,9 +107,9 @@ def _values_at(field: Field, env: Dict[str, Scalar], *groups: Sequence[str]):
         return None, "division by zero: %s" % exc
 
 
-def _symbolic(texts: Sequence[str], field: Field) -> Tuple[MultiPoly, ...]:
-    """Texts as polynomials over `field`, every variable left symbolic."""
-    return tuple(expr_to_poly(_node(t), field) for t in texts)
+def _symbolic(frees: Sequence[str], field: Field) -> Tuple[MultiPoly, ...]:
+    """The symbolic point: each free bound to the variable of its name."""
+    return tuple(MultiPoly.var(field, f) for f in frees)
 
 
 def _point_label(base: str, frees: Sequence[str],
@@ -144,7 +149,7 @@ def _parameter_points(field: Field, frees: Sequence[str],
             pts = [tuple(eval_expr(_node(t), field, {}) for t in sample)
                    for sample in samples]
     else:
-        if field.p ** len(frees) > _ENUM_LIMIT:
+        if field.p ** len(frees) > ENUM_LIMIT:
             raise SearchSpaceTooLarge(
                 "%d parameter points over F_%d is over the enumeration limit"
                 % (field.p ** len(frees), field.p))
@@ -190,28 +195,9 @@ class Family(NamedTuple):
                 "family %s needs characteristic %s; field has characteristic %d"
                 % (self.name, need, field.char))
 
-    def instantiate(self, field: Field, args: Sequence[Scalar]) -> Msc:
+    def instantiate(self, field: Field, args: Sequence[Entry]) -> Msc:
+        """The template at `args`, Scalars or polynomials in any variables."""
         return _instance(self, field, tuple(args))
-
-    def instantiate_poly(self, field: Field, arg_polys: Sequence[MultiPoly]) -> Msc:
-        """Template instantiation with polynomial arguments (symbolic checks)."""
-        return self._instantiate(field, arg_polys, expr_to_poly)
-
-    def _instantiate(self, field: Field, args: Sequence, evaluate) -> Msc:
-        """Evaluate every template cell with `evaluate` (eval_expr for scalar
-        entries, expr_to_poly for polynomial ones) at the bound parameters."""
-        self.check_regime(field)
-        if len(args) != self.arity:
-            raise ParamCountMismatch(
-                "family %s takes %d parameter(s), got %d"
-                % (self.name, self.arity, len(args))
-            )
-        env = dict(zip(self.params, args))
-        rows = [
-            [evaluate(_node(cell), field, env) for cell in row]
-            for row in self.rows
-        ]
-        return Msc(field, rows)
 
 
 # A paper pass makes about 3500 instantiations of about 350 distinct
@@ -222,8 +208,16 @@ _INSTANCES = 256
 
 
 @lru_cache(maxsize=_INSTANCES)
-def _instance(fam: Family, field: Field, args: Tuple[Scalar, ...]) -> Msc:
-    return fam._instantiate(field, args, eval_expr)
+def _instance(fam: Family, field: Field, args: tuple) -> Msc:
+    """Every template cell evaluated at the bound parameters."""
+    fam.check_regime(field)
+    if len(args) != fam.arity:
+        raise ParamCountMismatch(
+            "family %s takes %d parameter(s), got %d"
+            % (fam.name, fam.arity, len(args)))
+    env = dict(zip(fam.params, args))
+    return Msc(field, [[eval_expr(_node(cell), field, env) for cell in row]
+                       for row in fam.rows])
 
 
 def _bare_names(texts: Sequence[str]) -> Tuple[str, ...]:
@@ -354,13 +348,12 @@ class ClaimedRow(NamedTuple):
         return any("sqrt" in _node_kinds(a) for a in self.args)
 
     def symbolic_algebra(self, field: Field) -> Optional[Msc]:
-        """Template at polynomial arguments, or None if a radical blocks it."""
+        """The algebra at the symbolic point, or None if a radical blocks it."""
         if self.has_radical():
             return None
-        return family(self.family).instantiate_poly(
-            field, _symbolic(self.args, field))
+        return self._instance_at(field, _symbolic(self.frees, field)).algebra
 
-    def _instance_at(self, field: Field, point: Tuple[Scalar, ...]) -> "ClaimInstance":
+    def _instance_at(self, field: Field, point: tuple) -> "ClaimInstance":
         vals, skip = _values_at(field, dict(zip(self.frees, point)), self.args)
         if skip:
             return ClaimInstance(self, point, None, None, skip)
@@ -1035,15 +1028,9 @@ class OppositeRow(NamedTuple):
         row can be checked symbolically over the frees."""
         return not any({"sqrt", "div"} & _node_kinds(t) for t in self._texts())
 
-    def symbolic(self, field: Field):
-        """(source, image, witness or None) with the frees left symbolic."""
-        source = family(self.source_family).instantiate_poly(
-            field, _symbolic(self.source_args, field))
-        image = family(self.image_family).instantiate_poly(
-            field, _symbolic(self.image_args, field))
-        g = (None if self.witness is None
-             else tuple(_symbolic(row, field) for row in self.witness))
-        return source, image, g
+    def symbolic(self, field: Field) -> "OppositeInstance":
+        """The instance at the symbolic point (a fully polynomial row)."""
+        return self._instance_at(field, _symbolic(self.frees, field))
 
     def instances(self, field: Field) -> List["OppositeInstance"]:
         pts = _parameter_points(field, self.frees, self.samples,
@@ -1276,13 +1263,13 @@ class WorkedRow(NamedTuple):
         if self.family is None:
             return Msc.generic(field)
         fam = family(self.family)
-        return fam.instantiate_poly(field, _symbolic(fam.params, field))
+        return fam.instantiate(field, _symbolic(fam.params, field))
 
     def printed_equations(self, field: Field) -> Dict[Tuple[int, Monomial], MultiPoly]:
         """The printed components grouped by their coordinate part:
         (row, monomial in x1..z2) -> polynomial in the family's parameters."""
         out: Dict[Tuple[int, Monomial], Dict[Monomial, Scalar]] = {}
-        for row, poly in enumerate(_symbolic(self.printed, field)):
+        for row, poly in enumerate(expr_to_poly(_node(t), field) for t in self.printed):
             for mon, c in poly.terms.items():
                 coordinate = tuple(f for f in mon if f[0] in _PRINTED_COORDINATES)
                 rest = tuple(f for f in mon if f[0] not in _PRINTED_COORDINATES)
@@ -1362,7 +1349,7 @@ def row_covers(row: ClaimedRow, field: Field, candidate: Msc) -> bool:
     The free parameters of a claim row are its bare arguments, and the
     family's parameters are its bare template cells; so each free's first
     argument slot reads its value off one cell of `candidate`.  That is the
-    only possible binding, which is then verified by full instantiation.
+    only possible binding, whose instance is then compared with `candidate`.
     """
     fam = family(row.family)
     env: Dict[str, Scalar] = {}
@@ -1371,14 +1358,9 @@ def row_covers(row: ClaimedRow, field: Field, candidate: Msc) -> bool:
         if name in row.frees and name not in env:
             r, c = fam.param_cell(param)
             env[name] = candidate.rows[r][c]
-    vals, skip = _values_at(field, env, row.args)
-    if skip or not _conditions_hold(field, env, row.nonzero, row.zero):
-        return False
-    try:
-        built = fam.instantiate(field, vals[0])
-    except CharMismatch:
-        return False
-    return built == candidate
+    return (_conditions_hold(field, env, row.nonzero, row.zero)
+            and row._instance_at(field, tuple(env[f] for f in row.frees)).algebra
+            == candidate)
 
 
 def negative_instances(regime: str, identity_name: str, field: Field,

@@ -43,7 +43,7 @@ from .errors import (
     TooManyVariables,
     UnsupportedPrime,
 )
-from .exactnum import QQ, Field, field_make, inv
+from .exactnum import QQ, Field, Scalar, field_make, inv
 from .identity_lang import (
     Assoc,
     Comm,
@@ -58,7 +58,7 @@ from .identity_lang import (
     word_leaves,
     word_terms,
 )
-from .multipoly import Monomial, MultiPoly, mon_degree, mon_sort_key, render_monomial
+from .multipoly import Monomial, MultiPoly, _within_bound, mon_degree, mon_sort_key, render_monomial
 from .records import record
 
 if TYPE_CHECKING:
@@ -132,17 +132,17 @@ def expand(ident: Identity, A: Optional[Msc] = None, field: Optional[Field] = No
     algebra takes the identity's tensor plan, run on A's entries as integer
     polynomials in A's own variables (`TensorPlan.system`).
     """
+    if A is not None and field is not None and field != A.field:
+        raise FieldMismatch(f"{field} vs {A.field}")
+    f = A.field if A is not None else field if field is not None else QQ
+    plan = tensor_plan(ident, f, False)
     if A is None:
-        f = field if field is not None else QQ
         names, entries, d = _GENERIC_VARS, _GENERIC_ENTRIES, 1
     else:
-        if field is not None and field != A.field:
-            raise FieldMismatch(f"{field} vs {A.field}")
-        f = A.field
-        names, entries, d = _integer_entries(A)
+        names, entries, d = _integer_entries(A, plan.degree)
     scalar = functools.lru_cache(maxsize=None)(f.scalar)
     equations = [Equation(row, mon, _multipoly(f, terms, d ** (mon_degree(mon) - 1), scalar))
-                 for row, mon, terms in tensor_plan(ident, f, False).system(names, entries)]
+                 for row, mon, terms in plan.system(names, entries)]
     return PolySystem(f, equations, ident.name)
 
 
@@ -376,16 +376,36 @@ _LEAF = (({0: 1}, {}), ({}, {0: 1}))  # M(leaf) = I
 Entries = Tuple[Dict[tuple, int], ...]
 
 
-def _integer_entries(A: Msc) -> Tuple[Tuple[str, ...], Entries, int]:
+def _scaled(field: Field, coefficients: Sequence[Scalar], degree: int) -> Tuple[int, List[int]]:
+    """(d, the coefficients as integers): over Q, d is the lcm of their
+    denominators and each is multiplied by d; over F_p, d = 1 and they are
+    their residues.
+
+    A plan whose longest word has `degree` leaves multiplies up to
+    degree - 1 entries, so by the expression language's product rule it
+    could compute a value (degree - 1) times as long as the longest of d and
+    the scaled coefficients.  Past MAX_BITS that is NumberTooLong, raised
+    before the plan runs; residues never grow."""
+    values = [c.value for c in coefficients]
+    if field.char:
+        return 1, values
+    d = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (d // v.denominator) for v in values]
+    _within_bound((degree - 1) * max(x.bit_length() for x in (d, *ints)))
+    return d, ints
+
+
+def _integer_entries(A: Msc, degree: int) -> Tuple[Tuple[str, ...], Entries, int]:
     """(A's variable names, sorted; its entries a1..b4 as unpacked integer
-    polynomials in them, scaled by d; d, the lcm of the denominators)."""
+    polynomials in them, scaled by d; d, the lcm of the denominators), for a
+    plan of `degree` (see `_scaled`)."""
     polys = [x.terms if isinstance(x, MultiPoly) else {(): x} for x in A.entries_flat()]
     names = sorted({v for terms in polys for mon in terms for v, _ in mon})
     index = {v: k for k, v in enumerate(names)}
-    d = math.lcm(*(c.value.denominator for terms in polys for c in terms.values()))
-    entries = tuple({tuple((index[v], x) for v, x in mon):
-                     c.value.numerator * (d // c.value.denominator)
-                     for mon, c in terms.items()} for terms in polys)
+    d, ints = _scaled(A.field, [c for terms in polys for c in terms.values()], degree)
+    ints = iter(ints)
+    entries = tuple({tuple((index[v], x) for v, x in mon): next(ints) for mon in terms}
+                    for terms in polys)
     return tuple(names), entries, d
 
 
@@ -581,16 +601,13 @@ class TensorPlan:
         (concrete) entries, evaluated there; None when all vanish.
 
         Over F_p the entries are residues.  Over Q, A is scaled by d, the lcm
-        of its denominators: a slot of coordinate degree l is homogeneous of
-        degree l - 1 in the entries, so only the witness is divided, by
-        d^(l - 1).
+        of its denominators (`_scaled`, which first refuses entries too long
+        for the plan): a slot of coordinate degree l is homogeneous of degree
+        l - 1 in the entries, so only the witness is divided, by d^(l - 1).
         """
         f = self.field
-        vals = [x.value for x in A.entries_flat()]
         p = self.p
-        if not p:
-            d = math.lcm(*(v.denominator for v in vals))
-            vals = [v.numerator * (d // v.denominator) for v in vals]
+        d, vals = _scaled(f, A.entries_flat(), self.degree)
         a0, a1, a2, a3, b0, b1, b2, b3 = vals
         mats = [((1, 0), (0, 1))]
         for left, right in self.program:
@@ -779,8 +796,8 @@ def word_tensor_matrix(A: Msc, word: Word) -> List[List[MultiPoly]]:
     check_budget(Identity("word", word, Sum(())))
     program: List[Tuple[int, int]] = []
     k = _program_index(_shape(word), {None: 0}, program)
-    names, entries, d = _integer_entries(A)
     degree = len(list(word_leaves(word)))
+    names, entries, d = _integer_entries(A, degree)
     bits, mats = _packed_matrices(program, entries, degree)
     unpack = functools.lru_cache(maxsize=None)(lambda e: _unpack(e, bits, names))
     scalar = functools.lru_cache(maxsize=None)(A.field.scalar)

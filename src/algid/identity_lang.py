@@ -167,32 +167,55 @@ def _unwrap(s: Sum) -> Node:
     return s
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = tokenize(text, "+-*^=()[],")
+class TokenCursor:
+    """A position in the tokens of one text, shared by the parsers of both
+    text languages (the identities here, the scalar expressions of
+    `multipoly`): the next token, taking it, nesting within MAX_NESTING and
+    the end of input, a token of kind "end" whose text is 'end of input'.
+    `nesting` names what nests in the language's error message."""
+
+    def __init__(self, text: str, ops: str, nesting: str):
+        self.toks = tokenize(text, ops)
+        self.end = (len(text), "end", "end of input")
+        self.nesting = nesting
         self.pos = 0
         self.depth = 0
 
     def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (len(self.text), "end", "")
+        return self.toks[self.pos] if self.pos < len(self.toks) else self.end
 
     def take(self, kind=None):
         tok = self.peek()
         if kind is not None and tok[1] != kind:
-            raise IdentitySyntaxError(tok[0], f"expected {kind!r}, got {tok[2] or 'end of input'!r}")
+            raise IdentitySyntaxError(tok[0], f"expected {kind!r}, got {tok[2]!r}")
         self.pos += 1
         return tok
 
-    def nested_sum(self, opener) -> Node:
-        """A bracketed sub-sum; `opener` is the bracket's token."""
+    def nested(self, tok, parse):
+        """parse() one level deeper than `tok`, within MAX_NESTING."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise IdentitySyntaxError(
-                opener[0], f"brackets nested deeper than {MAX_NESTING} levels")
-        node = _unwrap(self.sum())
+                tok[0], f"{self.nesting} nested deeper than {MAX_NESTING} levels")
+        node = parse()
         self.depth -= 1
         return node
+
+    def finish(self, node):
+        """`node`, parsed from the whole text: a token left over is an error."""
+        tok = self.peek()
+        if tok[1] != "end":
+            raise IdentitySyntaxError(tok[0], f"trailing input {tok[2]!r}")
+        return node
+
+
+class _Parser(TokenCursor):
+    def __init__(self, text: str):
+        super().__init__(text, "+-*^=()[],", "brackets")
+
+    def nested_sum(self, opener) -> Node:
+        """A bracketed sub-sum; `opener` is the bracket's token."""
+        return _unwrap(self.nested(opener, self.sum))
 
     def identity(self, name: str) -> Identity:
         lhs = self.sum()
@@ -200,10 +223,7 @@ class _Parser:
         if self.peek()[1] == "=":
             self.take()
             rhs = self.sum()
-        tok = self.peek()
-        if tok[1] != "end":
-            raise IdentitySyntaxError(tok[0], f"trailing input {tok[2]!r}")
-        return Identity(name, lhs, rhs)
+        return self.finish(Identity(name, lhs, rhs))
 
     def sum(self) -> Sum:
         terms: List[Tuple[int, Node]] = []
@@ -265,7 +285,7 @@ class _Parser:
             self.take("]")
             node = Comm(*args) if len(args) == 2 else Assoc(*args)
         else:
-            raise IdentitySyntaxError(tok[0], f"expected a factor, got {tok[2] or 'end of input'!r}")
+            raise IdentitySyntaxError(tok[0], f"expected a factor, got {tok[2]!r}")
         if self.peek()[1] == "^":
             self.take()
             etok = self.take("int")

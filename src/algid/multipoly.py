@@ -14,7 +14,7 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .errors import AlgidError, DivisionByZero, FieldMismatch, IdentitySyntaxError, NumberTooLong
 from .exactnum import Field, Scalar, inv, sqrt
-from .identity_lang import MAX_EXPONENT, MAX_NESTING, literal_int, tokenize
+from .identity_lang import MAX_EXPONENT, TokenCursor, literal_int
 
 Monomial = Tuple[Tuple[str, int], ...]
 
@@ -217,35 +217,12 @@ class MultiPoly:
 _Node = tuple
 
 
-class _ExprParser:
+class _ExprParser(TokenCursor):
     """Recursive descent over the grammar above.  Methods, not closures, so a
     parse leaves no reference cycle behind."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.toks = tokenize(text, "+-*/^()")
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (len(self.text), "end", "")
-
-    def take(self, kind=None):
-        tok = self.peek()
-        if kind is not None and tok[1] != kind:
-            raise IdentitySyntaxError(tok[0], f"expected {kind!r}, got {tok[2]!r}")
-        self.pos += 1
-        return tok
-
-    def nested(self, tok, parse):
-        """parse() one level deeper than `tok`, within MAX_NESTING."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise IdentitySyntaxError(
-                tok[0], f"expression nested deeper than {MAX_NESTING} levels")
-        node = parse()
-        self.depth -= 1
-        return node
+        super().__init__(text, "+-*/^()", "expression")
 
     def expr(self):
         node = self.term()
@@ -306,11 +283,7 @@ class _ExprParser:
 def parse_expr(text: str) -> _Node:
     """Parse the mini-language into a tuple tree (no field binding yet)."""
     parser = _ExprParser(text)
-    node = parser.expr()
-    if parser.pos != len(parser.toks):
-        tok = parser.peek()
-        raise IdentitySyntaxError(tok[0], f"trailing input {tok[2]!r}")
-    return node
+    return parser.finish(parser.expr())
 
 
 def _power(base, n: int, one):
@@ -406,8 +379,9 @@ def _unbound(name: str):
     raise AlgidError(f"unbound variable {name!r}")
 
 
-def eval_expr(node: _Node, field: Field, env: Mapping[str, Scalar]) -> Scalar:
-    """Fully evaluate an expression tree to a Scalar.
+def eval_expr(node: _Node, field: Field, env: Mapping[str, object]):
+    """Evaluate an expression tree with every variable bound in `env`: a
+    Scalar, or a polynomial where `env` binds a variable to one.
 
     Raises SqrtUnavailable when a radicand is a nonsquare and DivisionByZero
     when a denominator vanishes — callers treat both as "point not realizable".

@@ -29,8 +29,10 @@ from .canon_catalog import (
     SECTION3_ROWS,
     SELF_OPPOSITE,
     ClaimedRow,
+    OppositeInstance,
     OppositeRow,
     WorkedRow,
+    _values_at,
     claimed_rows,
     negative_instances,
     regime_for_field,
@@ -39,6 +41,7 @@ from .errors import AlgidError
 from .exactnum import F2, F3, F5, QQ, Field, sqrt as scalar_sqrt
 from .expander import (  # noqa: F401 (scan_algebras, scan_field: public names)
     COORD_PREFIXES,
+    FormalCheck,
     alternating_determinant_law,
     alternating_vanishes,
     check_formal,
@@ -54,7 +57,6 @@ from .identity_lang import (
     identity_variables,
     parse_identity,
 )
-from .multipoly import parse_poly
 from .records import record
 
 
@@ -132,8 +134,14 @@ class Report(NamedTuple):
 # --- membership ---------------------------------------------------------------
 
 
-def _erratum_suffix(row: ClaimedRow) -> str:
-    return (" | known discrepancy: " + row.erratum) if row.erratum else ""
+def _membership_row(name: str, label: str, row: ClaimedRow, res: FormalCheck,
+                    passed: str = "") -> ReportRow:
+    """A claimed row's verdict: pass with detail `passed`, or fail with the
+    witness and the row's known discrepancy, if any."""
+    if res.ok:
+        return ReportRow(name, label, PASS, passed)
+    erratum = (" | known discrepancy: " + row.erratum) if row.erratum else ""
+    return ReportRow(name, label, FAIL, res.witness_text() + erratum)
 
 
 def _membership_rows(regime: str, name: str, field: Field) -> List[ReportRow]:
@@ -141,14 +149,9 @@ def _membership_rows(regime: str, name: str, field: Field) -> List[ReportRow]:
     out: List[ReportRow] = []
     for row in claimed_rows(regime, name, field):
         if field.kind == "Q" and row.frees and not row.has_radical():
-            algebra = row.symbolic_algebra(field)
-            res = check_formal(algebra, ident)
-            if res.ok:
-                out.append(ReportRow(name, row.label(), PASS,
-                                     "symbolic in " + ", ".join(row.frees)))
-            else:
-                out.append(ReportRow(name, row.label(), FAIL,
-                                     res.witness_text() + _erratum_suffix(row)))
+            out.append(_membership_row(
+                name, row.label(), row, check_formal(row.symbolic_algebra(field), ident),
+                "symbolic in " + ", ".join(row.frees)))
             continue
         instances = row.instances(field)
         if not instances:
@@ -161,12 +164,8 @@ def _membership_rows(regime: str, name: str, field: Field) -> List[ReportRow]:
             if ins.skip_reason:
                 out.append(ReportRow(name, ins.label(), SKIP, ins.skip_reason))
                 continue
-            res = check_formal(ins.algebra, ident)
-            if res.ok:
-                out.append(ReportRow(name, ins.label(), PASS, ""))
-            else:
-                out.append(ReportRow(name, ins.label(), FAIL,
-                                     res.witness_text() + _erratum_suffix(row)))
+            out.append(_membership_row(name, ins.label(), row,
+                                       check_formal(ins.algebra, ident)))
     for fam, args, candidate in negative_instances(regime, name, field):
         label = "negative: %s(%s)" % (
             fam.name, ", ".join(str(a) for a in args)) \
@@ -216,18 +215,23 @@ def _involution_row(field: Field) -> ReportRow:
                      PASS if ok else FAIL, "symbolic")
 
 
-def _symbolic_opposite_check(row: OppositeRow, field: Field) -> bool:
-    src, img, g = row.symbolic(field)
-    if row.kind == "equal":
-        return src.opposite() == img
-    return conjugates_to(src.opposite(), img, g)
+def _opposite_holds(ins: OppositeInstance) -> bool:
+    """Whether the opposite of the instance's source is its image: equal for
+    an `equal` row, carried there by the witness when the row gives one, else
+    found by GL2 search."""
+    src_op = ins.source.opposite()
+    if ins.row.kind == "equal":
+        return src_op == ins.image
+    if ins.witness is not None:
+        return conjugates_to(src_op, ins.image, ins.witness)
+    return search_iso(src_op, ins.image) is not None
 
 
 def _opposite_row_report(row: OppositeRow, field: Field) -> List[ReportRow]:
     section = "opposite"
     if field.kind == "Q" and row.fully_polynomial() and (
             row.kind == "equal" or row.witness is not None):
-        ok = _symbolic_opposite_check(row, field)
+        ok = _opposite_holds(row.symbolic(field))
         detail = "symbolic" + (
             " in " + ", ".join(row.frees) if row.frees else "")
         return [ReportRow(section, row.label(), PASS if ok else FAIL, detail)]
@@ -237,14 +241,7 @@ def _opposite_row_report(row: OppositeRow, field: Field) -> List[ReportRow]:
         if ins.skip_reason:
             skip_reasons.append(ins.skip_reason)
             continue
-        src_op = ins.source.opposite()
-        if row.kind == "equal":
-            ok = src_op == ins.image
-        elif ins.witness is not None:
-            ok = conjugates_to(src_op, ins.image, ins.witness)
-        else:
-            ok = search_iso(src_op, ins.image) is not None
-        if not ok:
+        if not _opposite_holds(ins):
             return [ReportRow(section, row.label(), FAIL,
                               "fails at " + ins.label())]
         checked += 1
@@ -282,12 +279,9 @@ SELF_OPPOSITE_FIELDS = {
 
 def _self_opposite_row_report(row: ClaimedRow, field: Field) -> List[ReportRow]:
     section = "self-opposite/" + regime_for_field(field)
-    missing_root = ""
-    for req in row.sqrt_requirements:
-        val = parse_poly(req, field).constant_value()
-        if scalar_sqrt(val) is None:
-            missing_root = req
-            break
+    (values,), _ = _values_at(field, {}, row.sqrt_requirements)
+    missing_root = next((req for req, val in zip(row.sqrt_requirements, values)
+                         if scalar_sqrt(val) is None), "")
     witnessed = 0
     for ins in row.instances(field):
         if ins.skip_reason:

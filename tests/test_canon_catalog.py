@@ -240,10 +240,10 @@ class TestOppositeTables:
             if row.kind != "equal":
                 continue
             env = {f: MultiPoly.var(QQ, f) for f in row.frees}
-            src = family(row.source_family).instantiate_poly(
+            src = family(row.source_family).instantiate(
                 QQ, [expr_to_poly(parse_expr(a), QQ, env)
                      for a in row.source_args])
-            img = family(row.image_family).instantiate_poly(
+            img = family(row.image_family).instantiate(
                 QQ, [expr_to_poly(parse_expr(a), QQ, env)
                      for a in row.image_args])
             assert src.opposite() == img, row.label()
@@ -275,9 +275,9 @@ class TestOppositeTables:
         row = OPPOSITE_TABLES[REGIME_CHAR0][0]
         assert row.fully_polynomial()
         env = {f: MultiPoly.var(QQ, f) for f in row.frees}
-        src = family("A1").instantiate_poly(
+        src = family("A1").instantiate(
             QQ, [expr_to_poly(parse_expr(a), QQ, env) for a in row.source_args])
-        img = family("A1").instantiate_poly(
+        img = family("A1").instantiate(
             QQ, [expr_to_poly(parse_expr(a), QQ, env) for a in row.image_args])
         g = [[expr_to_poly(parse_expr(c), QQ, env) for c in r]
              for r in row.witness]
@@ -329,6 +329,29 @@ class TestNegatives:
         assert row_covers(r19, QQ, good)
         assert not row_covers(r19, QQ, bad)
         assert not row_covers(r19, QQ, edge)
+
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=str)
+    def test_row_covers_exactly_the_row_instances(self, field):
+        """Over F_p a row's instances are all its admissible points, so
+        `row_covers` holds exactly when the candidate is one of them: for
+        every claimed row of the field's regime and every negative-check
+        candidate and claimed instance."""
+        regime = regime_for_field(field)
+        rows = {row for rows in CLAIMED_SOLUTIONS[regime].values() for row in rows}
+        if regime == REGIME_CHAR0:
+            rows.update(CHAR5_I19_ROWS)
+        instances = {row: {ins.algebra for ins in row.instances(field)
+                           if not ins.skip_reason} for row in rows}
+        candidates = set().union(*instances.values()) | {
+            candidate for k in range(1, 31)
+            for _, _, candidate in negative_instances(regime, f"I{k}", field)}
+        covered = 0
+        for row in rows:
+            for candidate in candidates:
+                got = row_covers(row, field, candidate)
+                assert got == (candidate in instances[row]), (row.label(), candidate)
+                covered += got
+        assert 0 < covered < len(rows) * len(candidates)
 
     @pytest.mark.parametrize("regime,field", [
         (REGIME_CHAR0, QQ), (REGIME_CHAR2, F2), (REGIME_CHAR3, F3)])

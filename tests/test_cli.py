@@ -846,6 +846,26 @@ class TestInputContracts:
         assert "a value longer than 262144 bits would be computed" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("command", ["check", "expand"])
+    def test_entries_too_long_for_the_plan_are_usage_error(self, command):
+        """Each --args value is within the bit bound, but scaled by the lcm
+        of their denominators (3 * 2^258048) and multiplied 9 times by a
+        degree-10 plan they would pass it; both commands refuse them before
+        the plan runs, where check used to spend about 20 s and expand about
+        a minute."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+            os.path.abspath(algid.__file__))))
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "algid.cli", command, "--family", "A4",
+             "--args", "((2^64)^64)^63/3, 1/((2^64)^64)^63",
+             "--identity", "(((u*v)*(u*v))*((u*v)*(u*v)))*(u*v) = 0"],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert time.perf_counter() - start < 2
+        assert out.returncode == 2, out.stderr
+        assert "a value longer than 262144 bits would be computed" in out.stderr
+        assert "Traceback" not in out.stderr
+
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(["2", "99", "3/7", "-5"]),
            st.lists(st.integers(0, 64), max_size=6))

@@ -26,11 +26,18 @@ from algid.canon_catalog import (
     SELF_OPPOSITE,
     family,
 )
-from algid.errors import AlgidError, ExpansionTooLarge, FieldMismatch, TooManyVariables
+from algid.errors import (
+    AlgidError,
+    ExpansionTooLarge,
+    FieldMismatch,
+    NumberTooLong,
+    TooManyVariables,
+)
 from algid.exactnum import F2, F3, F5, QQ
 from algid.expander import (
     MAX_COLUMNS,
     PolySystem,
+    check_formal,
     expand,
     expansion_columns,
     span_contains,
@@ -48,7 +55,7 @@ from algid.identity_lang import (
     get_identity,
     parse_identity,
 )
-from algid.multipoly import MultiPoly, parse_poly
+from algid.multipoly import MAX_BITS, MultiPoly, parse_poly
 
 COMMUTATIVE = Msc.from_scalars(QQ, [[0, 1, 1, 0], [0, 0, 0, -1]])
 
@@ -260,7 +267,7 @@ def test_word_tensor_matrix_base_cases():
 
 @pytest.mark.parametrize("A", [
     Msc.from_scalars(QQ, [["1/3", 0, 0, 0], [1, "2/3", "-1/3", 0]]),
-    family("A5").instantiate_poly(QQ, (P("a1"),)),
+    family("A5").instantiate(QQ, (P("a1"),)),
     Msc(F3, [[P("a1 + b1", F3), F3.scalar(2), F3.zero(), P("a1^2", F3)],
              [F3.one(), P("2 b1", F3), F3.zero(), F3.one()]]),
 ], ids=["concrete-Q", "symbolic-A5", "mixed-F3"])
@@ -420,6 +427,29 @@ def test_square_towers_are_counted_without_expanding_them():
         expand(tower, field=F3)
 
 
+def test_plan_bit_bound_refuses_long_entries_before_the_plan_runs():
+    """A degree-10 plan multiplies 9 entries.  Entries of 29001 bits
+    (9 x 29001 <= MAX_BITS) still answer: the witness is the family's
+    symbolic first equation at that point.  Entries of 29201 bits are
+    refused by both routes before the plan runs."""
+    ident = parse_identity("(((u*v)*(u*v))*((u*v)*(u*v)))*(u*v) = 0")
+    a4 = family("A4")
+    x = 2 ** 29000
+    assert 9 * x.bit_length() <= MAX_BITS < 9 * (x << 200).bit_length()
+    res = check_formal(a4.instantiate(QQ, (QQ.scalar(x), QQ.zero())), ident)
+    first = expand(ident, a4.instantiate(QQ, (P("a1"), QQ.zero()))).equations[0]
+    assert (res.witness.row, res.witness.monomial) == (first.row, first.monomial)
+    value = sum(c.value * x ** dict(mon)["a1"] if mon else c.value
+                for mon, c in first.poly.terms.items())
+    assert value and res.witness.poly == MultiPoly.const(QQ, value)
+    long = a4.instantiate(QQ, (QQ.scalar(x << 200), QQ.zero()))
+    start = time.perf_counter()
+    for call in (lambda: check_formal(long, ident), lambda: expand(ident, long)):
+        with pytest.raises(NumberTooLong, match="bits would be computed"):
+            call()
+    assert time.perf_counter() - start < 1
+
+
 def test_word_tensor_matrix_checks_the_budget():
     """A 12-leaf word (4096 columns) is refused before the kernel runs;
     without the check it takes about a minute."""
@@ -454,7 +484,8 @@ def _table_algebras(field):
     algebras = [row.symbolic_algebra(field) for row in rows]
     for row in OPPOSITE_TABLES[regime]:
         if row.fully_polynomial():
-            algebras += row.symbolic(field)[:2]
+            ins = row.symbolic(field)
+            algebras += [ins.source, ins.image]
     if field == QQ:
         algebras += [row.algebra(field) for row in SECTION3_ROWS if row.family]
     return list(dict.fromkeys(A for A in algebras if A is not None and _has_parameters(A)))

@@ -124,6 +124,21 @@ def test_parse_expr_nesting_depth_is_bounded():
                 parse_expr(text)
 
 
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_expr, "(x + 1", "expected ')', got 'end of input'"),
+    (parse_expr, "x +", "unexpected token 'end of input'"),
+    (parse_expr, "x)", "trailing input ')'"),
+    (parse_identity, "(u*v", "expected ')', got 'end of input'"),
+    (parse_identity, "u +", "expected a factor, got 'end of input'"),
+    (parse_identity, "u)", "trailing input ')'"),
+])
+def test_both_languages_name_the_end_of_input(parse, text, message):
+    """Both text languages read their tokens through one cursor."""
+    with pytest.raises(IdentitySyntaxError) as exc:
+        parse(text)
+    assert message in str(exc.value)
+
+
 @st.composite
 def polys(draw):
     names = ["a1", "a2", "b1"]

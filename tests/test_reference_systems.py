@@ -31,7 +31,7 @@ def _parsed(rows):
 
 def _symbolic(fam_name):
     fam = family(fam_name)
-    return fam.instantiate_poly(QQ, [MultiPoly.var(QQ, p) for p in fam.params])
+    return fam.instantiate(QQ, [MultiPoly.var(QQ, p) for p in fam.params])
 
 
 class TestGenericSystems:
