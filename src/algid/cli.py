@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra_core import Msc, conjugates_to, search_iso
 from .errors import AlgidError, IdentitySyntaxError, NumberTooLong, UnknownIdentity
-from .exactnum import QQ, Field, field_make
+from .exactnum import QQ, Field, field_make, is_ascii_digits
 from .identity_lang import (
     MAX_DIGITS,
     Identity,
@@ -51,7 +51,7 @@ def _parse_field(spec: Optional[str], default: Field = QQ) -> Field:
     if spec is None:
         return default
     try:
-        return field_make(int(spec) if spec.isdigit() else spec)
+        return field_make("F" + spec if is_ascii_digits(spec) else spec)
     except (ValueError, AlgidError) as exc:
         raise _InputError(str(exc))
 

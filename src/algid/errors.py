@@ -12,7 +12,7 @@ class NonPrimeModulus(AlgidError):
 
 
 class UnsupportedModulus(AlgidError):
-    def __init__(self, p: int):
+    def __init__(self, p):  # an int, or a phrase such as "of 5000 digits"
         super().__init__(f"modulus {p} out of supported range [2, 2^31)")
         self.p = p
 

@@ -23,6 +23,8 @@ from .errors import (
 )
 
 MAX_MODULUS = 2**31
+# A modulus below MAX_MODULUS has at most this many significant digits.
+_MODULUS_DIGITS = len(str(MAX_MODULUS - 1))
 
 
 def is_prime(n: int) -> bool:
@@ -140,6 +142,24 @@ class Field:
         return {"kind": "Q"} if self.kind == "Q" else {"kind": "Fp", "p": self.p}
 
 
+def is_ascii_digits(text: str) -> bool:
+    """Is `text` one or more of the digits 0-9?  str.isdigit also accepts
+    other scripts' digits and superscripts, which int() reads or refuses."""
+    return text.isascii() and text.isdigit()
+
+
+def _modulus(text: str, spec) -> int:
+    """A modulus written in ASCII digits (in the field spec `spec`), refused
+    before int() reads it when it is other text or has more significant
+    digits than any supported modulus."""
+    if not is_ascii_digits(text):
+        raise ValueError(f"bad field spec {spec!r}")
+    significant = text.lstrip("0")
+    if len(significant) > _MODULUS_DIGITS:
+        raise UnsupportedModulus(f"of {len(significant)} digits")
+    return int(significant or "0")
+
+
 def field_make(spec) -> Field:
     """Construct a field from {"kind":"Q"} / {"kind":"Fp","p":5}, "Q"/"F5",
     a bare prime, or a Field."""
@@ -153,13 +173,12 @@ def field_make(spec) -> Field:
         p = spec["p"]
         if isinstance(p, (bool, float)):
             raise InexactScalar(f"modulus {p!r} is not an integer")
-        return Field("Fp", int(p))
+        return Field("Fp", _modulus(p, spec) if isinstance(p, str) else int(p))
     if isinstance(spec, str):
         if spec == "Q":
             return QQ
-        if spec.startswith("F") and spec[1:].isdigit():
-            return Field("Fp", int(spec[1:]))
-        raise ValueError(f"bad field spec {spec!r}")
+        if spec.startswith("F"):
+            return Field("Fp", _modulus(spec[1:], spec))
     raise ValueError(f"bad field spec {spec!r}")
 
 

@@ -130,9 +130,9 @@ def tokenize(text: str, ops: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # str.isdigit also takes other scripts' digits
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append((i, "int", text[i:j]))
             i = j

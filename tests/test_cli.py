@@ -605,15 +605,17 @@ _NO_SCANS = _NO_REPORTS | {"numpy"}
     (["alternating", "--n", "2"], {"algid.expander"}, _NO_SCANS),
     (["check", "--family", "A12", "--identity", "I1"],
      {"algid.canon_catalog", "algid.expander"}, {"algid.verifier", "numpy"}),
-    (["scan", "--field", "F2", "--identity", "I1"],
+    (["scan", "--field", "F2", "--identity", "I1"], {"algid.expander"}, _NO_SCANS),
+    (["scan", "--field", "F3", "--identity", "I1"],
      {"algid.expander", "numpy"}, _NO_REPORTS),
 ], ids=["expand", "catalog-instantiate", "opposite", "iso-witness",
-        "iso-search", "check-algebra", "alternating", "check", "scan"])
+        "iso-search", "check-algebra", "alternating", "check", "scan", "scan-f3"])
 def test_each_command_imports_only_what_it_uses(a4_file, tmp_path, argv,
                                                 present, absent):
     """A one-shot process loads the modules its command uses and no others:
     only the reports need the verifier, only a named family the catalog and
-    only the scans numpy.  No command loads click or dataclasses."""
+    only the scans over F3 and F5 numpy (F2 is counted on the plan's integer
+    route).  No command loads click or dataclasses."""
     src = os.path.dirname(os.path.dirname(algid.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     files = {"@a4": a4_file, "@f3": _f3_file(tmp_path, 0)}
@@ -625,6 +627,19 @@ def test_each_command_imports_only_what_it_uses(a4_file, tmp_path, argv,
     assert present <= set(loaded)
     assert not absent & set(loaded)
     assert not {"click", "dataclasses"} & set(loaded)
+
+
+def test_unsupported_scan_prime_exits_before_loading_numpy():
+    """The prime is refused before numpy is imported or a plan compiles."""
+    src = os.path.dirname(os.path.dirname(algid.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES,
+                          "scan", "--field", "F7", "--identity", "I1"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    code, *loaded = out.stdout.splitlines()[-1].split()
+    assert code == "2"
+    assert out.stderr == "Error: scans enumerate p^8 algebras; supported primes: 2, 3, 5\n"
+    assert "numpy" not in loaded
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -786,6 +801,32 @@ class TestInputContracts:
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)
         assert "integer longer than 4300 digits" in r.output
+
+    @pytest.mark.parametrize("spec, message", [
+        ("F\u0663", "Error: bad field spec 'F\u0663'\n"),  # ARABIC-INDIC DIGIT THREE
+        ("F\u00b2", "Error: bad field spec 'F\u00b2'\n"),  # SUPERSCRIPT TWO
+        ("F" + "1" * 5000,
+         "Error: modulus of 5000 digits out of supported range [2, 2^31)\n"),
+    ], ids=["arabic-indic-digit", "superscript-digit", "5000-digits"])
+    def test_field_modulus_is_ascii_digits(self, spec, message):
+        """A modulus is refused before int() reads it unless it is ASCII
+        digits short enough for a supported prime."""
+        r = runner.invoke(main, ["scan", "--field", spec, "--identity", "I1"])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == message
+        assert "int()" not in r.output and "set_int_max_str_digits" not in r.output
+        assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--family", "A12", "--identity", "u*v = \u00b2*(u*v)"],
+        ["catalog", "instantiate", "A8", "--args", "\u0663"],
+    ], ids=["identity", "args"])
+    def test_literal_is_ascii_digits(self, argv):
+        r = runner.invoke(main, argv)
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert "unexpected character" in r.output and "int()" not in r.output
 
     def test_overlong_witness_number_is_usage_error(self, a4_file):
         r = runner.invoke(main, ["iso", "--a", a4_file, "--b", a4_file,

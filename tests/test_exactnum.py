@@ -34,6 +34,23 @@ def test_field_make_specs():
     assert field_make(QQ) is QQ
 
 
+@pytest.mark.parametrize("spec", [
+    "F\u0663", "F\u00b2", "\u0663", "F", "F 7", {"kind": "Fp", "p": "\u0663"},
+], ids=["arabic-indic-digit", "superscript", "bare-arabic-indic", "empty", "space", "dict"])
+def test_field_make_modulus_is_ascii_digits(spec):
+    with pytest.raises(ValueError, match="bad field spec"):
+        field_make(spec)
+
+
+def test_field_make_bounds_modulus_text_before_int():
+    with pytest.raises(UnsupportedModulus, match="modulus of 5000 digits out of supported range"):
+        field_make("F" + "1" * 5000)
+    with pytest.raises(UnsupportedModulus, match="modulus 2147483648 out of supported range"):
+        field_make("F2147483648")
+    assert field_make("F" + "0" * 5000 + "7") == Field("Fp", 7)
+    assert field_make({"kind": "Fp", "p": "7"}) == Field("Fp", 7)
+
+
 @pytest.mark.parametrize("field", [QQ, F5])
 @pytest.mark.parametrize("value", [None, [1], {"a": 1}, b"1", 1j,
                                    "1e2000000", "1E-3", "2.5e1"])

@@ -95,6 +95,13 @@ def test_syntax_error_positions():
         parse_identity("[u,v,w,u]")
 
 
+@pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])  # Arabic-Indic three, superscript two
+def test_weights_are_ascii_digits(digit):
+    with pytest.raises(IdentitySyntaxError, match="unexpected character") as err:
+        parse_identity("u*v = %s*(v*u)" % digit)
+    assert err.value.position == 6
+
+
 def test_primed_names():
     ident = parse_identity("[[u,v],[u',v']]")
     assert identity_variables(ident) == ["u", "v", "u'", "v'"]

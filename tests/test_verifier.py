@@ -56,7 +56,7 @@ from algid.identity_lang import (
     get_identity,
     parse_identity,
 )
-from algid.multipoly import mon_sort_key, parse_poly, render_monomial
+from algid.multipoly import MultiPoly, mon_sort_key, parse_poly, render_monomial
 from algid.verifier import (
     PASS,
     FAIL,
@@ -495,6 +495,59 @@ class TestScanPruning:
         assert scan_field(3, parse_identity("u*v + u = 0")) == 0
         assert scan_field(3, parse_identity("u*v + u = u")) == 1
         assert scan_field(3, parse_identity("(u*v)*w + u*v = 0")) == 1
+
+
+class TestIntegerScanOverF2:
+    """scan_field counts the 256 F2 algebras with the plan's integer core
+    (`TensorPlan.nonzero_slot`); scan_algebras's numpy vector is its oracle."""
+
+    _SIX = "((u*v)*(w*s))*(t*q) = ((u*v)*w)*((s*t)*q)"  # 6 variables, degree 6
+
+    @pytest.mark.parametrize("mode", ["formal", "functional"])
+    def test_matches_numpy_scan(self, mode):
+        idents = [get_identity("I%d" % k) for k in range(1, 31)]
+        # "u*v + u = 0": a constant equation sorts after a pruning one
+        idents += [parse_identity(text)
+                   for text in ("u = u", "u = 0", "u*v + u = 0", self._SIX)]
+        for ident in idents:
+            assert scan_field(2, ident, mode) == int(scan_algebras(2, ident, mode).sum()), \
+                (ident.name or ident.render(), mode)
+
+    def test_constant_systems(self):
+        assert scan_field(2, parse_identity("u = u")) == 2 ** 8
+        assert scan_field(2, parse_identity("u = 0")) == 0
+        assert scan_field(2, parse_identity("u*v + u = 0")) == 0
+
+    @pytest.mark.parametrize("mode", ["formal", "functional"])
+    def test_core_matches_first_nonzero(self, mode):
+        """The core reads the scan's residue tuples in scan-index order and
+        finds the witness slot of first_nonzero at every index."""
+        idents = [get_identity("I%d" % k) for k in range(1, 31)] + [parse_identity(self._SIX)]
+        for ident in idents:
+            plan = tensor_plan(ident, F2, mode == "functional")
+            n = len(plan.monomials)
+            for i, vals in enumerate(itertools.product(range(2), repeat=8)):
+                found = plan.nonzero_slot(vals)
+                witness = plan.first_nonzero(msc_from_scan_index(2, i))
+                if witness is None:
+                    assert found is None, (i, mode)
+                    continue
+                s, value = found
+                row, number = divmod(s, n)
+                assert (row, plan.monomials[number]) == (witness.row, witness.monomial)
+                assert witness.poly == MultiPoly.const(F2, F2.scalar(value))
+
+    def test_unsupported_prime_and_mode_before_the_plan(self, monkeypatch):
+        """An unsupported prime is refused before the mode, and both before a
+        plan compiles."""
+        import algid.expander as expander
+
+        monkeypatch.setattr(expander, "tensor_plan", None)
+        with pytest.raises(UnsupportedPrime, match="supported primes: 2, 3, 5"):
+            scan_field(7, get_identity("I1"), "bogus")
+        for p in SCAN_PRIMES:
+            with pytest.raises(AlgidError, match="scan mode must be"):
+                scan_field(p, get_identity("I1"), "bogus")
 
 
 class TestAlternating:
