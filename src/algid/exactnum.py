@@ -170,10 +170,13 @@ def field_make(spec) -> Field:
     if isinstance(spec, dict):
         if spec.get("kind") == "Q":
             return QQ
-        p = spec["p"]
+        p = spec.get("p")
         if isinstance(p, (bool, float)):
             raise InexactScalar(f"modulus {p!r} is not an integer")
-        return Field("Fp", _modulus(p, spec) if isinstance(p, str) else int(p))
+        if isinstance(p, int):
+            return Field("Fp", p)
+        if isinstance(p, str):
+            return Field("Fp", _modulus(p, spec))
     if isinstance(spec, str):
         if spec == "Q":
             return QQ

@@ -703,23 +703,59 @@ def _scan_plan(p: int, ident: Identity, mode: str) -> TensorPlan:
     return tensor_plan(ident, field_make(p), mode == "functional")
 
 
+def _scan_dtype(p: int, degree: int, most_terms: int):
+    """The narrowest signed numpy integer type that holds every partial sum
+    of a scan's equations: a term is a coefficient in [0, p) times at most
+    degree - 1 entries in [0, p), so an equation of at most `most_terms`
+    terms never passes most_terms * (p - 1) ** degree."""
+    import numpy as np
+
+    bound = most_terms * (p - 1) ** degree
+    for dtype in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    # Under the expansion budget the degree is at most 11, and an equation
+    # has at most C(17, 7) terms, the monomials of degree 10 in a1..b4.
+    assert bound <= np.iinfo(np.int64).max, "a scan's partial sums overflow int64"
+    return np.int64
+
+
+def _digit_columns(mask: np.ndarray, p: int, dtype) -> Dict[str, np.ndarray]:
+    """The digit columns a1..b4, of type `dtype`, of the algebras where the
+    (p,)*8 `mask` is true: its flat index, split by repeated division by p.
+    Each remainder is taken as q - (q // p) * p, since numpy's integer floor
+    division is several times faster than its `np.divmod`."""
+    import numpy as np
+
+    q = np.flatnonzero(mask).astype(np.int32)  # p^8 <= 5^8
+    digits = []  # b4, the last digit, first
+    for _ in _GENERIC_VARS:
+        rest = q // p
+        digits.append((q - rest * p).astype(dtype))
+        q = rest
+    return dict(zip(_GENERIC_VARS, reversed(digits)))
+
+
 def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
     """Boolean satisfaction vector over all p^8 structure-constant matrices,
     indexed by the row-major digit encoding a1..b4 (a1 most significant).
 
     The identity's generic system is evaluated equation by equation, in
-    canonical order.  Until one is nonzero somewhere, each is evaluated on a
-    broadcast (p,)*8 digit grid restricted to the entries it uses; np.nonzero
-    of that equation's zero mask gives the surviving algebras' digit columns,
-    and later equations run on those columns only, which shrink at each
-    equation that drops an algebra."""
-    system = _scan_plan(p, ident, mode).system()
+    canonical order, in the narrowest integer type that holds its partial
+    sums (`_scan_dtype`).  Until one is nonzero somewhere, each is evaluated
+    on a broadcast (p,)*8 digit grid restricted to the entries it uses; the
+    flat index of that equation's zero mask is then split into the
+    surviving algebras' eight digit columns, and later equations run on
+    those columns only, which shrink at each equation that drops an
+    algebra."""
+    plan = _scan_plan(p, ident, mode)
+    system = plan.system()
     import numpy as np
 
-    # Residues below p keep every term inside int64 up to degree 20.
+    dtype = _scan_dtype(p, plan.degree, max((len(terms) for _, _, terms in system), default=0))
     equations = iter(dict.fromkeys(terms for _, _, terms in system))
     shape = (p,) * 8
-    digits = np.arange(p, dtype=np.int64)
+    digits = np.arange(p, dtype=dtype)
     # Until an equation prunes, entry j is the digit along axis j of the
     # broadcast grid, and an equation is evaluated only on the axes it uses.
     cols = {name: digits.reshape((1,) * j + (p,) + (1,) * (7 - j))
@@ -728,7 +764,7 @@ def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
     for terms in equations:
         zero = _equation_value(terms, cols, powers) % p == 0
         if not np.all(zero):
-            cols = dict(zip(_GENERIC_VARS, np.nonzero(np.broadcast_to(zero, shape))))
+            cols = _digit_columns(np.broadcast_to(zero, shape), p, dtype)
             break
     else:
         return np.ones(p ** 8, dtype=bool)

@@ -781,6 +781,26 @@ class TestInputContracts:
         assert isinstance(r.exception, SystemExit)
         assert f"modulus {modulus!r} is not an integer" in r.output
 
+    @pytest.mark.parametrize("field", [{"kind": "Fp", "p": [3]}, {"kind": "Fp", "p": None},
+                                       {"kind": "Fp"}])
+    def test_malformed_modulus_is_usage_error(self, tmp_path, field):
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps({"dim": 2, "field": field,
+                                    "entries": [[1, 0, 0, 0], [0, 0, 0, 0]]}))
+        r = runner.invoke(main, ["opposite", "--algebra", str(path)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == (f"Error: {path}: not a valid algebra document "
+                            f"(bad field spec {field!r})\n")
+
+    def test_deeply_nested_sqrt_argument_is_usage_error(self):
+        depth = 3000
+        out = _child_cli(["check", "--family", "A4", "--args",
+                          "sqrt(" * depth + "2" + ")" * depth + ", 0", "--identity", "I1"])
+        assert out.returncode == 2
+        assert "nested deeper than 100 levels" in out.stderr
+        assert "Traceback" not in out.stderr
+
     @pytest.mark.parametrize("field", ["Q", "F5"])
     def test_huge_exponent_is_usage_error(self, field):
         r = runner.invoke(main, ["catalog", "instantiate", "A4", "--field", field,

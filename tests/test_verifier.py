@@ -2,6 +2,7 @@
 kernels its reports call."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,9 +37,11 @@ from algid.errors import (
 from algid.exactnum import F2, F3, F5, QQ, field_make
 from algid.expander import (
     SCAN_PRIMES,
+    _scan_dtype,
     alternating_determinant_law,
     alternating_sum,
     alternating_vanishes,
+    check_budget,
     check_formal,
     check_functional,
     expand,
@@ -439,27 +442,31 @@ class TestScanPruning:
     def _full_scan(p, ident, mode):
         """Every equation of the coordinate-route system of Msc.generic(F_p),
         merged along pointwise-equal monomials in functional mode, evaluated
-        at every algebra."""
+        in int64 at every algebra: the terms on the broadcast digit grid of
+        the entries they use, summed there per set of entries, and those
+        sums on the whole (p,)*8 grid."""
         import numpy as np
 
         names = [name for row in GENERIC_NAMES for name in row]
-        idx = np.arange(p ** 8, dtype=np.int64)
-        cols = {name: (idx // p ** (7 - j)) % p for j, name in enumerate(names)}
+        digits = np.arange(p, dtype=np.int64)
+        cols = {name: digits.reshape((1,) * j + (p,) + (1,) * (7 - j))
+                for j, name in enumerate(names)}
         merged = {}
         for eq in substitute(ident, Msc.generic(field_make(p))).equations:
             mon = functional_monomial(eq.monomial, p) if mode == "functional" else eq.monomial
             key = (eq.row, mon)
             merged[key] = merged[key] + eq.poly if key in merged else eq.poly
-        ok = np.ones(p ** 8, dtype=bool)
+        ok = np.ones((p,) * 8, dtype=bool)
         for poly in merged.values():
-            value = np.zeros(p ** 8, dtype=np.int64)
+            parts = {}
             for mon, c in poly.terms.items():
-                term = np.full(p ** 8, c.value, dtype=np.int64)
+                term = np.int64(c.value)
                 for name, e in mon:
                     term = term * cols[name] ** e
-                value = value + term
-            ok &= value % p == 0
-        return ok
+                used = tuple(name for name, _ in mon)
+                parts[used] = parts.get(used, 0) + term
+            ok &= sum(parts.values(), np.zeros((p,) * 8, dtype=np.int64)) % p == 0
+        return ok.ravel()
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_matches_full_evaluation(self, p):
@@ -488,6 +495,83 @@ class TestScanPruning:
             assert got.dtype == bool and got.shape == (5 ** 8,)
             assert int(got.sum()) == count, mode
             assert np.array_equal(got, self._full_scan(5, ident, mode)), mode
+            assert self._width(5, ident, mode) == "int16", mode
+
+    @staticmethod
+    def _width(p, ident, mode):
+        """The name of the integer type scan_algebras evaluates in."""
+        import numpy as np
+
+        plan = tensor_plan(ident, field_make(p), mode == "functional")
+        most_terms = max((len(terms) for _, _, terms in plan.system()), default=0)
+        return np.dtype(_scan_dtype(p, plan.degree, most_terms)).name
+
+    @pytest.mark.parametrize("p, text, width, counts", [
+        (3, "I1", "int8", (729, 729)),
+        (3, "((u*u)*u)*((u*u)*u) = (u*(u*u))*(u*(u*u))", "int16", (1057, 1201)),
+        (5, "((u*v)*(u*v))*((u*v)*u) = 0", "int32", (745, 745)),
+        (5, "((u*u)*u)*((u*u)*u) = (u*(u*u))*(u*(u*u))", "int32", (19681, 19681)),
+    ])
+    def test_each_width_matches_full_evaluation(self, p, text, width, counts):
+        """Narrow columns give the int64 oracle's vector at every width
+        (F5 I19 and I23, the int16 scans, are checked above)."""
+        import numpy as np
+
+        ident = get_identity(text) if text.startswith("I") else parse_identity(text)
+        for mode, count in zip(("formal", "functional"), counts):
+            assert self._width(p, ident, mode) == width, mode
+            got = scan_algebras(p, ident, mode)
+            assert int(got.sum()) == count, mode
+            assert np.array_equal(got, self._full_scan(p, ident, mode)), mode
+
+    @pytest.mark.parametrize("p, degree, most_terms, width", [
+        (2, 9, 127, "int8"), (2, 9, 128, "int16"),
+        (2, 9, 2 ** 15 - 1, "int16"), (2, 9, 2 ** 15, "int32"),
+        (2, 9, 2 ** 31 - 1, "int32"), (2, 9, 2 ** 31, "int64"),
+        (3, 6, 1, "int8"), (3, 7, 1, "int16"),  # (p - 1) ** degree = 64, 128
+        (5, 3, 1, "int8"), (5, 4, 1, "int16"),  # 64, 256
+    ])
+    def test_width_rule_boundaries(self, p, degree, most_terms, width):
+        """The narrowest signed type holding most_terms * (p - 1) ** degree."""
+        import numpy as np
+
+        assert np.dtype(_scan_dtype(p, degree, most_terms)).name == width
+
+    def test_budget_sized_plan_fits_int64(self):
+        """A word of 11 leaves has 2048 tensor columns, the whole budget, and
+        a 12th leaf is refused; a slot of that plan is homogeneous of degree
+        10 in a1..b4, so it has at most C(17, 7) terms."""
+        import numpy as np
+
+        word = "u"
+        for k in range(10):
+            word = "(%s)*%s" % (word, "uv"[k % 2])
+        plan = tensor_plan(parse_identity(word + " = 0"), F5, False)
+        assert plan.degree == 11
+        with pytest.raises(ExpansionTooLarge):
+            check_budget(parse_identity("(%s)*u = 0" % word))
+        assert np.dtype(_scan_dtype(5, plan.degree, math.comb(17, 7))).name == "int64"
+
+    def test_f5_scan_traced_peak(self):
+        """numpy reports its buffers to tracemalloc, so one F5 I23 formal scan
+        has a repeatable allocation peak: about 4.1 MiB with narrow digit
+        columns, 16 MiB with the int64 columns of np.nonzero."""
+        import tracemalloc
+
+        ident = get_identity("I23")
+        scan_algebras(5, ident, "formal")  # compiles and caches the plan
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            scan_algebras(5, ident, "formal")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
     def test_constant_equations(self):
         assert scan_field(3, parse_identity("u = 0")) == 0
