@@ -52,7 +52,7 @@ from .errors import (
     UnknownFamily,
     UnknownIdentity,
 )
-from .exactnum import Field, Scalar
+from .exactnum import Coefficient, Field, Scalar, sqrt
 from .multipoly import (
     Monomial,
     MultiPoly,
@@ -346,6 +346,12 @@ class ClaimedRow(NamedTuple):
 
     def has_radical(self) -> bool:
         return any("sqrt" in _node_kinds(a) for a in self.args)
+
+    def missing_root(self, field: Field) -> str:
+        """The first `sqrt_requirements` text without a root in `field` (empty if none)."""
+        (values,), _ = _values_at(field, {}, self.sqrt_requirements)
+        return next((req for req, val in zip(self.sqrt_requirements, values)
+                     if sqrt(val) is None), "")
 
     def symbolic_algebra(self, field: Field) -> Optional[Msc]:
         """The algebra at the symbolic point, or None if a radical blocks it."""
@@ -1268,7 +1274,7 @@ class WorkedRow(NamedTuple):
     def printed_equations(self, field: Field) -> Dict[Tuple[int, Monomial], MultiPoly]:
         """The printed components grouped by their coordinate part:
         (row, monomial in x1..z2) -> polynomial in the family's parameters."""
-        out: Dict[Tuple[int, Monomial], Dict[Monomial, Scalar]] = {}
+        out: Dict[Tuple[int, Monomial], Dict[Monomial, Coefficient]] = {}
         for row, poly in enumerate(expr_to_poly(_node(t), field) for t in self.printed):
             for mon, c in poly.terms.items():
                 coordinate = tuple(f for f in mon if f[0] in _PRINTED_COORDINATES)

@@ -22,6 +22,8 @@ from .errors import (
     UnsupportedModulus,
 )
 
+Coefficient = Union[int, Fraction]  # a plain field value: residue over F_p, Fraction over Q
+
 MAX_MODULUS = 2**31
 # A modulus below MAX_MODULUS has at most this many significant digits.
 _MODULUS_DIGITS = len(str(MAX_MODULUS - 1))
@@ -126,6 +128,16 @@ class Field:
             return Scalar(self, value.numerator * pow(value.denominator, -1, p) % p)
         return Scalar(self, value % p)
 
+    def reduce(self, value: Coefficient) -> Coefficient:
+        """A plain value in canonical form: its residue over F_p, itself over Q."""
+        return value % self.p if self.p else value
+
+    def inverse(self, value: Coefficient) -> Coefficient:
+        """The inverse of a canonical plain value; DivisionByZero on 0."""
+        if not value:
+            raise DivisionByZero("inverse of zero")
+        return pow(value, -1, self.p) if self.p else 1 / value
+
     def zero(self) -> "Scalar":
         return self.scalar(0)
 
@@ -208,26 +220,22 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        v = self.value + other.value
-        return Scalar(self.field, v % self.field.p if self.field.kind == "Fp" else v)
+        return Scalar(self.field, self.field.reduce(self.value + other.value))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        v = self.value - other.value
-        return Scalar(self.field, v % self.field.p if self.field.kind == "Fp" else v)
+        return Scalar(self.field, self.field.reduce(self.value - other.value))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        v = self.value * other.value
-        return Scalar(self.field, v % self.field.p if self.field.kind == "Fp" else v)
+        return Scalar(self.field, self.field.reduce(self.value * other.value))
 
     def __neg__(self) -> "Scalar":
-        v = -self.value
-        return Scalar(self.field, v % self.field.p if self.field.kind == "Fp" else v)
+        return Scalar(self.field, self.field.reduce(-self.value))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
@@ -250,16 +258,16 @@ class Scalar:
         return self.value == 0
 
     def __repr__(self) -> str:
-        return _decimal(self.value)
+        return decimal_text(self.value)
 
     def to_json(self):
         """Rationals as "num/den" strings, F_p residues as plain ints."""
         if self.field.kind == "Fp":
             return int(self.value)
-        return _decimal(self.value)
+        return decimal_text(self.value)
 
 
-def _decimal(value) -> str:
+def decimal_text(value) -> str:
     """The decimal text of an int or Fraction.  Past the interpreter's limit
     on int-to-string conversion this is NumberTooLong, an input error."""
     try:
@@ -272,11 +280,7 @@ def _decimal(value) -> str:
 
 def inv(a: Scalar) -> Scalar:
     """Exact multiplicative inverse; raises DivisionByZero on 0."""
-    if a.is_zero():
-        raise DivisionByZero("inverse of zero")
-    if a.field.kind == "Q":
-        return Scalar(a.field, 1 / a.value)
-    return Scalar(a.field, pow(a.value, -1, a.field.p))
+    return Scalar(a.field, a.field.inverse(a.value))
 
 
 def _isqrt_exact(n: int) -> Optional[int]:

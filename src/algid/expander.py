@@ -44,7 +44,7 @@ from .errors import (
     TooManyVariables,
     UnsupportedPrime,
 )
-from .exactnum import QQ, Field, Scalar, field_make, inv
+from .exactnum import QQ, Coefficient, Field, field_make
 from .identity_lang import (
     Assoc,
     Comm,
@@ -84,7 +84,7 @@ def _lead(p: MultiPoly) -> Monomial:
 
 def _monic(p: MultiPoly) -> MultiPoly:
     """A nonzero polynomial scaled to coefficient 1 at its leading monomial."""
-    return p.scale(inv(p.terms[_lead(p)]))
+    return p.scale(p.field.inverse(p.terms[_lead(p)]))
 
 
 class PolySystem:
@@ -141,8 +141,7 @@ def expand(ident: Identity, A: Optional[Msc] = None, field: Optional[Field] = No
         names, entries, d = _GENERIC_VARS, _GENERIC_ENTRIES, 1
     else:
         names, entries, d = _integer_entries(A, plan.degree)
-    scalar = functools.lru_cache(maxsize=None)(f.scalar)
-    equations = [Equation(row, mon, _multipoly(f, terms, d ** (mon_degree(mon) - 1), scalar))
+    equations = [Equation(row, mon, _multipoly(f, terms, d ** (mon_degree(mon) - 1)))
                  for row, mon, terms in plan.system(names, entries)]
     return PolySystem(f, equations, ident.name)
 
@@ -377,8 +376,8 @@ _LEAF = (({0: 1}, {}), ({}, {0: 1}))  # M(leaf) = I
 Entries = Tuple[Dict[tuple, int], ...]
 
 
-def _scaled(field: Field, coefficients: Sequence[Scalar], degree: int) -> Tuple[int, List[int]]:
-    """(d, the coefficients as integers): over Q, d is the lcm of their
+def _scaled(field: Field, values: Sequence[Coefficient], degree: int) -> Tuple[int, List[int]]:
+    """(d, the plain values as integers): over Q, d is the lcm of their
     denominators and each is multiplied by d; over F_p, d = 1 and they are
     their residues.
 
@@ -387,7 +386,6 @@ def _scaled(field: Field, coefficients: Sequence[Scalar], degree: int) -> Tuple[
     could compute a value (degree - 1) times as long as the longest of d and
     the scaled coefficients.  Past MAX_BITS that is NumberTooLong, raised
     before the plan runs; residues never grow."""
-    values = [c.value for c in coefficients]
     if field.char:
         return 1, values
     d = math.lcm(*(v.denominator for v in values))
@@ -400,7 +398,7 @@ def _integer_entries(A: Msc, degree: int) -> Tuple[Tuple[str, ...], Entries, int
     """(A's variable names, sorted; its entries a1..b4 as unpacked integer
     polynomials in them, scaled by d; d, the lcm of the denominators), for a
     plan of `degree` (see `_scaled`)."""
-    polys = [x.terms if isinstance(x, MultiPoly) else {(): x} for x in A.entries_flat()]
+    polys = [x.terms if isinstance(x, MultiPoly) else {(): x.value} for x in A.entries_flat()]
     names = sorted({v for terms in polys for mon in terms for v, _ in mon})
     index = {v: k for k, v in enumerate(names)}
     d, ints = _scaled(A.field, [c for terms in polys for c in terms.values()], degree)
@@ -429,10 +427,10 @@ def _terms(poly: Dict[int, int], p: int, unpack) -> tuple:
     return tuple((c, unpack(e)) for c, e in terms if c)
 
 
-def _multipoly(f: Field, terms: tuple, div: int, scalar) -> MultiPoly:
+def _multipoly(f: Field, terms: tuple, div: int) -> MultiPoly:
     """Integer (coefficient, monomial) terms divided by `div` as a MultiPoly
-    over f; `scalar` makes a coefficient a Scalar."""
-    return MultiPoly(f, {mon: scalar(Fraction(c, div) if div > 1 else c) for c, mon in terms})
+    over f: Fractions over Q, residues over F_p (where `div` is 1)."""
+    return MultiPoly(f, {mon: Fraction(c, div) if f.kind == "Q" else c for c, mon in terms})
 
 
 Shape = Optional[tuple]  # None for a leaf, (left shape, right shape) for a product
@@ -606,17 +604,14 @@ class TensorPlan:
         for the plan): a slot of coordinate degree l is homogeneous of degree
         l - 1 in the entries, so only the witness is divided, by d^(l - 1).
         """
-        f = self.field
-        d, vals = _scaled(f, A.entries_flat(), self.degree)
+        d, vals = _scaled(self.field, [x.value for x in A.entries_flat()], self.degree)
         found = self.nonzero_slot(vals)
         if found is None:
             return None
-        s, value = found
+        s, v = found
         row, number = divmod(s, len(self.monomials))
         mon = self.monomials[number]
-        if not self.p:
-            value = Fraction(value, d ** (sum(e for _, e in mon) - 1))
-        return Equation(row, mon, MultiPoly.const(f, f.scalar(value)))
+        return Equation(row, mon, _multipoly(self.field, ((v, ()),), d ** (mon_degree(mon) - 1)))
 
     def nonzero_slot(self, vals: Sequence[int]) -> Optional[Tuple[int, int]]:
         """(slot, value) of the first equation that does not vanish at the
@@ -863,6 +858,5 @@ def word_tensor_matrix(A: Msc, word: Word) -> List[List[MultiPoly]]:
     names, entries, d = _integer_entries(A, degree)
     bits, mats = _packed_matrices(program, entries, degree)
     unpack = functools.lru_cache(maxsize=None)(lambda e: _unpack(e, bits, names))
-    scalar = functools.lru_cache(maxsize=None)(A.field.scalar)
-    return [[_multipoly(A.field, _terms(poly, A.field.char, unpack), d ** (degree - 1), scalar)
+    return [[_multipoly(A.field, _terms(poly, A.field.char, unpack), d ** (degree - 1))
              for poly in row] for row in mats[k]]

@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over an exact field.
 
 A monomial is a tuple of (variable, exponent) pairs sorted by variable name;
-the polynomial is a map from monomial to nonzero Scalar.  Canonical form is
-unique, so equality is plain dict equality.  The module also houses the small
-scalar-expression language ("2 a1 - 1", "sqrt(a1 + b2)", "b1/b2^2") used by
-the family catalog and by transcribed fixture systems.
+the polynomial is a map from monomial to nonzero plain value (a residue in
+[0, p) over F_p, a Fraction over Q), reduced by `Field.reduce`, so canonical
+form is unique and equality is plain dict equality.  Operands, `const`,
+`scale` and `constant_value()` take and give Scalars.  The module also houses
+the small scalar-expression language ("2 a1 - 1", "sqrt(a1 + b2)",
+"b1/b2^2") used by the family catalog and by transcribed fixture systems.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import operator
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .errors import AlgidError, DivisionByZero, FieldMismatch, IdentitySyntaxError, NumberTooLong
-from .exactnum import Field, Scalar, inv, sqrt
+from .exactnum import Coefficient, Field, Scalar, decimal_text, inv, sqrt
 from .identity_lang import MAX_EXPONENT, TokenCursor, literal_int
 
 Monomial = Tuple[Tuple[str, int], ...]
@@ -59,9 +61,9 @@ class MultiPoly:
 
     __slots__ = ("field", "terms")
 
-    def __init__(self, field: Field, terms: Mapping[Monomial, Scalar]):
+    def __init__(self, field: Field, terms: Mapping[Monomial, Coefficient]):
         self.field = field
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        self.terms = {m: r for m, c in terms.items() if (r := field.reduce(c))}
 
     # -- constructors -------------------------------------------------------
 
@@ -71,11 +73,11 @@ class MultiPoly:
 
     @classmethod
     def const(cls, field: Field, value) -> "MultiPoly":
-        return cls(field, {ONE: field.scalar(value)})
+        return cls(field, {ONE: field.scalar(value).value})
 
     @classmethod
     def var(cls, field: Field, name: str, exp: int = 1) -> "MultiPoly":
-        return cls(field, {((name, exp),): field.one()})
+        return cls(field, {((name, exp),): field.one().value})
 
     @classmethod
     def coerce(cls, field: Field, value) -> "MultiPoly":
@@ -97,13 +99,13 @@ class MultiPoly:
         if not self.terms:
             return self.field.zero()
         if self.is_constant():
-            return self.terms[ONE]
+            return Scalar(self.field, self.terms[ONE])
         raise ValueError(f"{self} is not constant")
 
     def variables(self) -> set:
         return {v for m in self.terms for v, _ in m}
 
-    def sorted_terms(self) -> Iterator[Tuple[Monomial, Scalar]]:
+    def sorted_terms(self) -> Iterator[Tuple[Monomial, Coefficient]]:
         for m in sorted(self.terms, key=mon_sort_key):
             yield m, self.terms[m]
 
@@ -142,7 +144,7 @@ class MultiPoly:
         if isinstance(other, Scalar):
             return self.scale(other)
         self._check(other)
-        terms: Dict[Monomial, Scalar] = {}
+        terms: Dict[Monomial, Coefficient] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mon_mul(m1, m2)
@@ -154,7 +156,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
-        c = self.field.scalar(c)
+        c = self.field.scalar(c).value
         return MultiPoly(self.field, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
@@ -186,10 +188,8 @@ class MultiPoly:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
-            mag, neg = c, False
-            if str(c)[0] == "-":
-                mag, neg = -c, True
-            coeff = str(mag)
+            neg = c < 0
+            coeff = decimal_text(-c if neg else c)
             if m and coeff == "1":
                 body = render_monomial(m)
             elif m:
@@ -201,7 +201,7 @@ class MultiPoly:
 
     def to_json(self) -> list:
         return [
-            {"monomial": [[v, e] for v, e in m], "coeff": c.to_json()}
+            {"monomial": [[v, e] for v, e in m], "coeff": Scalar(self.field, c).to_json()}
             for m, c in self.sorted_terms()
         ]
 
@@ -319,11 +319,10 @@ MAX_BITS = 1 << 18
 
 
 def _bits(x) -> int:
-    if isinstance(x, MultiPoly):
-        return max((_bits(c) for c in x.terms.values()), default=0)
     if x.field.kind == "Fp":
         return 0
-    return max(x.value.numerator.bit_length(), x.value.denominator.bit_length())
+    vals = x.terms.values() if isinstance(x, MultiPoly) else (x.value,)
+    return max((n.bit_length() for v in vals for n in (v.numerator, v.denominator)), default=0)
 
 
 def _within_bound(bits: int) -> None:

@@ -32,13 +32,12 @@ from .canon_catalog import (
     OppositeInstance,
     OppositeRow,
     WorkedRow,
-    _values_at,
     claimed_rows,
     negative_instances,
     regime_for_field,
 )
 from .errors import AlgidError
-from .exactnum import F2, F3, F5, QQ, Field, sqrt as scalar_sqrt
+from .exactnum import F2, F3, F5, QQ, Field
 from .expander import (  # noqa: F401 (scan_algebras, scan_field: public names)
     COORD_PREFIXES,
     FormalCheck,
@@ -279,16 +278,13 @@ SELF_OPPOSITE_FIELDS = {
 
 def _self_opposite_row_report(row: ClaimedRow, field: Field) -> List[ReportRow]:
     section = "self-opposite/" + regime_for_field(field)
-    (values,), _ = _values_at(field, {}, row.sqrt_requirements)
-    missing_root = next((req for req, val in zip(row.sqrt_requirements, values)
-                         if scalar_sqrt(val) is None), "")
     witnessed = 0
     for ins in row.instances(field):
         if ins.skip_reason:
             return [ReportRow(section, ins.label(), SKIP, ins.skip_reason)]
         g = search_iso(ins.algebra, ins.algebra.opposite())
         if g is None:
-            if missing_root:
+            if missing_root := row.missing_root(field):
                 return [ReportRow(
                     section, ins.label(), SKIP,
                     "needs a square root of %s, which %s lacks; exhaustive "

@@ -118,7 +118,7 @@ def collect_coefficients(poly: MultiPoly, varnames: Iterable[str]) -> Dict[Monom
     return {
         mon: MultiPoly(poly.field, coeffs)
         for mon, coeffs in out.items()
-        if any(not c.is_zero() for c in coeffs.values())
+        if any(coeffs.values())
     }
 
 

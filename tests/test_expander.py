@@ -161,7 +161,7 @@ def _dense_rank(polys, field):
     column per monomial), by dense Gaussian elimination on the values."""
     p = field.p if field.kind == "Fp" else None
     monos = sorted({m for q in polys for m in q.terms})
-    rows = [[q.terms[m].value if m in q.terms else 0 for m in monos] for q in polys]
+    rows = [[q.terms.get(m, 0) for m in monos] for q in polys]
     rank = 0
     for col in range(len(monos)):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
@@ -192,7 +192,7 @@ def _poly_lists(draw, field):
     def random_poly():
         terms = draw(st.dictionaries(st.sampled_from(_SPAN_MONOMIALS),
                                      st.integers(-2, 2), max_size=4))
-        return MultiPoly(field, {m: field.scalar(c) for m, c in terms.items()})
+        return MultiPoly(field, {m: field.scalar(c).value for m, c in terms.items()})
 
     first = [random_poly() for _ in range(draw(st.integers(0, 5)))]
     second = []
@@ -439,7 +439,7 @@ def test_plan_bit_bound_refuses_long_entries_before_the_plan_runs():
     res = check_formal(a4.instantiate(QQ, (QQ.scalar(x), QQ.zero())), ident)
     first = expand(ident, a4.instantiate(QQ, (P("a1"), QQ.zero()))).equations[0]
     assert (res.witness.row, res.witness.monomial) == (first.row, first.monomial)
-    value = sum(c.value * x ** dict(mon)["a1"] if mon else c.value
+    value = sum(c * x ** dict(mon)["a1"] if mon else c
                 for mon, c in first.poly.terms.items())
     assert value and res.witness.poly == MultiPoly.const(QQ, value)
     long = a4.instantiate(QQ, (QQ.scalar(x << 200), QQ.zero()))

@@ -1,4 +1,7 @@
 import gc
+import itertools
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,17 +9,20 @@ from hypothesis import strategies as st
 
 from coordinate_route import collect_coefficients
 
+from algid.canon_catalog import family
 from algid.errors import (
     AlgidError,
     DivisionByZero,
     FieldMismatch,
     IdentitySyntaxError,
+    InexactScalar,
 )
 from algid.exactnum import F2, F3, F5, QQ
-from algid.expander import expansion_columns
+from algid.expander import check_formal, expand, expansion_columns, word_tensor_matrix
 from algid.identity_lang import (
     MAX_EXPONENT,
     MAX_NESTING,
+    get_identity,
     parse_identity,
     variables,
     word_terms,
@@ -70,7 +76,7 @@ def test_collect_reassembles():
     coeffs = collect_coefficients(p, ["x1", "y1"])
     total = MultiPoly.zero(QQ)
     for mon, c in coeffs.items():
-        total = total + c * MultiPoly(QQ, {mon: QQ.one()})
+        total = total + c * MultiPoly(QQ, {mon: Fraction(1)})
     assert total == p
 
 
@@ -178,10 +184,10 @@ def test_render_parse_roundtrip(p):
 @settings(max_examples=40)
 @given(polys(), st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
 def test_eval_is_ring_hom(p, x, y):
-    env = {"a1": QQ.scalar(x), "a2": QQ.scalar(y), "b1": QQ.scalar(x + y)}
+    env = {"a1": x, "a2": y, "b1": x + y}
 
     def at(poly):
-        total = QQ.zero()
+        total = 0
         for mon, c in poly.terms.items():
             for name, e in mon:
                 for _ in range(e):
@@ -263,6 +269,142 @@ def test_scalar_and_polynomial_of_other_fields_do_not_mix():
                 op(x, y)
         assert x != y
     assert F3.scalar(1) != MultiPoly.const(F5, 1)
+
+
+# -- plain coefficients, against a Scalar-coefficient reference ---------------
+#
+# The reference keeps {monomial: nonzero Scalar} and computes with Scalar's own
+# operators, as the polynomial did before its coefficients became plain values.
+
+
+def _ref_sum(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_neg(p):
+    return {m: -c for m, c in p.items()}
+
+
+def _ref_product(p, q):
+    out = {}
+    for (m1, c1), (m2, c2) in itertools.product(p.items(), q.items()):
+        m = tuple(sorted((Counter(dict(m1)) + Counter(dict(m2))).items()))
+        out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _from_reference(field, p):
+    return MultiPoly(field, {m: c.value for m, c in p.items()})
+
+
+def _assert_matches_reference(field, p, q, s):
+    """The polynomial operations on p and q (reference dicts) and the scalar
+    s agree with the reference's, term for term."""
+    P, Q = _from_reference(field, p), _from_reference(field, q)
+    for got, want in ((P + Q, _ref_sum(p, q)),
+                      (P - Q, _ref_sum(p, _ref_neg(q))),
+                      (P * Q, _ref_product(p, q)),
+                      (-P, _ref_neg(p)),
+                      (P.scale(s), _ref_product(p, {(): s}))):
+        assert got.terms == {m: c.value for m, c in want.items()}
+        assert got == _from_reference(field, want)
+    assert (P == Q) == (p == q)
+    if p == q:
+        assert hash(P) == hash(Q)
+    assert hash(P + Q) == hash(Q + P)
+    constant = set(p) <= {()}
+    value = p.get((), field.zero())
+    assert (P == value) == constant and (value == P) == constant
+    if constant:
+        assert hash(P) == hash(value) and P.constant_value() == value
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_plain_coefficients_match_scalar_reference_exhaustively(field):
+    """Every pair of polynomials of degree <= 2 in one variable."""
+    mons = [(), (("a1", 1),), (("a1", 2),)]
+    elements = list(field.elements())
+    refs = [{m: c for m, c in zip(mons, cs) if c}
+            for cs in itertools.product(elements, repeat=3)]
+    for (p, q), s in zip(itertools.product(refs, refs), itertools.cycle(elements)):
+        _assert_matches_reference(field, p, q, s)
+
+
+_TWO_VARIABLE_MONOMIALS = [(), (("a1", 1),), (("a2", 1),), (("a1", 2),),
+                           (("a1", 1), ("a2", 1)), (("a2", 2),)]
+
+
+@st.composite
+def reference_pair(draw):
+    field = draw(st.sampled_from([QQ, F5]))
+    if field.kind == "Q":
+        values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    else:
+        values = st.integers(min_value=0, max_value=4)
+
+    def ref():
+        terms = draw(st.dictionaries(st.sampled_from(_TWO_VARIABLE_MONOMIALS),
+                                     values, max_size=4))
+        return {m: field.scalar(c) for m, c in terms.items() if c}
+
+    return field, ref(), ref(), field.scalar(draw(values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_pair())
+def test_plain_coefficients_match_scalar_reference(case):
+    _assert_matches_reference(*case)
+
+
+def _assert_plain(poly):
+    """Coefficients are int residues in [1, p) over F_p, Fractions over Q."""
+    for c in poly.terms.values():
+        if poly.field.kind == "Q":
+            assert type(c) is Fraction and c
+        else:
+            assert type(c) is int and 0 < c < poly.field.p
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5])
+def test_expanded_systems_hold_plain_field_values(field):
+    for n in range(1, 31):
+        for poly in expand(get_identity("I%d" % n), field=field):
+            _assert_plain(poly)
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_tensor_matrices_hold_plain_field_values(field):
+    """A symbolic family whose entries have denominators (scaled by 6)."""
+    A = family("A5").instantiate(field, (P("a1/3 + 1/2", field),))
+    word = parse_identity("(u*v)*(w*u) = 0").lhs.terms[0][1]
+    polys = [poly for row in word_tensor_matrix(A, word) for poly in row]
+    assert any(len(poly.terms) > 1 for poly in polys)
+    for poly in polys:
+        _assert_plain(poly)
+
+
+def test_formal_witness_holds_a_plain_fraction():
+    witness = check_formal(family("A9").instantiate(QQ, ()), get_identity("I19")).witness.poly
+    _assert_plain(witness)
+    assert witness.terms == {(): Fraction(-5, 9)}
+    assert witness.constant_value() == QQ.scalar("-5/9")
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_floats_and_bools_are_refused_at_every_entry(field):
+    p = P("a1 + 2", field)
+    for bad in (0.5, True):
+        for entry in (lambda: MultiPoly.const(field, bad), lambda: MultiPoly.coerce(field, bad),
+                      lambda: p.scale(bad)):
+            with pytest.raises(InexactScalar):
+                entry()
+        for op in (lambda: p + bad, lambda: bad + p, lambda: p * bad, lambda: bad * p,
+                   lambda: p - bad):
+            with pytest.raises((AttributeError, TypeError)):
+                op()
 
 
 def test_evaluation_leaves_no_reference_cycles():

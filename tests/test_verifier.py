@@ -460,7 +460,7 @@ class TestScanPruning:
         for poly in merged.values():
             parts = {}
             for mon, c in poly.terms.items():
-                term = np.int64(c.value)
+                term = np.int64(c)
                 for name, e in mon:
                     term = term * cols[name] ** e
                 used = tuple(name for name, _ in mon)
