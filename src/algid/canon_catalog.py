@@ -52,15 +52,8 @@ from .errors import (
     UnknownFamily,
     UnknownIdentity,
 )
-from .exactnum import Coefficient, Field, Scalar, sqrt
-from .multipoly import (
-    Monomial,
-    MultiPoly,
-    SqrtUnavailable,
-    eval_expr,
-    expr_to_poly,
-    parse_expr,
-)
+from .exactnum import Field, Scalar, sqrt
+from .multipoly import MultiPoly, SqrtUnavailable, eval_expr, expr_to_poly, parse_expr
 from .records import record
 
 REGIME_CHAR0 = "char0"  # characteristic not 2 and not 3
@@ -110,6 +103,11 @@ def _values_at(field: Field, env: Dict[str, object], *groups: Sequence[str]):
 def _symbolic(frees: Sequence[str], field: Field) -> Tuple[MultiPoly, ...]:
     """The symbolic point: each free bound to the variable of its name."""
     return tuple(MultiPoly.var(field, f) for f in frees)
+
+
+def call_label(name: str, args: Sequence[object]) -> str:
+    """"name(arg, ...)", or just "name" without arguments."""
+    return "%s(%s)" % (name, ", ".join(map(str, args))) if args else name
 
 
 def _point_label(base: str, frees: Sequence[str],
@@ -173,19 +171,7 @@ class Family(NamedTuple):
         return len(self.params)
 
     def label(self) -> str:
-        if not self.params:
-            return self.name
-        return "%s(%s)" % (self.name, ", ".join(self.params))
-
-    def param_cell(self, param: str) -> Tuple[int, int]:
-        """Position of the cell that is literally this parameter."""
-        for r in range(2):
-            for c in range(4):
-                if self.rows[r][c].strip() == param:
-                    return (r, c)
-        raise UnknownFamily(
-            "family %s has no bare cell for parameter %s" % (self.name, param)
-        )
+        return call_label(self.name, self.params)
 
     def check_regime(self, field: Field) -> None:
         if regime_for_field(field) != self.regime:
@@ -340,9 +326,7 @@ class ClaimedRow(NamedTuple):
     note: str = ""
 
     def label(self) -> str:
-        if not self.args:
-            return self.family
-        return "%s(%s)" % (self.family, ", ".join(self.args))
+        return call_label(self.family, self.args)
 
     def has_radical(self) -> bool:
         return any("sqrt" in _node_kinds(a) for a in self.args)
@@ -393,12 +377,7 @@ class ClaimInstance(NamedTuple):
 
     def label(self) -> str:
         if self.arg_values is not None:
-            if not self.arg_values:
-                return self.row.family
-            return "%s(%s)" % (
-                self.row.family,
-                ", ".join(str(v) for v in self.arg_values),
-            )
+            return call_label(self.row.family, self.arg_values)
         return _point_label(self.row.label(), self.row.frees, self.point)
 
 
@@ -1015,12 +994,9 @@ class OppositeRow(NamedTuple):
     note: str = ""
 
     def label(self) -> str:
-        src = ("%s(%s)" % (self.source_family, ", ".join(self.source_args))
-               if self.source_args else self.source_family)
-        img = ("%s(%s)" % (self.image_family, ", ".join(self.image_args))
-               if self.image_args else self.image_family)
         sign = "=" if self.kind == "equal" else "~"
-        return "opposite(%s) %s %s" % (src, sign, img)
+        return "opposite(%s) %s %s" % (call_label(self.source_family, self.source_args),
+                                       sign, call_label(self.image_family, self.image_args))
 
     def _texts(self) -> Tuple[str, ...]:
         out = list(self.source_args) + list(self.image_args)
@@ -1246,7 +1222,6 @@ SELF_OPPOSITE: Dict[str, Tuple[ClaimedRow, ...]] = {
 
 # The coordinates of the printed texts: u = (x1, x2), v = (y1, y2), w = (z1, z2).
 PRINTED_PREFIXES = {"u": "x", "v": "y", "w": "z"}
-_PRINTED_COORDINATES = {p + i for p in PRINTED_PREFIXES.values() for i in "12"}
 
 
 @record
@@ -1254,8 +1229,8 @@ class WorkedRow(NamedTuple):
     """One worked computation: `expression` (identity language) on a family
     with its parameters left symbolic, or on the generic algebra when
     `family` is None.  With `printed` (e1, e2) component texts in the
-    coordinates of `PRINTED_PREFIXES`, the expression's expansion must have,
-    for each coordinate monomial, the printed coefficient; without,
+    coordinates of `PRINTED_PREFIXES`, the expression's expansion, summed
+    back into its two components, must equal them (`shows`); without,
     `expression` names an identity that must hold formally."""
 
     section: str
@@ -1271,16 +1246,13 @@ class WorkedRow(NamedTuple):
         fam = family(self.family)
         return fam.instantiate(field, _symbolic(fam.params, field))
 
-    def printed_equations(self, field: Field) -> Dict[Tuple[int, Monomial], MultiPoly]:
-        """The printed components grouped by their coordinate part:
-        (row, monomial in x1..z2) -> polynomial in the family's parameters."""
-        out: Dict[Tuple[int, Monomial], Dict[Monomial, Coefficient]] = {}
-        for row, poly in enumerate(expr_to_poly(_node(t), field) for t in self.printed):
-            for mon, c in poly.terms.items():
-                coordinate = tuple(f for f in mon if f[0] in _PRINTED_COORDINATES)
-                rest = tuple(f for f in mon if f[0] not in _PRINTED_COORDINATES)
-                out.setdefault((row, coordinate), {})[rest] = c
-        return {key: MultiPoly(field, terms) for key, terms in out.items()}
+    def shows(self, field: Field, terms: Sequence[tuple]) -> bool:
+        """Whether the (row, monomial in x1..z2, polynomial) terms of an
+        expansion add up, row by row, to the printed components."""
+        got = [MultiPoly.zero(field), MultiPoly.zero(field)]
+        for row, mon, poly in terms:
+            got[row] += MultiPoly(field, {mon: field.one().value}) * poly
+        return got == [expr_to_poly(_node(t), field) for t in self.printed]
 
 
 _GENERIC = "generic, symbolic"
@@ -1353,17 +1325,18 @@ def row_covers(row: ClaimedRow, field: Field, candidate: Msc) -> bool:
     """Whether some parameter assignment of `row` yields exactly `candidate`.
 
     The free parameters of a claim row are its bare arguments, and the
-    family's parameters are its bare template cells; so each free's first
-    argument slot reads its value off one cell of `candidate`.  That is the
-    only possible binding, whose instance is then compared with `candidate`.
+    family's parameters are its bare template cells; so each free reads its
+    value off `candidate` at the first bare cell it is bound to, the first
+    bare cell of its first argument slot.  That is the only possible
+    binding, whose instance is then compared with `candidate`.
     """
     fam = family(row.family)
+    arg_of = dict(zip(fam.params, row.args))
     env: Dict[str, Scalar] = {}
-    for arg, param in zip(row.args, fam.params):
-        name = arg.strip()
-        if name in row.frees and name not in env:
-            r, c = fam.param_cell(param)
-            env[name] = candidate.rows[r][c]
+    for cell, value in zip(fam.rows[0] + fam.rows[1], candidate.entries_flat()):
+        name = arg_of.get(cell.strip(), "").strip()
+        if name in row.frees:
+            env.setdefault(name, value)
     return (_conditions_hold(field, env, row.nonzero, row.zero)
             and row._instance_at(field, tuple(env[f] for f in row.frees)).algebra
             == candidate)

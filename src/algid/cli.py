@@ -214,7 +214,7 @@ def _check(prog: str, argv: List[str]) -> int:
     if a.json:
         _echo_json({
             "schema": "algid.check/1",
-            "identity": ident.name or ident.render(),
+            "identity": ident.name,
             "mode": "functional" if a.functional else "formal",
             "algebra": A.to_json(),
             "holds": res.ok,
@@ -460,14 +460,14 @@ def _scan(prog: str, argv: List[str]) -> int:
         _echo_json({
             "schema": "algid.scan/1",
             "prime": fld.p,
-            "identity": ident.name or ident.render(),
+            "identity": ident.name,
             "mode": a.mode,
             "count": count,
             "total": fld.p ** 8,
         })
     else:
         print(f"{count} of {fld.p ** 8} algebras over F{fld.p} "
-              f"satisfy {ident.name or ident.render()} ({a.mode})")
+              f"satisfy {ident.name} ({a.mode})")
     return 0
 
 

@@ -88,14 +88,14 @@ def _monic(p: MultiPoly) -> MultiPoly:
 
 
 class PolySystem:
-    """The coefficient equations of one expanded identity, in canonical order."""
+    """The coefficient equations of one expanded identity, kept in the order
+    given, which must be canonical: by row, then by `mon_sort_key` of the
+    monomial, as `TensorPlan.system` gives them."""
 
     def __init__(self, field: Field, equations: Sequence[Equation], identity_name: str = ""):
         self.field = field
         self.identity_name = identity_name
-        self.equations: Tuple[Equation, ...] = tuple(
-            sorted(equations, key=lambda e: (e.row, mon_sort_key(e.monomial)))
-        )
+        self.equations: Tuple[Equation, ...] = tuple(equations)
         self.polys: Tuple[MultiPoly, ...] = tuple(
             dict.fromkeys(eq.poly for eq in self.equations))
 

@@ -113,7 +113,9 @@ class MultiPoly:
     #
     # A Scalar operand, on either side, stands for the constant polynomial of
     # its value: Scalar's operators return NotImplemented for a polynomial, so
-    # Python calls the reflected method here.
+    # Python calls the reflected method here.  Any other operand gets
+    # NotImplemented back (subtraction calls `__add__` itself to pass it on),
+    # so Python raises TypeError.
 
     def _check(self, other: "MultiPoly"):
         if self.field != other.field:
@@ -122,6 +124,8 @@ class MultiPoly:
     def __add__(self, other) -> "MultiPoly":
         if isinstance(other, Scalar):
             other = MultiPoly.const(self.field, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -132,10 +136,10 @@ class MultiPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "MultiPoly":
-        return self + (-other)
+        return self.__add__(-other)
 
     def __rsub__(self, other: Scalar) -> "MultiPoly":
-        return -self + other
+        return (-self).__add__(other)
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.field, {m: -c for m, c in self.terms.items()})
@@ -143,6 +147,8 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, Scalar):
             return self.scale(other)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
         terms: Dict[Monomial, Coefficient] = {}
         for m1, c1 in self.terms.items():

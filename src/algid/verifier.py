@@ -32,6 +32,7 @@ from .canon_catalog import (
     OppositeInstance,
     OppositeRow,
     WorkedRow,
+    call_label,
     claimed_rows,
     negative_instances,
     regime_for_field,
@@ -166,9 +167,7 @@ def _membership_rows(regime: str, name: str, field: Field) -> List[ReportRow]:
             out.append(_membership_row(name, ins.label(), row,
                                        check_formal(ins.algebra, ident)))
     for fam, args, candidate in negative_instances(regime, name, field):
-        label = "negative: %s(%s)" % (
-            fam.name, ", ".join(str(a) for a in args)) \
-            if args else "negative: %s" % fam.name
+        label = "negative: " + call_label(fam.name, args)
         res = check_formal(candidate, ident)
         if res.ok:
             out.append(ReportRow(name, label, FAIL,
@@ -315,9 +314,9 @@ def verify_self_opposite() -> List[ReportRow]:
 
 def _worked_row(row: WorkedRow) -> ReportRow:
     """A printed row holds when the expansion of its expression on the row's
-    algebra, coordinates renamed to the printed ones, equals the printed
-    components grouped by coordinate monomial; any other row names an
-    identity that must hold formally."""
+    algebra, coordinates renamed to the printed ones and summed back into its
+    two components, equals the printed components (`WorkedRow.shows`); any
+    other row names an identity that must hold formally."""
     A = row.algebra(QQ)
     if row.printed is None:
         ok = check_formal(A, get_identity(row.expression)).ok
@@ -326,9 +325,8 @@ def _worked_row(row: WorkedRow) -> ReportRow:
         # expand names coordinates by first appearance, the printed texts by variable
         rename = {COORD_PREFIXES[k] + i: PRINTED_PREFIXES[name] + i
                   for k, name in enumerate(identity_variables(ident)) for i in "12"}
-        got = {(eq.row, tuple(sorted((rename[v], e) for v, e in eq.monomial))): eq.poly
-               for eq in expand(ident, A).equations}
-        ok = got == row.printed_equations(QQ)
+        ok = row.shows(QQ, [(eq.row, tuple(sorted((rename[v], e) for v, e in eq.monomial)),
+                             eq.poly) for eq in expand(ident, A).equations])
     return ReportRow(row.section, row.label, PASS if ok else FAIL, row.detail)
 
 

@@ -36,7 +36,7 @@ from algid.identity_lang import (
     word_leaves,
     word_terms,
 )
-from algid.multipoly import Monomial, MultiPoly, parse_poly
+from algid.multipoly import Monomial, MultiPoly, mon_sort_key, parse_poly
 
 
 def symbolic_vec(field: Field, prefix: str) -> Vec:
@@ -135,6 +135,7 @@ def substitute(ident: Identity, A: Msc) -> PolySystem:
         entry = MultiPoly.coerce(A.field, delta.entries[row])
         for mon, coeff in collect_coefficients(entry, coord_names).items():
             equations.append(Equation(row, mon, coeff))
+    equations.sort(key=lambda e: (e.row, mon_sort_key(e.monomial)))
     return PolySystem(A.field, equations, ident.name)
 
 

@@ -112,9 +112,8 @@ class TestFamilies:
 
     def test_every_param_has_bare_cell(self):
         for fam in FAMILIES.values():
-            for p in fam.params:
-                r, c = fam.param_cell(p)
-                assert fam.rows[r][c].strip() == p
+            cells = {cell.strip() for row in fam.rows for cell in row}
+            assert set(fam.params) <= cells, fam.name
 
     def test_char3_templates_divergences(self):
         # the three char-3 templates that differ from their char0 siblings

@@ -55,7 +55,7 @@ from algid.identity_lang import (
     get_identity,
     parse_identity,
 )
-from algid.multipoly import MAX_BITS, MultiPoly, parse_poly
+from algid.multipoly import MAX_BITS, MultiPoly, mon_sort_key, parse_poly
 
 COMMUTATIVE = Msc.from_scalars(QQ, [[0, 1, 1, 0], [0, 0, 0, -1]])
 
@@ -502,6 +502,18 @@ def test_table_algebras_match_the_coordinate_route(field):
             got, expected = expand(ident, A), substitute(ident, A)
             assert got.equations == expected.equations, (A, ident.name)
             assert got.polys == expected.polys, (A, ident.name)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=str)
+def test_expand_gives_equations_in_canonical_order(field):
+    """`PolySystem` keeps the order it is given, so `expand` itself must
+    give the equations by row, then by `mon_sort_key` of their monomial.
+    None stands for the generic algebra asked for by field."""
+    for A in [None, Msc.generic(field)] + _table_algebras(field):
+        for ident in _NUMBERED:
+            got = expand(ident, A, field).equations
+            assert got == tuple(sorted(got, key=lambda e: (e.row, mon_sort_key(e.monomial)))), \
+                (A, ident.name)
 
 
 @pytest.mark.parametrize("A", [
