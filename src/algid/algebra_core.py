@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence, Tuple, Union
 
-from .errors import AlgidError, DimensionMismatch, FieldMismatch, SearchSpaceTooLarge
+from .errors import AlgidError, DimensionMismatch, FieldMismatch, InexactScalar, SearchSpaceTooLarge
 from .exactnum import Field, Scalar, inv
 from .multipoly import MultiPoly
 
@@ -76,6 +76,11 @@ class Msc:
             raise DimensionMismatch("a 2-dimensional MSC has 2 rows of 4 columns")
         self.field = field
         self.rows: Tuple[Tuple[Entry, ...], ...] = tuple(tuple(r) for r in rows)
+        for x in self.entries_flat():
+            if not isinstance(x, (Scalar, MultiPoly)):
+                raise InexactScalar(f"{x!r} is not a scalar or polynomial over {field}")
+            if x.field != field:
+                raise FieldMismatch(f"{x!r} is an entry over {x.field}, not {field}")
 
     # -- constructors --------------------------------------------------------
 

@@ -2,12 +2,13 @@
 
 Scalars are either reduced fractions (characteristic 0) or canonical residues
 in [0, p).  Square roots are decided exactly: perfect-square test over the
-rationals, Euler criterion plus Tonelli-Shanks over F_p.  No floating point
-anywhere.
+rationals, Euler criterion plus Tonelli-Shanks over F_p.  A modulus is prime
+by trial division.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from numbers import Rational
@@ -30,29 +31,10 @@ _MODULUS_DIGITS = len(str(MAX_MODULUS - 1))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 2^31."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    # Miller-Rabin with bases (2, 7, 61) is exact below 3 215 031 751,
-    # which covers the whole supported range.
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 7, 61):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Is n prime?  Trial division by 2 and by the odd q <= isqrt(n)."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    return all(n % q for q in range(3, math.isqrt(n) + 1, 2))
 
 
 class Field:
@@ -99,9 +81,6 @@ class Field:
             if value.field != self:
                 raise FieldMismatch(f"{value} is not a {self} scalar")
             return value
-        if isinstance(value, bool) or not isinstance(value, (Rational, str)):
-            raise InexactScalar(f"{value!r} is not an exact scalar; "
-                                "write an integer or a 'num/den' string")
         if isinstance(value, str):
             if "e" in value.lower():
                 raise InexactScalar(f"{value!r} is not an integer, decimal or "
@@ -119,21 +98,33 @@ class Field:
                                         "characters") from None
                 raise InexactScalar(f"{value!r} is not an integer, decimal or "
                                     "'num/den' string") from None
-        if self.kind == "Q":
-            return Scalar(self, Fraction(value))
+        return Scalar(self, self.reduce(value))
+
+    def reduce(self, value) -> Coefficient:
+        """The canonical plain value of an exact number: its residue in
+        [0, p) over F_p, a Fraction over Q.  Floats, booleans and
+        non-numbers are InexactScalar; a fraction whose denominator
+        vanishes mod p is DivisionByZero."""
         p = self.p
-        if isinstance(value, Fraction):
-            if value.denominator % p == 0:
-                raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
-            return Scalar(self, value.numerator * pow(value.denominator, -1, p) % p)
-        return Scalar(self, value % p)
+        if p:
+            if type(value) is int:
+                return value % p
+        elif type(value) is Fraction:
+            return value
+        if isinstance(value, bool) or not isinstance(value, Rational):
+            raise InexactScalar(f"{value!r} is not an exact scalar; "
+                                "write an integer or a 'num/den' string")
+        num, den = int(value.numerator), int(value.denominator)
+        if not p:
+            return Fraction(num, den)
+        if den % p == 0:
+            raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
+        return num * pow(den, -1, p) % p
 
-    def reduce(self, value: Coefficient) -> Coefficient:
-        """A plain value in canonical form: its residue over F_p, itself over Q."""
-        return value % self.p if self.p else value
-
-    def inverse(self, value: Coefficient) -> Coefficient:
-        """The inverse of a canonical plain value; DivisionByZero on 0."""
+    def inverse(self, value) -> Coefficient:
+        """The inverse of an exact number, as a canonical plain value;
+        DivisionByZero on 0."""
+        value = self.reduce(value)
         if not value:
             raise DivisionByZero("inverse of zero")
         return pow(value, -1, self.p) if self.p else 1 / value
@@ -284,9 +275,7 @@ def inv(a: Scalar) -> Scalar:
 
 
 def _isqrt_exact(n: int) -> Optional[int]:
-    from math import isqrt
-
-    r = isqrt(n)
+    r = math.isqrt(n)
     return r if r * r == n else None
 
 

@@ -748,32 +748,32 @@ def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
     import numpy as np
 
     dtype = _scan_dtype(p, plan.degree, max((len(terms) for _, _, terms in system), default=0))
-    equations = iter(dict.fromkeys(terms for _, _, terms in system))
+    equations = dict.fromkeys(terms for _, _, terms in system)
     shape = (p,) * 8
     digits = np.arange(p, dtype=dtype)
     # Until an equation prunes, entry j is the digit along axis j of the
     # broadcast grid, and an equation is evaluated only on the axes it uses.
+    # From then on the entries are the surviving algebras' digit columns,
+    # and each algebra leaves them at its first nonzero equation.
     cols = {name: digits.reshape((1,) * j + (p,) + (1,) * (7 - j))
             for j, name in enumerate(_GENERIC_VARS)}
+    grid = True
     powers = {}
     for terms in equations:
         zero = _equation_value(terms, cols, powers) % p == 0
-        if not np.all(zero):
+        if np.all(zero):
+            continue
+        if grid:
             cols = _digit_columns(np.broadcast_to(zero, shape), p, dtype)
-            break
-    else:
-        return np.ones(p ** 8, dtype=bool)
-    # Then the entries are the surviving algebras' digit columns, and each
-    # algebra leaves them at its first nonzero equation.
-    powers = {}
-    for terms in equations:
-        if not cols["a1"].size:
-            break
-        zero = _equation_value(terms, cols, powers) % p == 0
-        if not np.all(zero):
+            grid = False
+        else:
             keep = np.broadcast_to(zero, cols["a1"].shape)
             cols = {name: c[keep] for name, c in cols.items()}
-            powers = {}
+        if not cols["a1"].size:
+            break
+        powers = {}
+    if grid:
+        return np.ones(p ** 8, dtype=bool)
     ok = np.zeros(p ** 8, dtype=bool)
     ok[np.ravel_multi_index(tuple(cols.values()), shape)] = True
     return ok

@@ -361,9 +361,7 @@ def _collect_variables(n: Node, out: List[str]) -> None:
 
 def identity_variables(ident: Identity) -> List[str]:
     out = variables(ident.lhs)
-    for v in variables(ident.rhs):
-        if v not in out:
-            out.append(v)
+    _collect_variables(ident.rhs, out)
     return out
 
 

@@ -79,12 +79,7 @@ class ReportRow(NamedTuple):
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "section": self.section,
-            "label": self.label,
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
 @record

@@ -13,7 +13,7 @@ from algid.algebra_core import (
     mat_kron,
     mat_mul,
 )
-from algid.errors import DimensionMismatch
+from algid.errors import DimensionMismatch, FieldMismatch, InexactScalar
 from algid.exactnum import F3, F5, QQ, Field
 from algid.identity_lang import parse_identity
 from algid.multipoly import MultiPoly, parse_poly
@@ -204,6 +204,21 @@ def test_vec_shape_checks():
         Vec(QQ, [QQ.scalar(1)])
     with pytest.raises(DimensionMismatch):
         Msc(QQ, [[QQ.scalar(0)] * 4])
+
+
+def test_msc_holds_only_entries_of_its_field():
+    """An F5 entry in an F3 algebra would be decided as its value mod 3,
+    and a float would reach the checks; both are refused at construction."""
+    rows = [[F3.zero()] * 4, [F3.zero()] * 4]
+    rows[1][1] = F5.scalar(4)
+    with pytest.raises(FieldMismatch):
+        Msc(F3, rows)
+    rows[1][1] = MultiPoly.var(F5, "a1")
+    with pytest.raises(FieldMismatch):
+        Msc(F3, rows)
+    for bad in (0.5, 1, True):
+        with pytest.raises(InexactScalar):
+            Msc(QQ, [[bad, 0, 0, 0], [0, 0, 0, 0]])
 
 
 @settings(max_examples=30)

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -119,7 +120,11 @@ def test_scalar_json():
 
 @pytest.mark.parametrize(
     "n,expect",
-    [(2, True), (3, True), (5, True), (42, False), (97, True), (2047, False), (1, False)],
+    [(2, True), (3, True), (5, True), (42, False), (97, True), (2047, False), (1, False),
+     (61, True),  # a Miller-Rabin base, which such a test has to special-case
+     # Carmichael numbers, then base-2 strong pseudoprimes
+     (561, False), (1105, False), (1729, False), (3277, False), (4033, False), (4681, False),
+     (8321, False)],
 )
 def test_is_prime_small(n, expect):
     assert is_prime(n) is expect
@@ -127,8 +132,47 @@ def test_is_prime_small(n, expect):
 
 def test_is_prime_near_word_boundary():
     # 2^31 - 1 is the Mersenne prime M31; its neighbors are composite.
-    assert is_prime(2**31 - 1)
+    assert is_prime(2**31 - 1) and is_prime(2147483629)
     assert not is_prime(2**31 - 3)
+
+
+def test_is_prime_agrees_with_a_sieve_below_2_16():
+    n = 2**16
+    sieve = [False, False] + [True] * (n - 2)
+    for q in range(2, math.isqrt(n - 1) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, n, q))
+    assert [is_prime(k) for k in range(n)] == sieve
+
+
+def test_is_prime_at_the_top_of_the_trial_range():
+    # 46337 is the largest prime below isqrt(2^31); its square is found
+    # composite only by the divisor q = isqrt(n) itself.
+    assert is_prime(46337) and 46337**2 == 2147117569
+    assert not is_prime(2147117569)
+    with pytest.raises(NonPrimeModulus):
+        Field("Fp", 2147117569)
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+@pytest.mark.parametrize("value", [0.5, 2.0, True, False, None, "1", 1j])
+def test_reduce_refuses_floats_bools_and_non_numbers(field, value):
+    with pytest.raises(InexactScalar, match="^%s is not an exact scalar" % re.escape(repr(value))):
+        field.reduce(value)
+
+
+def test_reduce_gives_canonical_plain_values():
+    for value, q, residue in [(7, 7, 2), (-1, -1, 4), (Fraction(1, 2), Fraction(1, 2), 3),
+                              (numpy.int64(7), 7, 2), (Fraction(10, 4), Fraction(5, 2), 0)]:
+        assert type(QQ.reduce(value)) is Fraction and QQ.reduce(value) == q
+        assert type(F5.reduce(value)) is int and F5.reduce(value) == residue
+    with pytest.raises(DivisionByZero, match="^denominator of 1/5 vanishes mod 5$"):
+        F5.reduce(Fraction(1, 5))
+    assert type(F5.scalar(numpy.int64(7)).value) is int
+    assert type(QQ.inverse(3)) is Fraction and QQ.inverse(3) == Fraction(1, 3)
+    assert F5.inverse(7) == 3
+    with pytest.raises(DivisionByZero):
+        F5.inverse(5)
 
 
 def test_sqrt_rationals():

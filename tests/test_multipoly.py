@@ -18,7 +18,15 @@ from algid.errors import (
     InexactScalar,
 )
 from algid.exactnum import F2, F3, F5, QQ
-from algid.expander import check_formal, expand, expansion_columns, word_tensor_matrix
+from algid.expander import (
+    Equation,
+    PolySystem,
+    check_formal,
+    expand,
+    expansion_columns,
+    span_equal,
+    word_tensor_matrix,
+)
 from algid.identity_lang import (
     MAX_EXPONENT,
     MAX_NESTING,
@@ -398,7 +406,7 @@ def test_floats_and_bools_are_refused_at_every_entry(field):
     p = P("a1 + 2", field)
     for bad in (0.5, True):
         for entry in (lambda: MultiPoly.const(field, bad), lambda: MultiPoly.coerce(field, bad),
-                      lambda: p.scale(bad)):
+                      lambda: p.scale(bad), lambda: MultiPoly(field, {(("a1", 1),): bad})):
             with pytest.raises(InexactScalar):
                 entry()
     for bad in (0.5, True, 1):
@@ -406,6 +414,18 @@ def test_floats_and_bools_are_refused_at_every_entry(field):
                    lambda: p - bad, lambda: bad - p):
             with pytest.raises(TypeError):
                 op()
+
+
+def test_constructor_reduces_any_exact_number():
+    m = (("a1", 1),)
+    two = MultiPoly(QQ, {m: 2})
+    assert two.terms == {m: 2} and type(two.terms[m]) is Fraction
+    system = PolySystem(QQ, [Equation(0, (), two)])
+    assert system.render_normalized_lines() == ["a1 = 0"]
+    assert span_equal(system, [P("a1")])
+    assert MultiPoly(F5, {m: Fraction(1, 2)}).terms == {m: 3}
+    with pytest.raises(DivisionByZero):
+        MultiPoly(F5, {m: Fraction(1, 5)})
 
 
 def test_evaluation_leaves_no_reference_cycles():
