@@ -35,6 +35,16 @@ Entry = Union[Scalar, MultiPoly]
 GENERIC_NAMES = (("a1", "a2", "a3", "a4"), ("b1", "b2", "b3", "b4"))
 
 
+def _check_entries(field: Field, entries: Sequence[Entry]) -> None:
+    """Every entry is a Scalar or polynomial over `field`: InexactScalar for
+    anything else, FieldMismatch for another field."""
+    for x in entries:
+        if not isinstance(x, (Scalar, MultiPoly)):
+            raise InexactScalar(f"{x!r} is not a scalar or polynomial over {field}")
+        if x.field != field:
+            raise FieldMismatch(f"{x!r} is an entry over {x.field}, not {field}")
+
+
 class Vec:
     """A coordinate vector (length 2) over scalars or polynomials, as
     `Msc.product` takes and returns it."""
@@ -46,6 +56,7 @@ class Vec:
             raise DimensionMismatch(f"expected 2 coordinates, got {len(entries)}")
         self.field = field
         self.entries: Tuple[Entry, Entry] = tuple(entries)
+        _check_entries(field, self.entries)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Vec) and self.field == other.field
@@ -76,11 +87,7 @@ class Msc:
             raise DimensionMismatch("a 2-dimensional MSC has 2 rows of 4 columns")
         self.field = field
         self.rows: Tuple[Tuple[Entry, ...], ...] = tuple(tuple(r) for r in rows)
-        for x in self.entries_flat():
-            if not isinstance(x, (Scalar, MultiPoly)):
-                raise InexactScalar(f"{x!r} is not a scalar or polynomial over {field}")
-            if x.field != field:
-                raise FieldMismatch(f"{x!r} is an entry over {x.field}, not {field}")
+        _check_entries(field, self.entries_flat())
 
     # -- constructors --------------------------------------------------------
 
@@ -102,7 +109,7 @@ class Msc:
 
     def entries_flat(self) -> Tuple[Entry, ...]:
         """Row-major entries, matching the generic names a1..a4, b1..b4."""
-        return tuple(x for row in self.rows for x in row)
+        return self.rows[0] + self.rows[1]
 
     # -- algebra operations ---------------------------------------------------
 

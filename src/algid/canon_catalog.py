@@ -53,7 +53,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .exactnum import Field, Scalar, sqrt
-from .multipoly import MultiPoly, SqrtUnavailable, eval_expr, expr_to_poly, parse_expr
+from .multipoly import MultiPoly, SqrtUnavailable, compile_expr, eval_expr, expr_to_poly, parse_expr
 from .records import record
 
 REGIME_CHAR0 = "char0"  # characteristic not 2 and not 3
@@ -87,13 +87,30 @@ def _node_kinds(text: str) -> frozenset:
     return frozenset(kinds)
 
 
+@lru_cache(maxsize=512)
+def _compiled(text: str, field: Field):
+    """A catalog text as a function on plain values (`compile_expr`), built
+    on first use; a paper pass compiles 137."""
+    return compile_expr(_node(text), field)
+
+
+def _evaluator(field: Field, env: Dict[str, object]):
+    """text -> its value at `env`: the compiled text on plain values at a
+    concrete point, the walker where `env` binds anything but a Scalar
+    over `field` (a polynomial, at the symbolic point)."""
+    if all(isinstance(x, Scalar) and x.field == field for x in env.values()):
+        plain = {name: x.value for name, x in env.items()}
+        return lambda text: Scalar(field, _compiled(text, field)(plain))
+    return lambda text: eval_expr(_node(text), field, env)
+
+
 def _values_at(field: Field, env: Dict[str, object], *groups: Sequence[str]):
     """(values, "") with a tuple of values per group of texts at `env` (Scalars,
     or polynomials where `env` binds one), or (None, skip reason) when a
     square root or an inverse is unavailable."""
+    value = _evaluator(field, env)
     try:
-        return tuple(tuple(eval_expr(_node(t), field, env) for t in group)
-                     for group in groups), ""
+        return tuple(tuple(map(value, group)) for group in groups), ""
     except SqrtUnavailable as exc:
         return None, "square root unavailable: %s" % exc
     except DivisionByZero as exc:
@@ -120,13 +137,11 @@ def _point_label(base: str, frees: Sequence[str],
 
 def _conditions_hold(field: Field, env: Dict[str, Scalar],
                      nonzero: Sequence[str], zero: Sequence[str]) -> bool:
-    for text in nonzero:
-        if eval_expr(_node(text), field, env).is_zero():
-            return False
-    for text in zero:
-        if not eval_expr(_node(text), field, env).is_zero():
-            return False
-    return True
+    if not (nonzero or zero):
+        return True
+    value = _evaluator(field, env)
+    return (not any(value(text).is_zero() for text in nonzero)
+            and all(value(text).is_zero() for text in zero))
 
 
 def _parameter_points(field: Field, frees: Sequence[str],
@@ -144,8 +159,7 @@ def _parameter_points(field: Field, frees: Sequence[str],
         if not frees:
             pts = [()]
         else:
-            pts = [tuple(eval_expr(_node(t), field, {}) for t in sample)
-                   for sample in samples]
+            pts = [tuple(map(_evaluator(field, {}), sample)) for sample in samples]
     else:
         if field.p ** len(frees) > ENUM_LIMIT:
             raise SearchSpaceTooLarge(
@@ -186,14 +200,12 @@ class Family(NamedTuple):
         return _instance(self, field, tuple(args))
 
 
-# A paper pass makes about 3500 instantiations of about 350 distinct
-# (family, field, args), through claim rows and negative spot-checks, mostly
-# close together: 256 entries miss only on first use.  Msc and Scalar are
-# immutable, so callers share the algebras.
-_INSTANCES = 256
-
-
-@lru_cache(maxsize=_INSTANCES)
+# With claim-row instances memoised, a paper pass still makes about 1050
+# instantiations of about 370 distinct (family, field, args): each regime's
+# negative spot-check candidates recur for every identity.  256 entries miss
+# only on first use, bar a handful, and save about 12 ms of a pass.  Msc and
+# Scalar are immutable, so callers share the algebras.
+@lru_cache(maxsize=256)
 def _instance(fam: Family, field: Field, args: tuple) -> Msc:
     """Every template cell evaluated at the bound parameters."""
     fam.check_regime(field)
@@ -201,9 +213,8 @@ def _instance(fam: Family, field: Field, args: tuple) -> Msc:
         raise ParamCountMismatch(
             "family %s takes %d parameter(s), got %d"
             % (fam.name, fam.arity, len(args)))
-    env = dict(zip(fam.params, args))
-    return Msc(field, [[eval_expr(_node(cell), field, env) for cell in row]
-                       for row in fam.rows])
+    value = _evaluator(field, dict(zip(fam.params, args)))
+    return Msc(field, [[value(cell) for cell in row] for row in fam.rows])
 
 
 def _bare_names(texts: Sequence[str]) -> Tuple[str, ...]:
@@ -343,6 +354,11 @@ class ClaimedRow(NamedTuple):
             return None
         return self._instance_at(field, _symbolic(self.frees, field)).algebra
 
+    # Claim lists share rows, and `row_covers` instantiates rows for every
+    # negative candidate: a paper pass asks for 307 distinct (row, field,
+    # point) instances about 2800 times, so 512 entries hold a whole pass.
+    # ClaimInstance and Msc are immutable, so callers share them.
+    @lru_cache(maxsize=512)
     def _instance_at(self, field: Field, point: tuple) -> "ClaimInstance":
         vals, skip = _values_at(field, dict(zip(self.frees, point)), self.args)
         if skip:
@@ -1321,6 +1337,16 @@ SECTION3_ROWS: Tuple[WorkedRow, ...] = tuple(WorkedRow(*r) for r in (
 # Negative spot-check selection
 
 
+@lru_cache(maxsize=None)
+def _free_cells(row: ClaimedRow) -> Tuple[int, ...]:
+    """For each free of `row`, the row-major index of the first template cell
+    that is the family parameter bound to it."""
+    fam = family(row.family)
+    arg_of = dict(zip(fam.params, row.args))
+    bound = [arg_of.get(cell.strip(), "").strip() for cell in fam.rows[0] + fam.rows[1]]
+    return tuple(bound.index(f) for f in row.frees)
+
+
 def row_covers(row: ClaimedRow, field: Field, candidate: Msc) -> bool:
     """Whether some parameter assignment of `row` yields exactly `candidate`.
 
@@ -1330,16 +1356,10 @@ def row_covers(row: ClaimedRow, field: Field, candidate: Msc) -> bool:
     bare cell of its first argument slot.  That is the only possible
     binding, whose instance is then compared with `candidate`.
     """
-    fam = family(row.family)
-    arg_of = dict(zip(fam.params, row.args))
-    env: Dict[str, Scalar] = {}
-    for cell, value in zip(fam.rows[0] + fam.rows[1], candidate.entries_flat()):
-        name = arg_of.get(cell.strip(), "").strip()
-        if name in row.frees:
-            env.setdefault(name, value)
-    return (_conditions_hold(field, env, row.nonzero, row.zero)
-            and row._instance_at(field, tuple(env[f] for f in row.frees)).algebra
-            == candidate)
+    entries = candidate.entries_flat()
+    point = tuple(entries[i] for i in _free_cells(row))
+    return (_conditions_hold(field, dict(zip(row.frees, point)), row.nonzero, row.zero)
+            and row._instance_at(field, point).algebra == candidate)
 
 
 def negative_instances(regime: str, identity_name: str, field: Field,

@@ -98,7 +98,7 @@ class Field:
                                         "characters") from None
                 raise InexactScalar(f"{value!r} is not an integer, decimal or "
                                     "'num/den' string") from None
-        return Scalar(self, self.reduce(value))
+        return Scalar(self, value)
 
     def reduce(self, value) -> Coefficient:
         """The canonical plain value of an exact number: its residue in
@@ -189,13 +189,14 @@ def field_make(spec) -> Field:
 
 
 class Scalar:
-    """Immutable exact field element: Fraction over Q, residue in [0,p) over F_p."""
+    """Immutable exact field element: Fraction over Q, residue in [0,p) over F_p.
+    The constructor normalises `value` through `Field.reduce`."""
 
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", field.reduce(value))
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
@@ -211,22 +212,22 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        return Scalar(self.field, self.field.reduce(self.value + other.value))
+        return Scalar(self.field, self.value + other.value)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        return Scalar(self.field, self.field.reduce(self.value - other.value))
+        return Scalar(self.field, self.value - other.value)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        return Scalar(self.field, self.field.reduce(self.value * other.value))
+        return Scalar(self.field, self.value * other.value)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.field, self.field.reduce(-self.value))
+        return Scalar(self.field, -self.value)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):

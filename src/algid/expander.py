@@ -253,35 +253,49 @@ class SpanReport(NamedTuple):
 PolyList = Union[PolySystem, Sequence[MultiPoly]]  # a PolySystem iterates its polys
 
 
-def _reduce(p: MultiPoly, basis: Dict[Monomial, MultiPoly],
-            field: Optional[Field]) -> MultiPoly:
-    """p minus its combination of basis elements at their leading monomials.
+Terms = Dict[Monomial, Coefficient]
+
+
+def _subtract(terms: Terms, c: Coefficient, other: Terms, field: Field) -> None:
+    """terms -= c * other, in place; c and other's values are nonzero."""
+    for m, v in other.items():
+        r = field.reduce(terms.get(m, 0) - c * v)
+        if r:
+            terms[m] = r
+        else:
+            del terms[m]
+
+
+def _reduce(p: MultiPoly, basis: Dict[Monomial, Terms], field: Field) -> Terms:
+    """The terms of p minus its combination of basis elements at their
+    leading monomials; FieldMismatch if p lies over another field.
 
     No basis element contains another's leading monomial, so clearing one
-    leaves the coefficients at the others alone: one pass suffices.  A
-    polynomial over another field than `field` (if given) is FieldMismatch.
+    leaves the coefficients at the others alone: one pass suffices.
     """
-    if field is not None and p.field != field:
+    if p.field != field:
         raise FieldMismatch(f"{p.field} vs {field}")
-    for lead in [m for m in p.terms if m in basis]:
-        p = p - basis[lead].scale(p.terms[lead])
-    return p
+    terms = dict(p.terms)
+    for lead in [m for m in terms if m in basis]:
+        _subtract(terms, terms[lead], basis[lead], field)
+    return terms
 
 
-def _reduced_basis(polys: PolyList,
-                   field: Optional[Field]) -> Dict[Monomial, MultiPoly]:
-    """A reduced basis of span(polys), keyed by leading monomial: each element
-    is monic, and no other element contains its leading monomial."""
-    basis: Dict[Monomial, MultiPoly] = {}
+def _reduced_basis(polys: PolyList, field: Field) -> Dict[Monomial, Terms]:
+    """A reduced basis of span(polys), as term dicts keyed by leading
+    monomial: each element is monic, and no other element contains its
+    leading monomial."""
+    basis: Dict[Monomial, Terms] = {}
     for p in polys:
         q = _reduce(p, basis, field)
-        if q.is_zero():
+        if not q:
             continue
-        q = _monic(q)
-        lead = _lead(q)
-        for m, b in basis.items():
-            if lead in b.terms:
-                basis[m] = b - q.scale(b.terms[lead])
+        lead = min(q, key=mon_sort_key)
+        c = field.inverse(q[lead])
+        q = {m: field.reduce(c * v) for m, v in q.items()}
+        for b in basis.values():
+            if lead in b:
+                _subtract(b, b[lead], q, field)
         basis[lead] = q
     return basis
 
@@ -290,11 +304,14 @@ def span_contains(container: PolyList, contained: PolyList,
                   field: Optional[Field]) -> Optional[int]:
     """Index of the first polynomial of `contained` outside span(container), if any.
 
-    Every polynomial must lie over `field`; None accepts any field.
+    Every polynomial must lie over `field`, or with None over the field of
+    the first polynomial; one over another field is FieldMismatch.
     """
+    if field is None:
+        field = next((p.field for p in itertools.chain(container, contained)), QQ)
     basis = _reduced_basis(container, field)
     for i, p in enumerate(contained):
-        if not _reduce(p, basis, field).is_zero():
+        if _reduce(p, basis, field):
             return i
     return None
 

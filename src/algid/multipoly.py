@@ -324,11 +324,16 @@ def _constant(x, what: str) -> Scalar:
 MAX_BITS = 1 << 18
 
 
+def _value_bits(v: Coefficient) -> int:
+    """The bit length of a rational's numerator or denominator, the longer."""
+    return max(v.numerator.bit_length(), v.denominator.bit_length())
+
+
 def _bits(x) -> int:
     if x.field.kind == "Fp":
         return 0
     vals = x.terms.values() if isinstance(x, MultiPoly) else (x.value,)
-    return max((n.bit_length() for v in vals for n in (v.numerator, v.denominator)), default=0)
+    return max(map(_value_bits, vals), default=0)
 
 
 def _within_bound(bits: int) -> None:
@@ -392,6 +397,59 @@ def eval_expr(node: _Node, field: Field, env: Mapping[str, object]):
     when a denominator vanishes — callers treat both as "point not realizable".
     """
     return _evaluate(node, field, env, _unbound)
+
+
+def compile_expr(node: _Node, field: Field):
+    """`eval_expr` over `field` as a function on plain values: given a dict
+    binding each variable to its plain value (a residue over F_p, a Fraction
+    over Q), it returns the plain value of the walker's Scalar, normalised by
+    `Field.reduce` at every step, and refuses what the walker refuses, with
+    the same errors in the same order.  Residues never grow, so only values
+    over Q are held to `MAX_BITS`."""
+    kind, reduce, bounded = node[0], field.reduce, field.kind == "Q"
+    if kind == "num":
+        value = reduce(node[1])
+        return lambda env: value
+    if kind == "var":
+        name = node[1]
+        return lambda env: env[name] if name in env else _unbound(name)
+    f = compile_expr(node[1], field)
+    if kind == "neg":
+        return lambda env: reduce(-f(env))
+    if kind == "sqrt":
+        def root(env):
+            rad = Scalar(field, f(env))
+            r = sqrt(rad)
+            if r is None:
+                raise SqrtUnavailable(rad)
+            return r.value
+        return root
+    if kind == "pow":
+        def power(env, e=node[2]):
+            x = f(env)
+            if bounded:
+                _within_bound(_value_bits(x) * e)
+            return reduce(x ** e)
+        return power
+    g = compile_expr(node[2], field)
+    if kind == "div":
+        def quotient(env):
+            den = g(env)
+            if not den:
+                raise DivisionByZero("denominator vanishes in expression")
+            x = f(env)
+            if bounded:
+                _within_bound(_value_bits(x) + _value_bits(den))
+            return reduce(x * field.inverse(den))
+        return quotient
+    op = _ARITHMETIC[kind]
+
+    def arithmetic(env):
+        x, y = f(env), g(env)
+        if bounded:
+            _within_bound(_value_bits(x) + _value_bits(y))
+        return reduce(op(x, y))
+    return arithmetic
 
 
 def expr_to_poly(node: _Node, field: Field, env: Optional[Mapping[str, object]] = None) -> MultiPoly:

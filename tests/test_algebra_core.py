@@ -206,6 +206,21 @@ def test_vec_shape_checks():
         Msc(QQ, [[QQ.scalar(0)] * 4])
 
 
+def test_vec_holds_only_entries_of_its_field():
+    """As for `Msc`: a float is InexactScalar at construction, not a
+    TypeError from inside a product, and an F5 entry of an F3 vector is
+    FieldMismatch."""
+    with pytest.raises(InexactScalar):
+        Vec(QQ, [0.5, 1])
+    with pytest.raises(InexactScalar):
+        Vec(QQ, [QQ.one(), True])
+    with pytest.raises(FieldMismatch):
+        Vec(F3, [F3.one(), F5.one()])
+    with pytest.raises(FieldMismatch):
+        Vec(F3, [MultiPoly.var(F5, "x1"), F3.one()])
+    assert Vec(F3, [F3.one(), MultiPoly.var(F3, "x1")]).entries[0] == F3.one()
+
+
 def test_msc_holds_only_entries_of_its_field():
     """An F5 entry in an F3 algebra would be decided as its value mod 3,
     and a float would reach the checks; both are refused at construction."""

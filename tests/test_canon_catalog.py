@@ -1,5 +1,6 @@
 """Catalog integrity: templates, claim rows, opposite tables, negatives."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from algid.canon_catalog import (
     REGIME_CHAR3,
     REGIMES,
     SELF_OPPOSITE,
+    ClaimedRow,
+    _compiled,
     claimed_rows,
     family,
     negative_instances,
@@ -24,13 +27,15 @@ from algid.canon_catalog import (
     row_covers,
 )
 from algid.errors import (
+    AlgidError,
     CharMismatch,
+    NumberTooLong,
     ParamCountMismatch,
     UnknownFamily,
     UnknownIdentity,
 )
-from algid.exactnum import F2, F3, F5, QQ, field_make
-from algid.multipoly import MultiPoly, eval_expr, expr_to_poly, parse_expr
+from algid.exactnum import F2, F3, F5, QQ, Scalar, field_make
+from algid.multipoly import MAX_BITS, MultiPoly, eval_expr, expr_to_poly, parse_expr
 
 
 def _q(x) -> object:
@@ -358,3 +363,118 @@ class TestNegatives:
         for k in range(1, 31):
             negs = negative_instances(regime, f"I{k}", field)
             assert len(negs) == 3, (regime, k)
+
+
+# ---------------------------------------------------------------------------
+# The compiled texts against the expression walker
+
+
+def _catalog_texts():
+    """{text: the sample points (tuples of (name, text) pairs) it is read at
+    over Q} for every distinct catalog text: template cells, row arguments,
+    side conditions, samples, square-root requirements and witness entries."""
+    texts = {}
+
+    def add(row_texts, frees=(), samples=()):
+        points = [tuple(zip(frees, sample)) for sample in samples]
+        for text in row_texts:
+            texts.setdefault(text, set()).update(points)
+        for sample in samples:
+            add(sample)
+
+    for fam in FAMILIES.values():
+        add(fam.rows[0] + fam.rows[1])
+    claim_rows = [row for table in CLAIMED_SOLUTIONS.values()
+                  for rows in table.values() for row in rows]
+    claim_rows += list(CHAR5_I19_ROWS)
+    claim_rows += [row for rows in SELF_OPPOSITE.values() for row in rows]
+    for row in claim_rows:
+        add(row.args + row.nonzero + row.zero + row.sqrt_requirements,
+            row.frees, row.samples)
+    for rows in OPPOSITE_TABLES.values():
+        for row in rows:
+            witness = row.witness[0] + row.witness[1] if row.witness else ()
+            add(row.source_args + row.image_args + witness + row.nonzero,
+                row.frees, row.samples)
+    return texts
+
+
+def _names(node):
+    if node[0] == "var":
+        return {node[1]}
+    return set().union(*(_names(c) for c in node[1:] if isinstance(c, tuple)))
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except AlgidError as exc:
+        return type(exc), str(exc)
+
+
+_RATIONALS = ("0", "1", "-1", "2", "1/2", "-1/3")
+
+
+class TestCompiledTexts:
+    @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=str)
+    def test_compiled_texts_match_the_walker(self, field):
+        """Every distinct catalog text, at every assignment of its variables
+        over F2, F3 and F5, and over Q at a grid of small rationals and at
+        the sample points of the rows it belongs to, gives the walker's value
+        or raises the walker's error with its message."""
+        texts = _catalog_texts()
+        assert len(texts) > 80
+        checked = failed = 0
+        for text, samples in sorted(texts.items()):
+            node = parse_expr(text)
+            names = sorted(_names(node))
+            if field.kind == "Fp":
+                points = itertools.product(field.elements(), repeat=len(names))
+                envs = [dict(zip(names, pt)) for pt in points]
+            else:
+                envs = [dict(zip(names, map(QQ.scalar, pt)))
+                        for pt in itertools.product(_RATIONALS, repeat=len(names))]
+                envs += [{name: eval_expr(parse_expr(t), QQ, {}) for name, t in sample}
+                         for sample in samples]
+            compiled = _compiled(text, field)
+            for env in envs:
+                plain = {name: x.value for name, x in env.items()}
+                got = _outcome(lambda: Scalar(field, compiled(plain)))
+                want = _outcome(lambda: eval_expr(node, field, env))
+                assert got == want, (text, field, env)
+                checked += 1
+                failed += isinstance(want, tuple)
+        assert checked > len(texts) and failed > 0  # some texts refuse some points
+
+    def test_template_cells_keep_the_bit_bound(self):
+        """A user argument of MAX_BITS bits passes a bare cell, and the cell
+        that adds 1 to it refuses, as the walker does."""
+        big = QQ.scalar(2 ** (MAX_BITS - 1))
+        assert family("A4").instantiate(QQ, (_q(1), big)).rows[1][1] == big
+        with pytest.raises(NumberTooLong) as walker:
+            eval_expr(parse_expr("a2 + 1"), QQ, {"a2": big})
+        with pytest.raises(NumberTooLong) as compiled:
+            family("A1").instantiate(QQ, (_q(1), big, _q(1), _q(1)))
+        assert str(compiled.value) == str(walker.value)
+        # one bit less fits, and the sum is exact
+        fits = QQ.scalar(2 ** (MAX_BITS - 2))
+        A1 = family("A1").instantiate(QQ, (_q(1), fits, _q(1), _q(1)))
+        assert A1.rows[0][2] == fits + _q(1)
+
+
+class TestInstanceMemo:
+    @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=str)
+    def test_memoised_instances_equal_a_fresh_build(self, field):
+        regime = regime_for_field(field)
+        rows = {row for rows in CLAIMED_SOLUTIONS[regime].values() for row in rows}
+        rows.update(SELF_OPPOSITE[regime])
+        if regime == REGIME_CHAR0:
+            rows.update(CHAR5_I19_ROWS)
+        for k in range(1, 31):  # row_covers fills the memo too
+            negative_instances(regime, f"I{k}", field)
+        memoised = {row: (row.instances(field), row.symbolic_algebra(field))
+                    for row in rows}
+        ClaimedRow._instance_at.cache_clear()
+        for row in rows:
+            assert memoised[row] == (row.instances(field), row.symbolic_algebra(field)), \
+                row.label()

@@ -93,6 +93,18 @@ def test_scalar_coercion():
         F5.scalar("1/5")
 
 
+def test_scalar_constructor_normalises_its_value():
+    assert Scalar(F5, 7) == F5.scalar(7)
+    assert Scalar(F5, -1).value == 4
+    assert Scalar(QQ, 3).value == Fraction(3) and type(Scalar(QQ, 3).value) is Fraction
+    assert Scalar(F5, Fraction(1, 2)) == F5.scalar("1/2")
+    for field, value in ((QQ, 0.5), (F5, True), (QQ, "1")):
+        with pytest.raises(InexactScalar):
+            Scalar(field, value)
+    with pytest.raises(DivisionByZero):
+        Scalar(F5, Fraction(1, 5))
+
+
 def test_scalar_arithmetic_q():
     a, b = QQ.scalar("2/3"), QQ.scalar("1/6")
     assert (a + b).value == Fraction(5, 6)

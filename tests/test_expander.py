@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import span_oracle
 from coordinate_route import (
     basis_vec,
     combine,
@@ -16,6 +17,7 @@ from coordinate_route import (
 
 from algid.algebra_core import Msc, Vec
 from algid.canon_catalog import (
+    CHAR2_IDENTITY_PAIRS,
     CHAR5_I19_ROWS,
     CLAIMED_SOLUTIONS,
     OPPOSITE_TABLES,
@@ -228,6 +230,30 @@ def test_spans_match_dense_elimination(field, data):
     assert (report.missing_side, report.missing_index, report.missing_poly) == expected
 
 
+def test_spans_match_the_multipoly_route_on_the_coincidence_pairs():
+    for a, b in CHAR2_IDENTITY_PAIRS:
+        lhs = expand(get_identity(a), field=F2)
+        rhs = expand(get_identity(b), field=F2)
+        assert span_equal(lhs, rhs, F2) == span_oracle.span_equal(lhs, rhs, F2), (a, b)
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_spans_match_the_multipoly_route_on_generic_systems(field):
+    """Every ordered pair of the I1..I30 generic systems: the same verdict,
+    side, index and (the caller's own) missing polynomial."""
+    systems = [expand(get_identity(f"I{k}"), field=field) for k in range(1, 31)]
+    unequal = 0
+    for lhs in systems:
+        for rhs in systems:
+            report = span_equal(lhs, rhs, field)
+            assert report == span_oracle.span_equal(lhs, rhs, field)
+            if not report:
+                assert report.missing_poly is list(lhs if report.missing_side == "lhs" else rhs)[
+                    report.missing_index]
+                unequal += 1
+    assert 0 < unequal < len(systems) ** 2
+
+
 def test_span_polynomials_must_lie_over_the_field():
     over_f3 = [P("a1 + 2 b1", F3)]
     with pytest.raises(FieldMismatch):
@@ -238,6 +264,10 @@ def test_span_polynomials_must_lie_over_the_field():
         span_equal(over_f3, over_f3, QQ)
     assert span_contains(over_f3, over_f3, F3) is None
     assert span_equal(over_f3, over_f3)
+    # without a field, all lie over the first polynomial's, even when no
+    # reduction step would combine them
+    with pytest.raises(FieldMismatch):
+        span_equal([P("b2")], over_f3)
 
 
 def test_readme_api_values():

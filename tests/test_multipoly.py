@@ -16,8 +16,9 @@ from algid.errors import (
     FieldMismatch,
     IdentitySyntaxError,
     InexactScalar,
+    NumberTooLong,
 )
-from algid.exactnum import F2, F3, F5, QQ
+from algid.exactnum import F2, F3, F5, QQ, Scalar
 from algid.expander import (
     Equation,
     PolySystem,
@@ -36,8 +37,10 @@ from algid.identity_lang import (
     word_terms,
 )
 from algid.multipoly import (
+    MAX_BITS,
     MultiPoly,
     SqrtUnavailable,
+    compile_expr,
     eval_expr,
     expr_to_poly,
     parse_expr,
@@ -439,6 +442,7 @@ def test_evaluation_leaves_no_reference_cycles():
     try:
         for _ in range(50):
             eval_expr(node, QQ, {"a": QQ.scalar(5)})
+            compile_expr(node, QQ)({"a": Fraction(5)})
             expr_to_poly(poly, F3)
         assert gc.collect() == 0
     finally:
@@ -460,3 +464,47 @@ def test_parsing_and_walking_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except AlgidError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=str)
+@pytest.mark.parametrize("text", [
+    "sqrt(a)/(b - b)",      # the denominator is evaluated before the numerator
+    "1/b + sqrt(a)",        # operands left to right
+    "sqrt(a) + 1/b",
+    "(a + 1)*(a - 2)^2/3 - sqrt(4) + a b^3",
+    "-(a/b)^0 - sqrt(a^2 b^2)",
+    "q + a",                # an unbound variable
+])
+def test_compiled_expressions_match_the_walker(field, text):
+    """The compiled route gives the walker's value, or its error with the
+    same message, refusing in the same order."""
+    node = parse_expr(text)
+    compiled = compile_expr(node, field)
+    for a, b in itertools.product(range(-2, 3), repeat=2):
+        env = {"a": field.scalar(a), "b": field.scalar(b)}
+        plain = {name: x.value for name, x in env.items()}
+        assert _outcome(lambda: Scalar(field, compiled(plain))) == \
+            _outcome(lambda: eval_expr(node, field, env)), (text, a, b)
+
+
+@pytest.mark.parametrize("text,refused", [
+    ("a + 1", True), ("a - a", True), ("a * 2", True), ("a / 3", True),
+    ("a^2", True), ("-a", False), ("a^1", False), ("a", False)])
+def test_compiled_expressions_keep_the_bit_bound(text, refused):
+    """Over Q a value of MAX_BITS bits passes bare, negated or to the first
+    power, and any other operation on it is refused, as by the walker; over
+    F_p residues never grow."""
+    big = 2 ** (MAX_BITS - 1)
+    node = parse_expr(text)
+    got = _outcome(lambda: Scalar(QQ, compile_expr(node, QQ)({"a": Fraction(big)})))
+    assert got == _outcome(lambda: eval_expr(node, QQ, {"a": QQ.scalar(big)}))
+    assert (got == (NumberTooLong, f"a value longer than {MAX_BITS} bits would be computed")) \
+        == refused
+    assert compile_expr(node, F5)({"a": big % 5}) == eval_expr(node, F5, {"a": F5.scalar(big)}).value
