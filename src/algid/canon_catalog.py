@@ -28,9 +28,10 @@ This module is data plus instantiation helpers; the checking logic lives in
 ``verifier``.  A row has one path to its algebras: its argument texts are
 evaluated at a parameter point, and the family template at those values
 (`Family.instantiate`).  A point binds each free to a scalar or, at the
-row's symbolic point, to the polynomial variable of its own name; the one
-expression walker computes on both, so a symbolic check is the row's
-instance at its symbolic point.
+row's symbolic point, to the polynomial variable of its own name; each text
+is compiled once per field and value domain (`compile_expr`, on plain
+values at a concrete point, on Scalars and polynomials at the symbolic
+point), so a symbolic check is the row's instance at its symbolic point.
 
 Rows known to be wrong in the source tables carry a non-empty ``erratum``
 note and are still checked (they are expected to fail with a witness, never
@@ -53,7 +54,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .exactnum import Field, Scalar, sqrt
-from .multipoly import MultiPoly, SqrtUnavailable, compile_expr, eval_expr, expr_to_poly, parse_expr
+from .multipoly import MultiPoly, SqrtUnavailable, compile_expr, expr_to_poly, parse_expr
 from .records import record
 
 REGIME_CHAR0 = "char0"  # characteristic not 2 and not 3
@@ -88,20 +89,21 @@ def _node_kinds(text: str) -> frozenset:
 
 
 @lru_cache(maxsize=512)
-def _compiled(text: str, field: Field):
-    """A catalog text as a function on plain values (`compile_expr`), built
-    on first use; a paper pass compiles 137."""
-    return compile_expr(_node(text), field)
+def _compiled(text: str, field: Field, objects: bool):
+    """A catalog text compiled (`compile_expr`) on plain values or, with
+    `objects`, on Scalars and polynomials, built on first use; a paper pass
+    compiles 137 on plain values and 16 on objects."""
+    return compile_expr(_node(text), field, objects)
 
 
 def _evaluator(field: Field, env: Dict[str, object]):
-    """text -> its value at `env`: the compiled text on plain values at a
-    concrete point, the walker where `env` binds anything but a Scalar
-    over `field` (a polynomial, at the symbolic point)."""
+    """text -> its value at `env` by the compiled text: on plain values at a
+    concrete point, on objects where `env` binds anything but a Scalar over
+    `field` (a polynomial, at the symbolic point)."""
     if all(isinstance(x, Scalar) and x.field == field for x in env.values()):
         plain = {name: x.value for name, x in env.items()}
-        return lambda text: Scalar(field, _compiled(text, field)(plain))
-    return lambda text: eval_expr(_node(text), field, env)
+        return lambda text: Scalar(field, _compiled(text, field, False)(plain))
+    return lambda text: _compiled(text, field, True)(env)
 
 
 def _values_at(field: Field, env: Dict[str, object], *groups: Sequence[str]):

@@ -7,6 +7,8 @@ form is unique and equality is plain dict equality.  Operands, `const`,
 `scale` and `constant_value()` take and give Scalars.  The module also houses
 the small scalar-expression language ("2 a1 - 1", "sqrt(a1 + b2)",
 "b1/b2^2") used by the family catalog and by transcribed fixture systems.
+Its one evaluator, `compile_expr`, compiles a parsed text into closures on
+plain values or on Scalars and polynomials (`eval_expr`, `expr_to_poly`).
 """
 
 from __future__ import annotations
@@ -344,49 +346,81 @@ def _within_bound(bits: int) -> None:
 _ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
-def _evaluate(node: _Node, field: Field, env: Mapping[str, object], unbound):
-    """The one walker of the expression language, on Scalar and MultiPoly
-    values alike; variables missing from `env` are looked up by `unbound`."""
-
-    def rec(n: _Node):
-        kind = n[0]
-        if kind == "num":
-            return field.scalar(n[1])
-        if kind == "var":
-            return env[n[1]] if n[1] in env else unbound(n[1])
-        if kind in _ARITHMETIC:
-            x, y = rec(n[1]), rec(n[2])
-            _within_bound(_bits(x) + _bits(y))
-            return _ARITHMETIC[kind](x, y)
-        if kind == "neg":
-            return -rec(n[1])
-        if kind == "pow":
-            x = rec(n[1])
-            _within_bound(_bits(x) * n[2])
-            return _power(x, n[2], field.one())
-        if kind == "div":
-            den = _constant(rec(n[2]), "division by a non-constant expression")
-            if den.is_zero():
-                raise DivisionByZero("denominator vanishes in expression")
-            x = rec(n[1])
-            _within_bound(_bits(x) + _bits(den))
-            return x * inv(den)
-        if kind == "sqrt":
-            rad = _constant(rec(n[1]), "sqrt of a non-constant expression")
-            root = sqrt(rad)
-            if root is None:
-                raise SqrtUnavailable(rad)
-            return root
-        raise AlgidError(f"bad expression node {kind!r}")
-
-    try:
-        return rec(node)
-    finally:
-        del rec  # rec reaches itself through its closure cell: break the cycle
-
-
 def _unbound(name: str):
     raise AlgidError(f"unbound variable {name!r}")
+
+
+def _names(node: _Node) -> set:
+    """The variable names of an expression tree."""
+    if node[0] == "var":
+        return {node[1]}
+    return set().union(*(_names(c) for c in node[1:] if isinstance(c, tuple)))
+
+
+def _domain(field: Field, objects: bool):
+    """What the two value domains of `compile_expr` differ in: how a step's
+    result is reduced, how a value is lifted to a constant Scalar (or refused
+    with the given message), how a Scalar is lowered back, and how bits are
+    counted (None where values never grow)."""
+    if objects:
+        return (lambda x: x), _constant, (lambda s: s), _bits
+    bits = _value_bits if field.kind == "Q" else None
+    return field.reduce, (lambda v, what: Scalar(field, v)), operator.attrgetter("value"), bits
+
+
+def compile_expr(node: _Node, field: Field, objects: bool = False):
+    """The evaluator of the expression language: `node` over `field` as a
+    function of a dict binding its variables.  On plain values (a residue
+    over F_p, a Fraction over Q, normalised by `Field.reduce` at every step)
+    by default; with `objects`, on Scalars and polynomials, giving a Scalar,
+    or a polynomial where a polynomial takes part.  A denominator is
+    evaluated before its numerator, other operands left to right, and an
+    operation that could pass `MAX_BITS` is refused before it runs."""
+    reduce, lift, lower, bits = _domain(field, objects)
+    kind = node[0]
+    if kind == "num":
+        value = lower(field.scalar(node[1]))
+        return lambda env: value
+    if kind == "var":
+        name = node[1]
+        return lambda env: env[name] if name in env else _unbound(name)
+    f = compile_expr(node[1], field, objects)
+    if kind == "neg":
+        return lambda env: reduce(-f(env))
+    if kind == "sqrt":
+        def root(env):
+            rad = lift(f(env), "sqrt of a non-constant expression")
+            r = sqrt(rad)
+            if r is None:
+                raise SqrtUnavailable(rad)
+            return lower(r)
+        return root
+    if kind == "pow":
+        def power(env, e=node[2], one=lower(field.one())):
+            x = f(env)
+            if bits:
+                _within_bound(bits(x) * e)
+            return reduce(_power(x, e, one))
+        return power
+    g = compile_expr(node[2], field, objects)
+    if kind == "div":
+        def quotient(env):
+            den = lift(g(env), "division by a non-constant expression")
+            if den.is_zero():
+                raise DivisionByZero("denominator vanishes in expression")
+            x = f(env)
+            if bits:
+                _within_bound(bits(x) + bits(lower(den)))
+            return reduce(x * lower(inv(den)))
+        return quotient
+    op = _ARITHMETIC[kind]
+
+    def arithmetic(env):
+        x, y = f(env), g(env)
+        if bits:
+            _within_bound(bits(x) + bits(y))
+        return reduce(op(x, y))
+    return arithmetic
 
 
 def eval_expr(node: _Node, field: Field, env: Mapping[str, object]):
@@ -396,60 +430,7 @@ def eval_expr(node: _Node, field: Field, env: Mapping[str, object]):
     Raises SqrtUnavailable when a radicand is a nonsquare and DivisionByZero
     when a denominator vanishes — callers treat both as "point not realizable".
     """
-    return _evaluate(node, field, env, _unbound)
-
-
-def compile_expr(node: _Node, field: Field):
-    """`eval_expr` over `field` as a function on plain values: given a dict
-    binding each variable to its plain value (a residue over F_p, a Fraction
-    over Q), it returns the plain value of the walker's Scalar, normalised by
-    `Field.reduce` at every step, and refuses what the walker refuses, with
-    the same errors in the same order.  Residues never grow, so only values
-    over Q are held to `MAX_BITS`."""
-    kind, reduce, bounded = node[0], field.reduce, field.kind == "Q"
-    if kind == "num":
-        value = reduce(node[1])
-        return lambda env: value
-    if kind == "var":
-        name = node[1]
-        return lambda env: env[name] if name in env else _unbound(name)
-    f = compile_expr(node[1], field)
-    if kind == "neg":
-        return lambda env: reduce(-f(env))
-    if kind == "sqrt":
-        def root(env):
-            rad = Scalar(field, f(env))
-            r = sqrt(rad)
-            if r is None:
-                raise SqrtUnavailable(rad)
-            return r.value
-        return root
-    if kind == "pow":
-        def power(env, e=node[2]):
-            x = f(env)
-            if bounded:
-                _within_bound(_value_bits(x) * e)
-            return reduce(x ** e)
-        return power
-    g = compile_expr(node[2], field)
-    if kind == "div":
-        def quotient(env):
-            den = g(env)
-            if not den:
-                raise DivisionByZero("denominator vanishes in expression")
-            x = f(env)
-            if bounded:
-                _within_bound(_value_bits(x) + _value_bits(den))
-            return reduce(x * field.inverse(den))
-        return quotient
-    op = _ARITHMETIC[kind]
-
-    def arithmetic(env):
-        x, y = f(env), g(env)
-        if bounded:
-            _within_bound(_value_bits(x) + _value_bits(y))
-        return reduce(op(x, y))
-    return arithmetic
+    return compile_expr(node, field, objects=True)(env)
 
 
 def expr_to_poly(node: _Node, field: Field, env: Optional[Mapping[str, object]] = None) -> MultiPoly:
@@ -459,8 +440,8 @@ def expr_to_poly(node: _Node, field: Field, env: Optional[Mapping[str, object]] 
     Division is only allowed by nonzero constants and sqrt only of constant
     squares, which keeps the result a genuine polynomial.
     """
-    value = _evaluate(node, field, env or {}, lambda name: MultiPoly.var(field, name))
-    return MultiPoly.coerce(field, value)
+    symbols = {name: MultiPoly.var(field, name) for name in _names(node)}
+    return MultiPoly.coerce(field, eval_expr(node, field, {**symbols, **(env or {})}))
 
 
 def parse_poly(text: str, field: Field, env: Optional[Mapping[str, object]] = None) -> MultiPoly:

@@ -1,9 +1,14 @@
 """Catalog integrity: templates, claim rows, opposite tables, negatives."""
 
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+
+import expr_oracle as oracle
+from expr_oracle import outcome
 
 from algid.algebra_core import change_basis, conjugates_to
 from algid.canon_catalog import (
@@ -35,7 +40,7 @@ from algid.errors import (
     UnknownIdentity,
 )
 from algid.exactnum import F2, F3, F5, QQ, Scalar, field_make
-from algid.multipoly import MAX_BITS, MultiPoly, eval_expr, expr_to_poly, parse_expr
+from algid.multipoly import MAX_BITS, MultiPoly, _names, eval_expr, expr_to_poly, parse_expr
 
 
 def _q(x) -> object:
@@ -366,7 +371,7 @@ class TestNegatives:
 
 
 # ---------------------------------------------------------------------------
-# The compiled texts against the expression walker
+# The compiled texts against the expression walker (tests/expr_oracle.py)
 
 
 def _catalog_texts():
@@ -399,20 +404,28 @@ def _catalog_texts():
     return texts
 
 
-def _names(node):
-    if node[0] == "var":
-        return {node[1]}
-    return set().union(*(_names(c) for c in node[1:] if isinstance(c, tuple)))
-
-
-def _outcome(thunk):
-    try:
-        return thunk()
-    except AlgidError as exc:
-        return type(exc), str(exc)
-
-
 _RATIONALS = ("0", "1", "-1", "2", "1/2", "-1/3")
+
+
+def _object_bindings(field, name):
+    """What `name` is bound to in the object-domain tests: nothing, a Scalar,
+    constant polynomials (zero, a square, a MAX_BITS-bit value), its own
+    variable, a variable shared by all names, and a polynomial in both."""
+    x, t = MultiPoly.var(field, name), MultiPoly.var(field, "t")
+    return (None, field.scalar(2), MultiPoly.zero(field), MultiPoly.const(field, 4),
+            MultiPoly.const(field, 2 ** (MAX_BITS - 1)), x, t, x * t - field.one())
+
+
+_CRAFTED = (
+    "sqrt(x)/(b - b)",          # the denominator is evaluated before the numerator
+    "1/x + sqrt(b)",            # operands left to right
+    "sqrt(b) + 1/x",
+    "x^0 + (b - b)^0",          # an empty product is the Scalar one
+    "x^1 - x/2 + b/x",
+    "sqrt(x^2) + sqrt(x - x + 4)",
+    "(x + 1)*(b - 2)^2/3 - sqrt(4) + x b^3",
+    "q + x",                    # q is bound by no test point
+)
 
 
 class TestCompiledTexts:
@@ -421,7 +434,8 @@ class TestCompiledTexts:
         """Every distinct catalog text, at every assignment of its variables
         over F2, F3 and F5, and over Q at a grid of small rationals and at
         the sample points of the rows it belongs to, gives the walker's value
-        or raises the walker's error with its message."""
+        or raises the walker's error with its message, compiled on plain
+        values and on objects alike."""
         texts = _catalog_texts()
         assert len(texts) > 80
         checked = failed = 0
@@ -434,17 +448,48 @@ class TestCompiledTexts:
             else:
                 envs = [dict(zip(names, map(QQ.scalar, pt)))
                         for pt in itertools.product(_RATIONALS, repeat=len(names))]
-                envs += [{name: eval_expr(parse_expr(t), QQ, {}) for name, t in sample}
+                envs += [{name: oracle.eval_expr(parse_expr(t), QQ, {}) for name, t in sample}
                          for sample in samples]
-            compiled = _compiled(text, field)
             for env in envs:
                 plain = {name: x.value for name, x in env.items()}
-                got = _outcome(lambda: Scalar(field, compiled(plain)))
-                want = _outcome(lambda: eval_expr(node, field, env))
+                want = outcome(lambda: oracle.eval_expr(node, field, env))
+                got = outcome(lambda: Scalar(field, _compiled(text, field, False)(plain)))
                 assert got == want, (text, field, env)
+                assert outcome(lambda: _compiled(text, field, True)(env)) == want, \
+                    (text, field, env)
                 checked += 1
-                failed += isinstance(want, tuple)
+                failed += want[0] is not Scalar
         assert checked > len(texts) and failed > 0  # some texts refuse some points
+
+    @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=str)
+    def test_polynomial_bindings_match_the_walker(self, field):
+        """`expr_to_poly` and `eval_expr` on every distinct catalog text and
+        on crafted texts, with each name unbound or bound to a Scalar or a
+        polynomial, give the walker's value, of the same type, or raise the
+        walker's error with its message."""
+        rng = random.Random(1)
+        seen = Counter()
+        for text in sorted(_catalog_texts()) + list(_CRAFTED):
+            node = parse_expr(text)
+            names = sorted(_names(node))
+            choices = [_object_bindings(field, name) for name in names]
+            if len(names) <= 2:
+                combos = list(itertools.product(*choices))
+            else:
+                combos = [tuple(map(rng.choice, choices)) for _ in range(32)]
+            for combo in combos:
+                env = {name: v for name, v in zip(names, combo) if v is not None}
+                want = outcome(lambda: oracle.expr_to_poly(node, field, env))
+                assert outcome(lambda: expr_to_poly(node, field, env)) == want, \
+                    (text, field, env)
+                want = outcome(lambda: oracle.eval_expr(node, field, env))
+                assert outcome(lambda: eval_expr(node, field, env)) == want, \
+                    (text, field, env)
+                seen[want[1] if want[0] is AlgidError else want[0]] += 1
+        assert seen[Scalar] and seen[MultiPoly]
+        assert bool(seen[NumberTooLong]) == (field.kind == "Q")  # residues never grow
+        assert seen["division by a non-constant expression"]
+        assert seen["sqrt of a non-constant expression"]
 
     def test_template_cells_keep_the_bit_bound(self):
         """A user argument of MAX_BITS bits passes a bare cell, and the cell
@@ -452,7 +497,7 @@ class TestCompiledTexts:
         big = QQ.scalar(2 ** (MAX_BITS - 1))
         assert family("A4").instantiate(QQ, (_q(1), big)).rows[1][1] == big
         with pytest.raises(NumberTooLong) as walker:
-            eval_expr(parse_expr("a2 + 1"), QQ, {"a2": big})
+            oracle.eval_expr(parse_expr("a2 + 1"), QQ, {"a2": big})
         with pytest.raises(NumberTooLong) as compiled:
             family("A1").instantiate(QQ, (_q(1), big, _q(1), _q(1)))
         assert str(compiled.value) == str(walker.value)

@@ -812,6 +812,22 @@ class TestInputContracts:
         assert r.exit_code == 0
         assert json.loads(r.output)["entries"][0][0] == (3 if field == "F5" else "8")  # 8 mod 5 = 3
 
+    @pytest.mark.parametrize("field, arg, message", [
+        ("Q", "x", "unbound variable 'x'"),
+        ("Q", "sqrt(2)", "2 is not a square in Q"),
+        ("F5", "sqrt(2)", "2 is not a square in F5"),
+        ("Q", "1/0", "denominator vanishes in expression"),
+        ("F5", "1/5", "denominator vanishes in expression"),
+    ])
+    def test_refused_argument_is_usage_error(self, field, arg, message):
+        """An --args value that the expression language refuses exits 2 with
+        one line naming the value and the refusal, and no traceback."""
+        r = runner.invoke(main, ["catalog", "instantiate", "A4", "--field", field,
+                                 "--args", arg + ", 1"])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: bad argument {arg!r}: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ["check", "--family", "A12", "--identity", "9" * 5000 + "u*v = 0"],
         ["catalog", "instantiate", "A4", "--args", "9" * 5000 + ", 0"],

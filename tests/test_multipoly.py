@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expr_oracle as oracle
 from coordinate_route import collect_coefficients
+from expr_oracle import outcome
 
 from algid.canon_catalog import family
 from algid.errors import (
@@ -120,10 +122,32 @@ def test_eval_expr_with_radicals():
 
 def test_poly_division_rules():
     assert P("b1/b2^2", env={"b2": QQ.scalar(3)}) == P("1/9 b1")
+    assert P("a/b + sqrt(b)", F5, {"b": P("4", F5)}) == P("4 a + 2", F5)  # a constant polynomial
     with pytest.raises(AlgidError):
         P("a1/b1")
     with pytest.raises(DivisionByZero):
         P("a1/0")
+
+
+@pytest.mark.parametrize("text,field,env,message", [
+    ("1/x", QQ, {}, "division by a non-constant expression"),
+    ("sqrt(x + 1)", F5, {}, "sqrt of a non-constant expression"),
+    ("a/b", QQ, {"b": "t + 1"}, "division by a non-constant expression"),
+    ("sqrt(b) + 1/0", F3, {"b": "t^2"}, "sqrt of a non-constant expression"),
+    ("1/(b - c)", F5, {"b": "t", "c": "t"}, "denominator vanishes in expression"),
+])
+def test_non_constant_denominators_and_radicands_are_refused(text, field, env, message):
+    """A denominator or radicand must be constant once its bindings are in;
+    a polynomial bound in `env` counts as its value."""
+    env = {name: P(poly, field) for name, poly in env.items()}
+    with pytest.raises(AlgidError) as exc:
+        parse_poly(text, field, env)
+    assert str(exc.value) == message
+    # eval_expr, with every variable bound, refuses alike
+    env.update((name, P(name, field)) for name in "abcx" if name not in env)
+    with pytest.raises(AlgidError) as exc:
+        eval_expr(parse_expr(text), field, env)
+    assert str(exc.value) == message
 
 
 def test_parse_expr_nesting_depth_is_bounded():
@@ -432,9 +456,10 @@ def test_constructor_reduces_any_exact_number():
 
 
 def test_evaluation_leaves_no_reference_cycles():
-    """An evaluation leaves no reference cycle (its recursive walker reaches
-    itself through its closure) for the cycle collector to reclaim: a paper
-    pass evaluates tens of thousands of expressions."""
+    """Compiling and evaluating an expression, in either domain, leaves no
+    reference cycle for the cycle collector to reclaim (as a recursive
+    function nested in a closure would, reaching itself through its cell): a
+    paper pass evaluates tens of thousands of expressions."""
     node = parse_expr("(a + 1)*(a - 2)^2/3 - sqrt(4)")
     poly = parse_expr("x^2 + 2*y")
     gc.collect()
@@ -466,11 +491,12 @@ def test_parsing_and_walking_leave_no_reference_cycles():
         gc.enable()
 
 
-def _outcome(thunk):
-    try:
-        return thunk()
-    except AlgidError as exc:
-        return type(exc), str(exc)
+def _both_domains(node, field, env):
+    """`node` at `env` (Scalars over `field`) by the compiled closures, on
+    plain values and on objects."""
+    plain = {name: x.value for name, x in env.items()}
+    return (outcome(lambda: Scalar(field, compile_expr(node, field)(plain))),
+            outcome(lambda: compile_expr(node, field, objects=True)(env)))
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=str)
@@ -483,15 +509,13 @@ def _outcome(thunk):
     "q + a",                # an unbound variable
 ])
 def test_compiled_expressions_match_the_walker(field, text):
-    """The compiled route gives the walker's value, or its error with the
-    same message, refusing in the same order."""
+    """Both domains of the compiled closures give the walker's value, or its
+    error with the same message, refusing in the same order."""
     node = parse_expr(text)
-    compiled = compile_expr(node, field)
     for a, b in itertools.product(range(-2, 3), repeat=2):
         env = {"a": field.scalar(a), "b": field.scalar(b)}
-        plain = {name: x.value for name, x in env.items()}
-        assert _outcome(lambda: Scalar(field, compiled(plain))) == \
-            _outcome(lambda: eval_expr(node, field, env)), (text, a, b)
+        want = outcome(lambda: oracle.eval_expr(node, field, env))
+        assert _both_domains(node, field, env) == (want, want), (text, a, b)
 
 
 @pytest.mark.parametrize("text,refused", [
@@ -499,12 +523,15 @@ def test_compiled_expressions_match_the_walker(field, text):
     ("a^2", True), ("-a", False), ("a^1", False), ("a", False)])
 def test_compiled_expressions_keep_the_bit_bound(text, refused):
     """Over Q a value of MAX_BITS bits passes bare, negated or to the first
-    power, and any other operation on it is refused, as by the walker; over
-    F_p residues never grow."""
+    power, and any other operation on it is refused, in both domains as by
+    the walker; over F_p residues never grow."""
     big = 2 ** (MAX_BITS - 1)
     node = parse_expr(text)
-    got = _outcome(lambda: Scalar(QQ, compile_expr(node, QQ)({"a": Fraction(big)})))
-    assert got == _outcome(lambda: eval_expr(node, QQ, {"a": QQ.scalar(big)}))
-    assert (got == (NumberTooLong, f"a value longer than {MAX_BITS} bits would be computed")) \
+    env = {"a": QQ.scalar(big)}
+    want = outcome(lambda: oracle.eval_expr(node, QQ, env))
+    assert _both_domains(node, QQ, env) == (want, want)
+    assert (want == (NumberTooLong, f"a value longer than {MAX_BITS} bits would be computed")) \
         == refused
-    assert compile_expr(node, F5)({"a": big % 5}) == eval_expr(node, F5, {"a": F5.scalar(big)}).value
+    env = {"a": F5.scalar(big)}
+    want = outcome(lambda: oracle.eval_expr(node, F5, env))
+    assert want[0] is Scalar and _both_domains(node, F5, env) == (want, want)
