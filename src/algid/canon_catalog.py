@@ -41,7 +41,7 @@ silently dropped).
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra_core import ENUM_LIMIT, Entry, Msc
@@ -88,7 +88,7 @@ def _node_kinds(text: str) -> frozenset:
     return frozenset(kinds)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=None)
 def _compiled(text: str, field: Field, objects: bool):
     """A catalog text compiled (`compile_expr`) on plain values or, with
     `objects`, on Scalars and polynomials, built on first use; a paper pass
@@ -137,39 +137,63 @@ def _point_label(base: str, frees: Sequence[str],
     return "%s @ %s" % (base, at)
 
 
-def _conditions_hold(field: Field, env: Dict[str, Scalar],
-                     nonzero: Sequence[str], zero: Sequence[str]) -> bool:
-    if not (nonzero or zero):
-        return True
-    value = _evaluator(field, env)
-    return (not any(value(text).is_zero() for text in nonzero)
-            and all(value(text).is_zero() for text in zero))
+class _RowTable:
+    """The instances of one catalog row (claim or opposite) over one field,
+    each built once by the row's `_instance_at`.  `instances` are those at
+    the admissible points: over the rationals the frozen samples, or the
+    single point of a parameter-free row; over a finite field every
+    assignment of the frees, in lexicographic order.  They are enumerated
+    only when asked for; `at` serves any other point (the symbolic one, or
+    a point read off a candidate).  Instances and Msc are immutable, so
+    callers share them."""
 
+    def __init__(self, row, field: Field):
+        self.row, self.field, self._built = row, field, {}
 
-def _parameter_points(field: Field, frees: Sequence[str],
-                      samples: Sequence[Tuple[str, ...]],
-                      nonzero: Sequence[str],
-                      zero: Sequence[str]) -> List[Tuple[Scalar, ...]]:
-    """The parameter points of a table row over `field` that meet its side
-    conditions.
+    def at(self, point: tuple):
+        """The row's instance at `point`."""
+        ins = self._built.get(point)
+        if ins is None:
+            ins = self._built[point] = self.row._instance_at(self.field, point)
+        return ins
 
-    Over the rationals: the single point of a parameter-free row, else the
-    frozen sample points (none when the row has no samples).  Over a finite
-    field every assignment of the frees, in lexicographic order.
-    """
-    if field.kind == "Q":
-        if not frees:
-            pts = [()]
-        else:
-            pts = [tuple(map(_evaluator(field, {}), sample)) for sample in samples]
-    else:
-        if field.p ** len(frees) > ENUM_LIMIT:
+    def admits(self, point: tuple) -> bool:
+        """Whether `point` meets the row's side conditions."""
+        row = self.row
+        if not (row.nonzero or row.zero):
+            return True
+        value = _evaluator(self.field, dict(zip(row.frees, point)))
+        return (not any(value(text).is_zero() for text in row.nonzero)
+                and all(value(text).is_zero() for text in row.zero))
+
+    @cached_property
+    def instances(self) -> tuple:
+        field, frees = self.field, self.row.frees
+        if field.kind == "Q":
+            value = _evaluator(field, {})
+            pts = [tuple(map(value, s)) for s in self.row.samples] if frees else [()]
+        elif field.p ** len(frees) > ENUM_LIMIT:
             raise SearchSpaceTooLarge(
                 "%d parameter points over F_%d is over the enumeration limit"
                 % (field.p ** len(frees), field.p))
-        pts = list(itertools.product(field.elements(), repeat=len(frees)))
-    return [pt for pt in pts
-            if _conditions_hold(field, dict(zip(frees, pt)), nonzero, zero)]
+        else:
+            pts = itertools.product(field.elements(), repeat=len(frees))
+        return tuple(self.at(pt) for pt in pts if self.admits(pt))
+
+    @cached_property
+    def free_cells(self) -> Tuple[int, ...]:
+        """For each free of a claim row, the row-major index of the first
+        template cell that is the family parameter bound to it."""
+        fam = family(self.row.family)
+        arg_of = dict(zip(fam.params, self.row.args))
+        bound = [arg_of.get(cell.strip(), "").strip() for cell in fam.rows[0] + fam.rows[1]]
+        return tuple(bound.index(f) for f in self.row.frees)
+
+
+@lru_cache(maxsize=None)
+def _table(row, field: Field) -> _RowTable:
+    """The one table of `row` over `field`: a paper pass builds 180."""
+    return _RowTable(row, field)
 
 
 @record
@@ -202,12 +226,11 @@ class Family(NamedTuple):
         return _instance(self, field, tuple(args))
 
 
-# With claim-row instances memoised, a paper pass still makes about 1050
-# instantiations of about 370 distinct (family, field, args): each regime's
-# negative spot-check candidates recur for every identity.  256 entries miss
-# only on first use, bar a handful, and save about 12 ms of a pass.  Msc and
+# Rows, negative spot-check candidates and opposite rows share family
+# algebras: a paper pass asks for 366 distinct (family, field, args) about
+# 1050 times, each regime's candidates recurring for every identity.  Msc and
 # Scalar are immutable, so callers share the algebras.
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
 def _instance(fam: Family, field: Field, args: tuple) -> Msc:
     """Every template cell evaluated at the bound parameters."""
     fam.check_regime(field)
@@ -354,13 +377,8 @@ class ClaimedRow(NamedTuple):
         """The algebra at the symbolic point, or None if a radical blocks it."""
         if self.has_radical():
             return None
-        return self._instance_at(field, _symbolic(self.frees, field)).algebra
+        return _table(self, field).at(_symbolic(self.frees, field)).algebra
 
-    # Claim lists share rows, and `row_covers` instantiates rows for every
-    # negative candidate: a paper pass asks for 307 distinct (row, field,
-    # point) instances about 2800 times, so 512 entries hold a whole pass.
-    # ClaimInstance and Msc are immutable, so callers share them.
-    @lru_cache(maxsize=512)
     def _instance_at(self, field: Field, point: tuple) -> "ClaimInstance":
         vals, skip = _values_at(field, dict(zip(self.frees, point)), self.args)
         if skip:
@@ -370,19 +388,11 @@ class ClaimedRow(NamedTuple):
                              family(self.family).instantiate(field, args), "")
 
     def instances(self, field: Field) -> List["ClaimInstance"]:
-        """Concrete instances of this row over `field`.
-
-        Over the rationals: the frozen sample points (radical rows), or the
-        single point for parameter-free rows; rows with free radical-free
-        parameters yield no concrete instances here — they are checked
-        symbolically via `symbolic_algebra`.  Over a finite field every
-        parameter assignment is enumerated.  Points violating the side
-        conditions are pruned; argument evaluation failures become skipped
-        instances carrying the reason.
-        """
-        pts = _parameter_points(field, self.frees, self.samples,
-                                self.nonzero, self.zero)
-        return [self._instance_at(field, pt) for pt in pts]
+        """This row's instances over `field` (`_RowTable`), as a fresh list.
+        Rows with radical-free frees have none over Q: they are checked
+        symbolically (`symbolic_algebra`).  A point whose arguments cannot
+        be evaluated gives a skipped instance carrying the reason."""
+        return list(_table(self, field).instances)
 
 
 @record
@@ -1010,6 +1020,7 @@ class OppositeRow(NamedTuple):
     nonzero: Tuple[str, ...] = ()
     samples: Tuple[Tuple[str, ...], ...] = ()
     note: str = ""
+    zero = ()  # an opposite row states no vanishing conditions
 
     def label(self) -> str:
         sign = "=" if self.kind == "equal" else "~"
@@ -1030,12 +1041,10 @@ class OppositeRow(NamedTuple):
 
     def symbolic(self, field: Field) -> "OppositeInstance":
         """The instance at the symbolic point (a fully polynomial row)."""
-        return self._instance_at(field, _symbolic(self.frees, field))
+        return _table(self, field).at(_symbolic(self.frees, field))
 
     def instances(self, field: Field) -> List["OppositeInstance"]:
-        pts = _parameter_points(field, self.frees, self.samples,
-                                self.nonzero, ())
-        return [self._instance_at(field, pt) for pt in pts]
+        return list(_table(self, field).instances)
 
     def _instance_at(self, field, pt) -> "OppositeInstance":
         vals, skip = _values_at(field, dict(zip(self.frees, pt)),
@@ -1339,16 +1348,6 @@ SECTION3_ROWS: Tuple[WorkedRow, ...] = tuple(WorkedRow(*r) for r in (
 # Negative spot-check selection
 
 
-@lru_cache(maxsize=None)
-def _free_cells(row: ClaimedRow) -> Tuple[int, ...]:
-    """For each free of `row`, the row-major index of the first template cell
-    that is the family parameter bound to it."""
-    fam = family(row.family)
-    arg_of = dict(zip(fam.params, row.args))
-    bound = [arg_of.get(cell.strip(), "").strip() for cell in fam.rows[0] + fam.rows[1]]
-    return tuple(bound.index(f) for f in row.frees)
-
-
 def row_covers(row: ClaimedRow, field: Field, candidate: Msc) -> bool:
     """Whether some parameter assignment of `row` yields exactly `candidate`.
 
@@ -1358,10 +1357,10 @@ def row_covers(row: ClaimedRow, field: Field, candidate: Msc) -> bool:
     bare cell of its first argument slot.  That is the only possible
     binding, whose instance is then compared with `candidate`.
     """
+    table = _table(row, field)
     entries = candidate.entries_flat()
-    point = tuple(entries[i] for i in _free_cells(row))
-    return (_conditions_hold(field, dict(zip(row.frees, point)), row.nonzero, row.zero)
-            and row._instance_at(field, point).algebra == candidate)
+    point = tuple(entries[i] for i in table.free_cells)
+    return table.admits(point) and table.at(point).algebra == candidate
 
 
 def negative_instances(regime: str, identity_name: str, field: Field,

@@ -116,6 +116,11 @@ class Identity(NamedTuple):
 # syntax error rather than a RecursionError in the parser or in the tree
 # walks after it.
 MAX_NESTING = 100
+# Operations one above another in a scalar expression, whose tree a flat
+# chain such as 1+1+...+1 makes as deep as it is long.  Every walk of the
+# tree takes at most two interpreter frames a level, so deeper text is a
+# syntax error rather than a RecursionError in compiling or evaluating it.
+MAX_DEPTH = 300
 # Largest exponent in the scalar-expression language; powers are computed by
 # repeated squaring, so this bounds their cost.
 MAX_EXPONENT = 64

@@ -18,7 +18,7 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .errors import AlgidError, DivisionByZero, FieldMismatch, IdentitySyntaxError, NumberTooLong
 from .exactnum import Coefficient, Field, Scalar, decimal_text, inv, sqrt
-from .identity_lang import MAX_EXPONENT, TokenCursor, literal_int
+from .identity_lang import MAX_DEPTH, MAX_EXPONENT, TokenCursor, literal_int
 
 Monomial = Tuple[Tuple[str, int], ...]
 
@@ -227,38 +227,48 @@ _Node = tuple
 
 class _ExprParser(TokenCursor):
     """Recursive descent over the grammar above.  Methods, not closures, so a
-    parse leaves no reference cycle behind."""
+    parse leaves no reference cycle behind.  Each method returns a node and
+    its height, the levels of its tree."""
 
     def __init__(self, text: str):
         super().__init__(text, "+-*/^()", "expression")
 
+    def join(self, tok, kind, *children):
+        """The node (kind, *children) and its height, from (node, height)
+        pairs; an error at `tok` past MAX_DEPTH levels."""
+        height = 1 + max(h for _, h in children)
+        if height > MAX_DEPTH:
+            raise IdentitySyntaxError(
+                tok[0], f"expression deeper than {MAX_DEPTH} operations")
+        return (kind, *(node for node, _ in children)), height
+
     def expr(self):
-        node = self.term()
+        lhs = self.term()
         while self.peek()[1] in "+-":
-            op = self.take()[1]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            tok = self.take()
+            lhs = self.join(tok, "add" if tok[1] == "+" else "sub", lhs, self.term())
+        return lhs
 
     def term(self):
-        node = self.unary()
+        lhs = self.unary()
         while True:
-            kind = self.peek()[1]
-            if kind in ("*", "/"):
-                op = self.take()[1]
-                node = ("mul" if op == "*" else "div", node, self.unary())
-            elif kind in ("int", "name", "("):
-                node = ("mul", node, self.unary())
+            tok = self.peek()
+            if tok[1] in ("*", "/"):
+                self.take()
+                lhs = self.join(tok, "mul" if tok[1] == "*" else "div", lhs, self.unary())
+            elif tok[1] in ("int", "name", "("):
+                lhs = self.join(tok, "mul", lhs, self.unary())
             else:
-                return node
+                return lhs
 
     def unary(self):
         if self.peek()[1] == "-":
-            return ("neg", self.nested(self.take(), self.unary))
+            tok = self.take()
+            return self.join(tok, "neg", self.nested(tok, self.unary))
         return self.power()
 
     def power(self):
-        node = self.atom()
+        base = self.atom()
         if self.peek()[1] == "^":
             self.take()
             tok = self.take("int")
@@ -266,21 +276,22 @@ class _ExprParser(TokenCursor):
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise IdentitySyntaxError(
                     tok[0], f"exponent above {MAX_EXPONENT}")
-            node = ("pow", node, int(digits))
-        return node
+            node, height = self.join(tok, "pow", base)
+            return node + (int(digits),), height
+        return base
 
     def atom(self):
         tok = self.peek()
         if tok[1] == "int":
             self.take()
-            return ("num", literal_int(tok))
+            return ("num", literal_int(tok)), 1
         if tok[1] == "name":
             self.take()
             if tok[2] == "sqrt":
                 inner = self.nested(self.take("("), self.expr)
                 self.take(")")
-                return ("sqrt", inner)
-            return ("var", tok[2])
+                return self.join(tok, "sqrt", inner)
+            return ("var", tok[2]), 1
         if tok[1] == "(":
             inner = self.nested(self.take(), self.expr)
             self.take(")")
@@ -291,7 +302,7 @@ class _ExprParser(TokenCursor):
 def parse_expr(text: str) -> _Node:
     """Parse the mini-language into a tuple tree (no field binding yet)."""
     parser = _ExprParser(text)
-    return parser.finish(parser.expr())
+    return parser.finish(parser.expr()[0])
 
 
 def _power(base, n: int, one):

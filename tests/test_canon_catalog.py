@@ -23,8 +23,8 @@ from algid.canon_catalog import (
     REGIME_CHAR3,
     REGIMES,
     SELF_OPPOSITE,
-    ClaimedRow,
     _compiled,
+    _table,
     claimed_rows,
     family,
     negative_instances,
@@ -36,6 +36,7 @@ from algid.errors import (
     CharMismatch,
     NumberTooLong,
     ParamCountMismatch,
+    SearchSpaceTooLarge,
     UnknownFamily,
     UnknownIdentity,
 )
@@ -508,18 +509,64 @@ class TestCompiledTexts:
 
 
 class TestInstanceMemo:
+    @staticmethod
+    def _built(field):
+        """Every claim and opposite row of the field's regime -> its
+        instances and its instance at the symbolic point."""
+        regime = regime_for_field(field)
+        claims = {row for rows in CLAIMED_SOLUTIONS[regime].values() for row in rows}
+        claims.update(SELF_OPPOSITE[regime])
+        if regime == REGIME_CHAR0:
+            claims.update(CHAR5_I19_ROWS)
+        out = {row: (row.instances(field), row.symbolic_algebra(field)) for row in claims}
+        out.update({row: (row.instances(field),
+                          row.symbolic(field) if row.fully_polynomial() else None)
+                    for row in OPPOSITE_TABLES[regime]})
+        return out
+
     @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=str)
     def test_memoised_instances_equal_a_fresh_build(self, field):
+        """row_covers fills the tables at points read off candidates, and
+        instances and the symbolic point fill them too, in either order."""
         regime = regime_for_field(field)
-        rows = {row for rows in CLAIMED_SOLUTIONS[regime].values() for row in rows}
-        rows.update(SELF_OPPOSITE[regime])
-        if regime == REGIME_CHAR0:
-            rows.update(CHAR5_I19_ROWS)
-        for k in range(1, 31):  # row_covers fills the memo too
-            negative_instances(regime, f"I{k}", field)
-        memoised = {row: (row.instances(field), row.symbolic_algebra(field))
-                    for row in rows}
-        ClaimedRow._instance_at.cache_clear()
-        for row in rows:
-            assert memoised[row] == (row.instances(field), row.symbolic_algebra(field)), \
-                row.label()
+
+        def negatives():
+            return [negative_instances(regime, f"I{k}", field) for k in range(1, 31)]
+
+        _table.cache_clear()
+        fresh, covered = self._built(field), negatives()
+        for negatives_first in (True, False):
+            _table.cache_clear()
+            if negatives_first:
+                assert negatives() == covered
+            memoised = self._built(field)
+            assert memoised.keys() == fresh.keys()
+            for row, got in memoised.items():
+                assert got == fresh[row], row.label()
+            assert negatives() == covered
+
+    @pytest.mark.parametrize("row", [CLAIMED_SOLUTIONS[REGIME_CHAR0]["I3"][0],
+                                     OPPOSITE_TABLES[REGIME_CHAR0][0]],
+                             ids=["claim", "opposite"])
+    def test_instances_are_a_fresh_list(self, row):
+        got = row.instances(F5)
+        want = list(got)
+        assert want
+        got.clear()
+        got.append(None)
+        assert row.instances(F5) == want
+
+    def test_row_covers_never_enumerates(self):
+        """A candidate reads its one point off its entries, so the negative
+        spot-checks run over F149, where a two-parameter row has more points
+        than may be enumerated."""
+        F149 = field_make(149)
+        _table.cache_clear()
+        negatives = negative_instances(REGIME_CHAR0, "I1", F149)
+        assert [(fam.name, args) for fam, args, _ in negatives] == [
+            ("A1", (F149.scalar(2),) * 4), ("A2", (F149.scalar(2),) * 3),
+            ("A3", (F149.scalar(2),) * 2)]
+        row = claimed_rows(REGIME_CHAR0, "I1")[0]
+        assert row.label() == "A2(a1, b1, 1 - a1)"
+        with pytest.raises(SearchSpaceTooLarge, match="22201 parameter points over F_149"):
+            row.instances(F149)

@@ -14,6 +14,7 @@ import algid
 from algid.canon_catalog import family
 from algid.cli import CATALOG_COMMANDS, COMMANDS, main
 from algid.exactnum import F2, QQ, field_make
+from algid.identity_lang import MAX_DEPTH
 
 import cli_runner as runner
 
@@ -770,6 +771,23 @@ class TestInputContracts:
                                  "(" * depth + "1" + ")" * depth + ", 0"])
         assert r.exit_code == 2
         assert "nested deeper" in r.output
+
+    @pytest.mark.parametrize("sep", ["+", "*", " "], ids=["sum", "product", "adjacency"])
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "instantiate", "A4", "--field", "F7"],
+        ["check", "--family", "A4", "--identity", "I1"],
+    ], ids=["instantiate", "check"])
+    def test_long_chain_argument_is_usage_error(self, argv, sep):
+        """A flat chain of 3,000 terms is a tree 3,000 levels deep: refused
+        while parsing, not a RecursionError in evaluating it."""
+        arg = sep.join(["1"] * 3000)
+        r = runner.invoke(main, argv + ["--args", arg + ", 1"])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        position = 2 * MAX_DEPTH - (sep != " ")
+        assert r.output == (f"Error: bad argument {arg!r}: at position {position}: "
+                            f"expression deeper than {MAX_DEPTH} operations\n")
+        assert "Traceback" not in r.output
 
     @pytest.mark.parametrize("modulus", [5.7, True])
     def test_inexact_modulus_is_usage_error(self, tmp_path, modulus):

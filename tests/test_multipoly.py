@@ -31,6 +31,7 @@ from algid.expander import (
     word_tensor_matrix,
 )
 from algid.identity_lang import (
+    MAX_DEPTH,
     MAX_EXPONENT,
     MAX_NESTING,
     get_identity,
@@ -163,6 +164,31 @@ def test_parse_expr_nesting_depth_is_bounded():
         for text in shapes(depth):
             with pytest.raises(IdentitySyntaxError, match="nested deeper"):
                 parse_expr(text)
+
+
+@pytest.mark.parametrize("sep", ["+", "*", " "], ids=["sum", "product", "adjacency"])
+def test_parse_expr_tree_depth_is_bounded(sep):
+    """A flat chain is as deep as it is long: one of MAX_DEPTH levels still
+    evaluates in both value domains and as a polynomial, and one level more
+    is refused at the token that starts it."""
+    def chain(n, term):
+        return sep.join([term] * n)
+
+    node = parse_expr(chain(MAX_DEPTH, "x"))
+    for field in (QQ, F3):
+        two = field.scalar(2)
+        want = field.scalar(2 * MAX_DEPTH if sep == "+" else 2 ** MAX_DEPTH)
+        assert compile_expr(node, field)({"x": two.value}) == want.value
+        assert eval_expr(node, field, {"x": two}) == want
+    x = MultiPoly.var(QQ, "x")
+    assert expr_to_poly(node, QQ) == (x * QQ.scalar(MAX_DEPTH) if sep == "+" else x ** MAX_DEPTH)
+    # the operator, or for adjacency the factor, that starts level MAX_DEPTH + 1
+    position = 2 * MAX_DEPTH - (sep != " ")
+    for n in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(IdentitySyntaxError) as exc:
+            parse_expr(chain(n, "1"))
+        assert str(exc.value) == \
+            f"at position {position}: expression deeper than {MAX_DEPTH} operations"
 
 
 @pytest.mark.parametrize("parse,text,message", [
