@@ -143,9 +143,9 @@ class _RowTable:
     the admissible points: over the rationals the frozen samples, or the
     single point of a parameter-free row; over a finite field every
     assignment of the frees, in lexicographic order.  They are enumerated
-    only when asked for; `at` serves any other point (the symbolic one, or
-    a point read off a candidate).  Instances and Msc are immutable, so
-    callers share them."""
+    only when asked for; `symbolic` is the instance at the symbolic point,
+    and `at` serves any other point (one read off a candidate).  Instances
+    and Msc are immutable, so callers share them."""
 
     def __init__(self, row, field: Field):
         self.row, self.field, self._built = row, field, {}
@@ -165,6 +165,10 @@ class _RowTable:
         value = _evaluator(self.field, dict(zip(row.frees, point)))
         return (not any(value(text).is_zero() for text in row.nonzero)
                 and all(value(text).is_zero() for text in row.zero))
+
+    @cached_property
+    def symbolic(self):
+        return self.at(_symbolic(self.row.frees, self.field))
 
     @cached_property
     def instances(self) -> tuple:
@@ -377,7 +381,7 @@ class ClaimedRow(NamedTuple):
         """The algebra at the symbolic point, or None if a radical blocks it."""
         if self.has_radical():
             return None
-        return _table(self, field).at(_symbolic(self.frees, field)).algebra
+        return _table(self, field).symbolic.algebra
 
     def _instance_at(self, field: Field, point: tuple) -> "ClaimInstance":
         vals, skip = _values_at(field, dict(zip(self.frees, point)), self.args)
@@ -1041,7 +1045,7 @@ class OppositeRow(NamedTuple):
 
     def symbolic(self, field: Field) -> "OppositeInstance":
         """The instance at the symbolic point (a fully polynomial row)."""
-        return _table(self, field).at(_symbolic(self.frees, field))
+        return _table(self, field).symbolic
 
     def instances(self, field: Field) -> List["OppositeInstance"]:
         return list(_table(self, field).instances)

@@ -129,6 +129,23 @@ class Field:
             raise DivisionByZero("inverse of zero")
         return pow(value, -1, self.p) if self.p else 1 / value
 
+    def sqrt(self, value) -> Optional[Coefficient]:
+        """Some r with r*r == value, as a canonical plain value, or None if
+        value is not a square.  Deterministic choice: the nonnegative root
+        over Q, the smaller residue over F_p."""
+        value, p = self.reduce(value), self.p
+        if not p:
+            if value < 0:
+                return None
+            r = Fraction(math.isqrt(value.numerator), math.isqrt(value.denominator))
+            return r if r * r == value else None
+        if p == 2 or value == 0:
+            return value  # squaring is the identity on F_2
+        if pow(value, (p - 1) // 2, p) != 1:
+            return None
+        r = _tonelli_shanks(value, p)
+        return min(r, p - r)
+
     def zero(self) -> "Scalar":
         return self.scalar(0)
 
@@ -275,11 +292,6 @@ def inv(a: Scalar) -> Scalar:
     return Scalar(a.field, a.field.inverse(a.value))
 
 
-def _isqrt_exact(n: int) -> Optional[int]:
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
 def _tonelli_shanks(a: int, p: int) -> int:
     """A square root of a mod odd prime p, assuming one exists."""
     if p % 4 == 3:
@@ -306,26 +318,9 @@ def _tonelli_shanks(a: int, p: int) -> int:
 
 
 def sqrt(a: Scalar) -> Optional[Scalar]:
-    """Some r with r*r == a, or None if a is not a square.
-
-    Deterministic choice: nonnegative root over Q, smaller residue over F_p.
-    """
-    if a.field.kind == "Q":
-        v: Fraction = a.value
-        if v < 0:
-            return None
-        num = _isqrt_exact(v.numerator)
-        den = _isqrt_exact(v.denominator)
-        if num is None or den is None:
-            return None
-        return Scalar(a.field, Fraction(num, den))
-    p = a.field.p
-    if p == 2 or a.value == 0:
-        return Scalar(a.field, a.value)  # squaring is the identity on F_2
-    if pow(a.value, (p - 1) // 2, p) != 1:
-        return None
-    r = _tonelli_shanks(a.value, p)
-    return Scalar(a.field, min(r, p - r))
+    """Some r with r*r == a, or None if a is not a square (`Field.sqrt`)."""
+    r = a.field.sqrt(a.value)
+    return None if r is None else Scalar(a.field, r)
 
 
 QQ = Field("Q")

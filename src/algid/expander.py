@@ -136,13 +136,13 @@ def expand(ident: Identity, A: Optional[Msc] = None, field: Optional[Field] = No
     if A is not None and field is not None and field != A.field:
         raise FieldMismatch(f"{field} vs {A.field}")
     f = A.field if A is not None else field if field is not None else QQ
-    plan = tensor_plan(ident, f, False)
+    plan = tensor_plan(ident, 0)
     if A is None:
         names, entries, d = _GENERIC_VARS, _GENERIC_ENTRIES, 1
     else:
         names, entries, d = _integer_entries(A, plan.degree)
     equations = [Equation(row, mon, _multipoly(f, terms, d ** (mon_degree(mon) - 1)))
-                 for row, mon, terms in plan.system(names, entries)]
+                 for row, mon, terms in plan.system(f.char, names, entries)]
     return PolySystem(f, equations, ident.name)
 
 
@@ -549,49 +549,46 @@ def functional_monomial(mon: Monomial, p: int) -> Monomial:
 
 
 class TensorPlan:
-    """An identity compiled for one field and mode: the recursion
+    """An identity compiled once for every field: the recursion
     M(leaf) = I, M(w1 w2) = A . (M(w1) (x) M(w2)) as a program over the
-    words' distinct subword shapes, and for each word its weight and the
-    coordinate monomial of each of its tensor columns.  Monomials are
+    words' distinct subword shapes, and for each word its integer weight and
+    the coordinate monomial of each of its tensor columns.  Monomials are
     numbered in canonical order, so equation slot (row, monomial) is
     row * len(monomials) + its number, the canonical `PolySystem` order.  In
-    functional mode (F_p only) monomials that agree pointwise are one
-    monomial.  This is the only place that maps tensor columns to equations.
+    functional mode the plan is compiled for one prime `merge`, and
+    monomials that agree pointwise over F_merge are one monomial.  This is
+    the only place that maps tensor columns to equations.
 
-    `system()` runs the program on an algebra's entries as packed integer
+    `system(p)` runs the program on an algebra's entries as packed integer
     polynomials, and `first_nonzero(A)` on a concrete algebra's entries as
-    Python ints; both sum the columns into their slots.
+    Python ints; both sum the columns into their slots and reduce the sums
+    mod p (p = 0 over Q), so a word whose weight vanishes mod p adds 0.
     """
 
-    def __init__(self, ident: Identity, field: Field, functional: bool):
-        self.field = field
-        self.p = p = field.char  # 0 over Q
+    def __init__(self, ident: Identity, merge: int):
         self.program: List[Tuple[int, int]] = []  # shape k >= 1 = (left, right)
         self.degree = 0  # the most leaves of a word
         index: Dict[Shape, int] = {None: 0}
         words = []
         for word, weight, cols in _word_columns(ident):
-            if p:
-                weight %= p
-            if weight:
-                mons = [_coordinate_monomial(col) for col in cols]
-                if functional:
-                    mons = [functional_monomial(mon, p) for mon in mons]
-                k = _program_index(_shape(word), index, self.program)
-                words.append((k, weight, mons))
-                self.degree = max(self.degree, len(cols).bit_length() - 1)
+            mons = [_coordinate_monomial(col) for col in cols]
+            if merge:
+                mons = [functional_monomial(mon, merge) for mon in mons]
+            k = _program_index(_shape(word), index, self.program)
+            words.append((k, weight, mons))
+            self.degree = max(self.degree, len(cols).bit_length() - 1)
         self.monomials = tuple(sorted({mon for _, _, mons in words for mon in mons},
                                       key=mon_sort_key))
         number = {mon: s for s, mon in enumerate(self.monomials)}
         self.words = tuple((k, weight, tuple(number[mon] for mon in mons))
                            for k, weight, mons in words)
 
-    def system(self, names: Sequence[str] = _GENERIC_VARS,
+    def system(self, p: int, names: Sequence[str] = _GENERIC_VARS,
                entries: Entries = _GENERIC_ENTRIES) -> tuple:
-        """The system on an algebra with the given integer polynomial entries
-        in the variables `names` (see `_integer_entries`; by default the
-        generic a1..b4) as (row, coordinate monomial, terms) for each
-        nonzero slot, in canonical order, a term being (int coefficient,
+        """The system over F_p (Q when p = 0) on an algebra with the given
+        integer polynomial entries in `names` (see `_integer_entries`; by
+        default the generic a1..b4) as (row, coordinate monomial, terms) for
+        each nonzero slot, in canonical order, a term being (int coefficient,
         monomial).  Coefficients are residues in [0, p) over F_p."""
         bits, mats = _packed_matrices(self.program, entries, self.degree)
         n = len(self.monomials)
@@ -606,7 +603,7 @@ class TensorPlan:
         unpack = functools.lru_cache(maxsize=None)(lambda e: _unpack(e, bits, names))
         out = []
         for s, acc in enumerate(sums):
-            terms = _terms(acc, self.p, unpack)
+            terms = _terms(acc, p, unpack)
             if terms:
                 row, number = divmod(s, n)
                 out.append((row, self.monomials[number], terms))
@@ -621,20 +618,20 @@ class TensorPlan:
         for the plan): a slot of coordinate degree l is homogeneous of degree
         l - 1 in the entries, so only the witness is divided, by d^(l - 1).
         """
-        d, vals = _scaled(self.field, [x.value for x in A.entries_flat()], self.degree)
-        found = self.nonzero_slot(vals)
+        d, vals = _scaled(A.field, [x.value for x in A.entries_flat()], self.degree)
+        found = self.nonzero_slot(A.field.char, vals)
         if found is None:
             return None
         s, v = found
         row, number = divmod(s, len(self.monomials))
         mon = self.monomials[number]
-        return Equation(row, mon, _multipoly(self.field, ((v, ()),), d ** (mon_degree(mon) - 1)))
+        return Equation(row, mon, _multipoly(A.field, ((v, ()),), d ** (mon_degree(mon) - 1)))
 
-    def nonzero_slot(self, vals: Sequence[int]) -> Optional[Tuple[int, int]]:
-        """(slot, value) of the first equation that does not vanish at the
-        integer entries a1..b4 (residues over F_p), its value reduced mod p
-        over F_p; None when all vanish.  The recursion runs on Python ints."""
-        p = self.p
+    def nonzero_slot(self, p: int, vals: Sequence[int]) -> Optional[Tuple[int, int]]:
+        """(slot, value) of the first equation over F_p (Q when p = 0) that
+        does not vanish at the integer entries a1..b4 (residues over F_p),
+        its value reduced mod p over F_p; None when all vanish.  The
+        recursion runs on Python ints."""
         a0, a1, a2, a3, b0, b1, b2, b3 = vals
         mats = [((1, 0), (0, 1))]
         for left, right in self.program:
@@ -664,18 +661,19 @@ class TensorPlan:
         return None
 
 
-# One paper pass (the 8 verify-paper targets) uses 120 distinct
-# (identity, field, mode) plans, counted with an unbounded cache; a smaller
+# One paper pass (the 8 verify-paper targets) uses 60 distinct
+# (identity, merge prime) plans, counted with an unbounded cache; a smaller
 # cache recompiles the plans it evicts within the pass.  128 holds a whole
-# pass.  Keeping the 64 plans of the golden scans costs about 0.1 MB.
+# pass, or the 62 plans of the golden scans.
 _PLANS = 128
 
 
 @functools.lru_cache(maxsize=_PLANS)
-def tensor_plan(ident: Identity, field: Field, functional: bool) -> TensorPlan:
-    """The identity's cached plan, shared by `expand`, checks and scans; the
+def tensor_plan(ident: Identity, merge: int) -> TensorPlan:
+    """The identity's cached plan, formal (`merge` 0) or functional over
+    F_merge, shared by `expand`, checks and scans over every field; the
     expansion budget is checked on a miss, before any word is expanded."""
-    return TensorPlan(ident, field, functional)
+    return TensorPlan(ident, merge)
 
 
 # -- brute-force scans over every algebra of a small prime field -----------------
@@ -712,7 +710,7 @@ def _scan_plan(p: int, ident: Identity, mode: str) -> TensorPlan:
             % (", ".join(map(str, SCAN_PRIMES))))
     if mode not in ("formal", "functional"):
         raise AlgidError("scan mode must be 'formal' or 'functional'")
-    return tensor_plan(ident, field_make(p), mode == "functional")
+    return tensor_plan(ident, p if mode == "functional" else 0)
 
 
 def _scan_dtype(p: int, degree: int, most_terms: int):
@@ -761,7 +759,7 @@ def scan_algebras(p: int, ident: Identity, mode: str = "formal") -> np.ndarray:
     those columns only, which shrink at each equation that drops an
     algebra."""
     plan = _scan_plan(p, ident, mode)
-    system = plan.system()
+    system = plan.system(p)
     import numpy as np
 
     dtype = _scan_dtype(p, plan.degree, max((len(terms) for _, _, terms in system), default=0))
@@ -808,7 +806,7 @@ def scan_field(p: int, ident: Identity, mode: str = "formal") -> int:
     if p != 2:
         return int(scan_algebras(p, ident, mode).sum())
     plan = _scan_plan(p, ident, mode)
-    return sum(plan.nonzero_slot(vals) is None
+    return sum(plan.nonzero_slot(p, vals) is None
                for vals in itertools.product(range(p), repeat=8))
 
 
@@ -844,7 +842,7 @@ def check_formal(A: Msc, ident: Identity) -> FormalCheck:
     stopping at the first nonzero equation; on symbolic entries through
     `expand`, as polynomials in A's parameters."""
     if A.is_concrete():
-        return _verdict(tensor_plan(ident, A.field, False).first_nonzero(A))
+        return _verdict(tensor_plan(ident, 0).first_nonzero(A))
     equations = expand(ident, A).equations
     return _verdict(equations[0] if equations else None)
 
@@ -855,7 +853,7 @@ def check_functional(A: Msc, ident: Identity) -> FormalCheck:
         raise AlgidError("functional checking needs a finite field")
     if not A.is_concrete():
         raise AlgidError("functional checking needs concrete structure constants")
-    return _verdict(tensor_plan(ident, A.field, True).first_nonzero(A))
+    return _verdict(tensor_plan(ident, A.field.p).first_nonzero(A))
 
 
 # -- tensor-matrix view -------------------------------------------------------------

@@ -17,7 +17,7 @@ import operator
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .errors import AlgidError, DivisionByZero, FieldMismatch, IdentitySyntaxError, NumberTooLong
-from .exactnum import Coefficient, Field, Scalar, decimal_text, inv, sqrt
+from .exactnum import Coefficient, Field, Scalar, decimal_text
 from .identity_lang import MAX_DEPTH, MAX_EXPONENT, TokenCursor, literal_int
 
 Monomial = Tuple[Tuple[str, int], ...]
@@ -317,14 +317,14 @@ def _power(base, n: int, one):
     return out
 
 
-def _constant(x, what: str) -> Scalar:
-    """The Scalar value of a Scalar or constant polynomial; AlgidError(what)
+def _constant(x, what: str) -> Coefficient:
+    """The plain value of a Scalar or constant polynomial; AlgidError(what)
     for a polynomial with variables."""
     if isinstance(x, MultiPoly):
         if not x.is_constant():
             raise AlgidError(what)
-        return x.constant_value()
-    return x
+        x = x.constant_value()
+    return x.value
 
 
 # The longest value, in bits, that the expression language computes: of a
@@ -370,13 +370,13 @@ def _names(node: _Node) -> set:
 
 def _domain(field: Field, objects: bool):
     """What the two value domains of `compile_expr` differ in: how a step's
-    result is reduced, how a value is lifted to a constant Scalar (or refused
-    with the given message), how a Scalar is lowered back, and how bits are
-    counted (None where values never grow)."""
+    result is reduced, how a value is lifted to a constant plain value (or
+    refused with the given message), how a plain value is lowered back, and
+    how bits are counted (None where values never grow)."""
     if objects:
-        return (lambda x: x), _constant, (lambda s: s), _bits
+        return (lambda x: x), _constant, (lambda v: Scalar(field, v)), _bits
     bits = _value_bits if field.kind == "Q" else None
-    return field.reduce, (lambda v, what: Scalar(field, v)), operator.attrgetter("value"), bits
+    return field.reduce, (lambda v, what: v), (lambda v: v), bits
 
 
 def compile_expr(node: _Node, field: Field, objects: bool = False):
@@ -390,7 +390,7 @@ def compile_expr(node: _Node, field: Field, objects: bool = False):
     reduce, lift, lower, bits = _domain(field, objects)
     kind = node[0]
     if kind == "num":
-        value = lower(field.scalar(node[1]))
+        value = lower(field.scalar(node[1]).value)
         return lambda env: value
     if kind == "var":
         name = node[1]
@@ -401,13 +401,13 @@ def compile_expr(node: _Node, field: Field, objects: bool = False):
     if kind == "sqrt":
         def root(env):
             rad = lift(f(env), "sqrt of a non-constant expression")
-            r = sqrt(rad)
+            r = field.sqrt(rad)
             if r is None:
-                raise SqrtUnavailable(rad)
+                raise SqrtUnavailable(Scalar(field, rad))
             return lower(r)
         return root
     if kind == "pow":
-        def power(env, e=node[2], one=lower(field.one())):
+        def power(env, e=node[2], one=lower(field.one().value)):
             x = f(env)
             if bits:
                 _within_bound(bits(x) * e)
@@ -417,12 +417,12 @@ def compile_expr(node: _Node, field: Field, objects: bool = False):
     if kind == "div":
         def quotient(env):
             den = lift(g(env), "division by a non-constant expression")
-            if den.is_zero():
+            if not den:
                 raise DivisionByZero("denominator vanishes in expression")
             x = f(env)
             if bits:
                 _within_bound(bits(x) + bits(lower(den)))
-            return reduce(x * lower(inv(den)))
+            return reduce(x * lower(field.inverse(den)))
         return quotient
     op = _ARITHMETIC[kind]
 

@@ -199,6 +199,13 @@ class TestCheck:
         validate(doc, CHECK_SCHEMA)
         assert doc["mode"] == "functional"
 
+    def test_a_word_whose_weight_vanishes_mod_p(self):
+        """The longest word of the identity is 3 ((u*v)*w)*t, zero over F3."""
+        r = runner.invoke(main, ["check", "--family", "A9_3", "--field", "F3",
+                                 "--identity", "3 ((u*v)*w)*t = u*v"])
+        assert r.exit_code == 1
+        assert r.output == "fails: e1 coefficient of x1 y2 = 2\n"
+
     def test_inline_identity_selector(self):
         r = runner.invoke(main, ["check", "--family", "A12",
                                  "--identity", "(u*v)*w = 0"])

@@ -502,8 +502,8 @@ class TestScanPruning:
         """The name of the integer type scan_algebras evaluates in."""
         import numpy as np
 
-        plan = tensor_plan(ident, field_make(p), mode == "functional")
-        most_terms = max((len(terms) for _, _, terms in plan.system()), default=0)
+        plan = tensor_plan(ident, p if mode == "functional" else 0)
+        most_terms = max((len(terms) for _, _, terms in plan.system(p)), default=0)
         return np.dtype(_scan_dtype(p, plan.degree, most_terms)).name
 
     @pytest.mark.parametrize("p, text, width, counts", [
@@ -546,7 +546,7 @@ class TestScanPruning:
         word = "u"
         for k in range(10):
             word = "(%s)*%s" % (word, "uv"[k % 2])
-        plan = tensor_plan(parse_identity(word + " = 0"), F5, False)
+        plan = tensor_plan(parse_identity(word + " = 0"), 0)
         assert plan.degree == 11
         with pytest.raises(ExpansionTooLarge):
             check_budget(parse_identity("(%s)*u = 0" % word))
@@ -608,10 +608,10 @@ class TestIntegerScanOverF2:
         finds the witness slot of first_nonzero at every index."""
         idents = [get_identity("I%d" % k) for k in range(1, 31)] + [parse_identity(self._SIX)]
         for ident in idents:
-            plan = tensor_plan(ident, F2, mode == "functional")
+            plan = tensor_plan(ident, 2 if mode == "functional" else 0)
             n = len(plan.monomials)
             for i, vals in enumerate(itertools.product(range(2), repeat=8)):
-                found = plan.nonzero_slot(vals)
+                found = plan.nonzero_slot(2, vals)
                 witness = plan.first_nonzero(msc_from_scan_index(2, i))
                 if witness is None:
                     assert found is None, (i, mode)
@@ -632,6 +632,27 @@ class TestIntegerScanOverF2:
         for p in SCAN_PRIMES:
             with pytest.raises(AlgidError, match="scan mode must be"):
                 scan_field(p, get_identity("I1"), "bogus")
+
+
+class TestWeightsVanishingModP:
+    """A plan keeps every word of nonzero integer weight and reduces its
+    sums mod p when it runs, so a word whose weight vanishes mod p adds 0."""
+
+    _TWICE = "2 u*v = 0"
+    _LONGEST = "3 ((u*v)*w)*t = u*v"  # the longest word vanishes mod 3
+
+    def test_twice_a_product(self):
+        ident = parse_identity(self._TWICE)
+        assert scan_field(2, ident) == scan_field(2, ident, "functional") == 256
+        assert expand(ident, field=F2).is_zero()
+        assert check_formal(family("A9_2").instantiate(F2, ()), ident).ok
+        assert scan_field(3, ident) == 1
+
+    def test_vanishing_longest_word(self):
+        ident = parse_identity(self._LONGEST)
+        assert scan_field(3, ident) == 1
+        assert len(expand(ident, field=F3)) == 8
+        assert scan_field(2, parse_identity("2 ((u*v)*w)*t = u*v"), "functional") == 1
 
 
 class TestAlternating:
@@ -757,6 +778,23 @@ class TestReports:
         misses = tensor_plan.cache_info().misses
         verify_theorem("Section3Computations")
         assert tensor_plan.cache_info().misses == misses
+
+    def test_a_cold_pass_compiles_one_plan_per_identity(self, monkeypatch):
+        """Plans are keyed by identity (and merge prime), not by field: the
+        60 distinct identities of a pass over Q, F2 and F3 make 60 plans."""
+        import algid.expander as expander
+
+        idents = set()
+
+        def recording(ident, merge):
+            idents.add(ident)
+            return tensor_plan(ident, merge)
+
+        tensor_plan.cache_clear()
+        monkeypatch.setattr(expander, "tensor_plan", recording)
+        for target in TARGETS:
+            verify_theorem(target)
+        assert tensor_plan.cache_info().misses == len(idents) == 60
 
     def test_printed_rows_agree_with_the_coordinate_route(self):
         printed = [row for row in SECTION3_ROWS if row.printed is not None]
