@@ -78,16 +78,20 @@ def _entry_json(x: Entry):
 
 
 class Msc:
-    """Matrix of structural constants of a 2-dimensional algebra."""
+    """Immutable matrix of structural constants of a 2-dimensional algebra."""
 
     __slots__ = ("field", "rows")
+    rows: Tuple[Tuple[Entry, ...], ...]
 
     def __init__(self, field: Field, rows: Sequence[Sequence[Entry]]):
         if len(rows) != 2 or any(len(r) != 4 for r in rows):
             raise DimensionMismatch("a 2-dimensional MSC has 2 rows of 4 columns")
-        self.field = field
-        self.rows: Tuple[Tuple[Entry, ...], ...] = tuple(tuple(r) for r in rows)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
         _check_entries(field, self.entries_flat())
+
+    def __setattr__(self, *a):
+        raise AttributeError("Msc is immutable")
 
     # -- constructors --------------------------------------------------------
 

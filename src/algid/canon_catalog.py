@@ -27,7 +27,7 @@ Three facts are read from the texts rather than stated next to them:
 This module is data plus instantiation helpers; the checking logic lives in
 ``verifier``.  A row has one path to its algebras: its argument texts are
 evaluated at a parameter point, and the family template at those values
-(`Family.instantiate`).  A point binds each free to a scalar or, at the
+(`_instance`).  A point binds each free to a scalar or, at the
 row's symbolic point, to the polynomial variable of its own name; each text
 is compiled once per field and value domain (`compile_expr`, on plain
 values at a concrete point, on Scalars and polynomials at the symbolic
@@ -55,7 +55,6 @@ from .errors import (
 )
 from .exactnum import Field, Scalar, sqrt
 from .multipoly import MultiPoly, SqrtUnavailable, compile_expr, expr_to_poly, parse_expr
-from .records import record
 
 REGIME_CHAR0 = "char0"  # characteristic not 2 and not 3
 REGIME_CHAR2 = "char2"
@@ -196,11 +195,11 @@ class _RowTable:
 
 @lru_cache(maxsize=None)
 def _table(row, field: Field) -> _RowTable:
-    """The one table of `row` over `field`: a paper pass builds 180."""
+    """The one table of `row` over `field`: a paper pass builds 180.  Claim
+    rows (9 fields) and opposite rows (10) never share a key."""
     return _RowTable(row, field)
 
 
-@record
 class Family(NamedTuple):
     """One canonical family: a 2x4 template of cell expressions."""
 
@@ -226,16 +225,12 @@ class Family(NamedTuple):
                 % (self.name, need, field.char))
 
     def instantiate(self, field: Field, args: Sequence[Entry]) -> Msc:
-        """The template at `args`, Scalars or polynomials in any variables."""
-        return _instance(self, field, tuple(args))
+        """The template at `args`, Scalars or polynomials in any variables:
+        a fresh algebra, which the module does not keep."""
+        return _build(self, field, tuple(args))
 
 
-# Rows, negative spot-check candidates and opposite rows share family
-# algebras: a paper pass asks for 366 distinct (family, field, args) about
-# 1050 times, each regime's candidates recurring for every identity.  Msc and
-# Scalar are immutable, so callers share the algebras.
-@lru_cache(maxsize=None)
-def _instance(fam: Family, field: Field, args: tuple) -> Msc:
+def _build(fam: Family, field: Field, args: tuple) -> Msc:
     """Every template cell evaluated at the bound parameters."""
     fam.check_regime(field)
     if len(args) != fam.arity:
@@ -244,6 +239,14 @@ def _instance(fam: Family, field: Field, args: tuple) -> Msc:
             % (fam.name, fam.arity, len(args)))
     value = _evaluator(field, dict(zip(fam.params, args)))
     return Msc(field, [[value(cell) for cell in row] for row in fam.rows])
+
+
+# Claim, opposite and worked rows and negative spot-check candidates share
+# family algebras: a paper pass asks for 366 distinct (family, field, args)
+# about 1050 times, each regime's candidates recurring for every identity.
+# Only these catalog callers, with their finitely many points, reach the memo;
+# Msc and Scalar are immutable, so they share the algebras.
+_instance = lru_cache(maxsize=None)(_build)
 
 
 def _bare_names(texts: Sequence[str]) -> Tuple[str, ...]:
@@ -340,7 +343,6 @@ def family(name: str) -> Family:
 # Claim rows
 
 
-@record
 class ClaimedRow(NamedTuple):
     """One entry of a claimed solution list: a family at given arguments.
 
@@ -389,7 +391,7 @@ class ClaimedRow(NamedTuple):
             return ClaimInstance(self, point, None, None, skip)
         (args,) = vals
         return ClaimInstance(self, point, args,
-                             family(self.family).instantiate(field, args), "")
+                             _instance(family(self.family), field, args), "")
 
     def instances(self, field: Field) -> List["ClaimInstance"]:
         """This row's instances over `field` (`_RowTable`), as a fresh list.
@@ -399,7 +401,6 @@ class ClaimedRow(NamedTuple):
         return list(_table(self, field).instances)
 
 
-@record
 class ClaimInstance(NamedTuple):
     row: ClaimedRow
     point: Tuple[Scalar, ...]
@@ -1002,7 +1003,6 @@ def claimed_rows(regime: str, identity_name: str,
 # Opposite-algebra tables
 
 
-@record
 class OppositeRow(NamedTuple):
     """How one family (or a slice of it) relates to its opposite.
 
@@ -1058,12 +1058,11 @@ class OppositeRow(NamedTuple):
             return OppositeInstance(self, pt, None, None, None, skip)
         src_vals, img_vals, *g = vals
         return OppositeInstance(
-            self, pt, family(self.source_family).instantiate(field, src_vals),
-            family(self.image_family).instantiate(field, img_vals),
+            self, pt, _instance(family(self.source_family), field, src_vals),
+            _instance(family(self.image_family), field, img_vals),
             tuple(g) if g else None, "")
 
 
-@record
 class OppositeInstance(NamedTuple):
     row: OppositeRow
     point: Tuple[Scalar, ...]
@@ -1255,7 +1254,6 @@ SELF_OPPOSITE: Dict[str, Tuple[ClaimedRow, ...]] = {
 PRINTED_PREFIXES = {"u": "x", "v": "y", "w": "z"}
 
 
-@record
 class WorkedRow(NamedTuple):
     """One worked computation: `expression` (identity language) on a family
     with its parameters left symbolic, or on the generic algebra when
@@ -1275,7 +1273,7 @@ class WorkedRow(NamedTuple):
         if self.family is None:
             return Msc.generic(field)
         fam = family(self.family)
-        return fam.instantiate(field, _symbolic(fam.params, field))
+        return _instance(fam, field, _symbolic(fam.params, field))
 
     def shows(self, field: Field, terms: Sequence[tuple]) -> bool:
         """Whether the (row, monomial in x1..z2, polynomial) terms of an
@@ -1380,7 +1378,7 @@ def negative_instances(regime: str, identity_name: str, field: Field,
     out = []
     for fam in FAMILY_ORDER[regime]:
         args = tuple(two for _ in fam.params)
-        candidate = fam.instantiate(field, args)
+        candidate = _instance(fam, field, args)
         if any(row_covers(row, field, candidate) for row in rows):
             continue
         out.append((fam, args, candidate))

@@ -60,7 +60,6 @@ from .identity_lang import (
     word_terms,
 )
 from .multipoly import Monomial, MultiPoly, _within_bound, mon_degree, mon_sort_key, render_monomial
-from .records import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,7 +67,6 @@ if TYPE_CHECKING:
 COORD_PREFIXES = ("x", "y", "z", "s", "t", "q", "r")
 
 
-@record
 class Equation(NamedTuple):
     """One coefficient equation: (component row, coordinate monomial, polynomial)."""
 
@@ -239,7 +237,6 @@ def alternating_determinant_law(A: Msc, shape: Word) -> bool:
 # -- linear span comparison ------------------------------------------------------
 
 
-@record
 class SpanReport(NamedTuple):
     equal: bool
     missing_side: Optional[str] = None  # which input owns the unmatched polynomial
@@ -819,7 +816,6 @@ def msc_from_scan_index(p: int, index: int) -> Msc:
 # -- satisfaction checks ----------------------------------------------------------
 
 
-@record
 class FormalCheck(NamedTuple):
     ok: bool
     witness: Optional[Equation]

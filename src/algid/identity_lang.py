@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Tuple, Union
 
 from .errors import IdentitySyntaxError, UnknownIdentity
-from .records import record
 
 
 class _Node:
@@ -100,7 +99,6 @@ class Sum(_Node):
 Node = Union[Var, Prod, Comm, Assoc, Sum]
 
 
-@record
 class Identity(NamedTuple):
     name: str
     lhs: Sum

@@ -57,7 +57,6 @@ from .identity_lang import (
     identity_variables,
     parse_identity,
 )
-from .records import record
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +70,6 @@ FAIL = "fail"
 SKIP = "skip"
 
 
-@record
 class ReportRow(NamedTuple):
     section: str
     label: str
@@ -82,7 +80,6 @@ class ReportRow(NamedTuple):
         return self._asdict()
 
 
-@record
 class Report(NamedTuple):
     target: str
     field: Field

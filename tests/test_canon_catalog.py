@@ -24,6 +24,7 @@ from algid.canon_catalog import (
     REGIMES,
     SELF_OPPOSITE,
     _compiled,
+    _instance,
     _table,
     claimed_rows,
     family,
@@ -91,8 +92,9 @@ class TestFamilies:
     @pytest.mark.parametrize("field", [QQ, F2, F3, F5])
     def test_instantiate_memo_matches_a_fresh_build(self, field):
         """Every family of the field's regime at a few argument tuples: the
-        memoized algebra equals one built cell by cell from the template,
-        and a repeated call hands back the same object."""
+        catalog's memoized algebra equals one built cell by cell from the
+        template, and a repeated lookup hands back the same object; the
+        public `instantiate` returns an equal algebra that is not retained."""
         values = [field.scalar(v) for v in (0, 1, 2, -1, "1/2" if field.p != 2 else 1)]
         for fam in FAMILY_ORDER[regime_for_field(field)]:
             for k in range(len(values)):
@@ -100,9 +102,32 @@ class TestFamilies:
                 env = dict(zip(fam.params, args))
                 fresh = [[eval_expr(parse_expr(cell), field, env) for cell in row]
                          for row in fam.rows]
-                built = fam.instantiate(field, list(args))
+                built = _instance(fam, field, args)
                 assert built.field == field and [list(r) for r in built.rows] == fresh
-                assert fam.instantiate(field, args) is built
+                assert _instance(fam, field, args) is built
+                public = fam.instantiate(field, list(args))
+                assert public == built and public is not built
+                assert fam.instantiate(field, args) is not public
+
+    def test_public_instantiate_leaves_the_catalog_memo_alone(self):
+        """10,000 distinct public calls add nothing to `_instance`."""
+        fam, F101 = family("A2"), field_make(101)
+        before = _instance.cache_info().currsize
+        for point in itertools.islice(itertools.product(range(101), repeat=fam.arity), 10_000):
+            fam.instantiate(F101, tuple(map(F101.scalar, point)))
+        assert _instance.cache_info().currsize == before
+
+    def test_algebras_refuse_attribute_assignment(self):
+        """An Msc is immutable, so the algebras the catalog shares through
+        its memos cannot be changed under another caller."""
+        shared = claimed_rows(REGIME_CHAR3, "I1", F3)[0].instances(F3)[0].algebra
+        rows = shared.rows
+        for A in (shared, family("A4").instantiate(QQ, (_q(1), _q(0)))):
+            with pytest.raises(AttributeError):
+                A.rows = A.rows[::-1]
+            with pytest.raises(AttributeError):
+                A.field = F5
+        assert shared.rows is rows and shared.field == F3
 
     def test_instantiate_memo_raises_on_every_bad_call(self):
         a4 = family("A4")
