@@ -29,9 +29,8 @@ This module is data plus instantiation helpers; the checking logic lives in
 evaluated at a parameter point, and the family template at those values
 (`_instance`).  A point binds each free to a scalar or, at the
 row's symbolic point, to the polynomial variable of its own name; each text
-is compiled once per field and value domain (`compile_expr`, on plain
-values at a concrete point, on Scalars and polynomials at the symbolic
-point), so a symbolic check is the row's instance at its symbolic point.
+is compiled once per field (`compile_expr`, on Scalars and polynomials alike),
+so a symbolic check is the row's instance at its symbolic point.
 
 Rows known to be wrong in the source tables carry a non-empty ``erratum``
 note and are still checked (they are expected to fail with a witness, never
@@ -88,30 +87,19 @@ def _node_kinds(text: str) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def _compiled(text: str, field: Field, objects: bool):
-    """A catalog text compiled (`compile_expr`) on plain values or, with
-    `objects`, on Scalars and polynomials, built on first use; a paper pass
-    compiles 137 on plain values and 16 on objects."""
-    return compile_expr(_node(text), field, objects)
-
-
-def _evaluator(field: Field, env: Dict[str, object]):
-    """text -> its value at `env` by the compiled text: on plain values at a
-    concrete point, on objects where `env` binds anything but a Scalar over
-    `field` (a polynomial, at the symbolic point)."""
-    if all(isinstance(x, Scalar) and x.field == field for x in env.values()):
-        plain = {name: x.value for name, x in env.items()}
-        return lambda text: Scalar(field, _compiled(text, field, False)(plain))
-    return lambda text: _compiled(text, field, True)(env)
+def _compiled(text: str, field: Field):
+    """A catalog text compiled (`compile_expr`), built on first use; a paper
+    pass compiles 137."""
+    return compile_expr(_node(text), field)
 
 
 def _values_at(field: Field, env: Dict[str, object], *groups: Sequence[str]):
     """(values, "") with a tuple of values per group of texts at `env` (Scalars,
     or polynomials where `env` binds one), or (None, skip reason) when a
     square root or an inverse is unavailable."""
-    value = _evaluator(field, env)
     try:
-        return tuple(tuple(map(value, group)) for group in groups), ""
+        return tuple(tuple(_compiled(text, field)(env) for text in group)
+                     for group in groups), ""
     except SqrtUnavailable as exc:
         return None, "square root unavailable: %s" % exc
     except DivisionByZero as exc:
@@ -161,9 +149,9 @@ class _RowTable:
         row = self.row
         if not (row.nonzero or row.zero):
             return True
-        value = _evaluator(self.field, dict(zip(row.frees, point)))
-        return (not any(value(text).is_zero() for text in row.nonzero)
-                and all(value(text).is_zero() for text in row.zero))
+        field, env = self.field, dict(zip(row.frees, point))
+        return (not any(_compiled(text, field)(env).is_zero() for text in row.nonzero)
+                and all(_compiled(text, field)(env).is_zero() for text in row.zero))
 
     @cached_property
     def symbolic(self):
@@ -173,8 +161,8 @@ class _RowTable:
     def instances(self) -> tuple:
         field, frees = self.field, self.row.frees
         if field.kind == "Q":
-            value = _evaluator(field, {})
-            pts = [tuple(map(value, s)) for s in self.row.samples] if frees else [()]
+            pts = ([tuple(_compiled(text, field)({}) for text in s) for s in self.row.samples]
+                   if frees else [()])
         elif field.p ** len(frees) > ENUM_LIMIT:
             raise SearchSpaceTooLarge(
                 "%d parameter points over F_%d is over the enumeration limit"
@@ -237,8 +225,8 @@ def _build(fam: Family, field: Field, args: tuple) -> Msc:
         raise ParamCountMismatch(
             "family %s takes %d parameter(s), got %d"
             % (fam.name, fam.arity, len(args)))
-    value = _evaluator(field, dict(zip(fam.params, args)))
-    return Msc(field, [[value(cell) for cell in row] for row in fam.rows])
+    env = dict(zip(fam.params, args))
+    return Msc(field, [[_compiled(cell, field)(env) for cell in row] for row in fam.rows])
 
 
 # Claim, opposite and worked rows and negative spot-check candidates share

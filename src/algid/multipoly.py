@@ -8,7 +8,7 @@ form is unique and equality is plain dict equality.  Operands, `const`,
 the small scalar-expression language ("2 a1 - 1", "sqrt(a1 + b2)",
 "b1/b2^2") used by the family catalog and by transcribed fixture systems.
 Its one evaluator, `compile_expr`, compiles a parsed text into closures on
-plain values or on Scalars and polynomials (`eval_expr`, `expr_to_poly`).
+Scalars and polynomials (`eval_expr`, `expr_to_poly`).
 """
 
 from __future__ import annotations
@@ -368,69 +368,53 @@ def _names(node: _Node) -> set:
     return set().union(*(_names(c) for c in node[1:] if isinstance(c, tuple)))
 
 
-def _domain(field: Field, objects: bool):
-    """What the two value domains of `compile_expr` differ in: how a step's
-    result is reduced, how a value is lifted to a constant plain value (or
-    refused with the given message), how a plain value is lowered back, and
-    how bits are counted (None where values never grow)."""
-    if objects:
-        return (lambda x: x), _constant, (lambda v: Scalar(field, v)), _bits
-    bits = _value_bits if field.kind == "Q" else None
-    return field.reduce, (lambda v, what: v), (lambda v: v), bits
-
-
-def compile_expr(node: _Node, field: Field, objects: bool = False):
+def compile_expr(node: _Node, field: Field):
     """The evaluator of the expression language: `node` over `field` as a
-    function of a dict binding its variables.  On plain values (a residue
-    over F_p, a Fraction over Q, normalised by `Field.reduce` at every step)
-    by default; with `objects`, on Scalars and polynomials, giving a Scalar,
-    or a polynomial where a polynomial takes part.  A denominator is
-    evaluated before its numerator, other operands left to right, and an
-    operation that could pass `MAX_BITS` is refused before it runs."""
-    reduce, lift, lower, bits = _domain(field, objects)
+    function of a dict binding its variables to Scalars or polynomials,
+    giving a Scalar, or a polynomial where a polynomial takes part.  A
+    denominator is evaluated before its numerator, other operands left to
+    right, and an operation that could pass `MAX_BITS` is refused before it
+    runs."""
     kind = node[0]
     if kind == "num":
-        value = lower(field.scalar(node[1]).value)
+        value = field.scalar(node[1])
         return lambda env: value
     if kind == "var":
         name = node[1]
         return lambda env: env[name] if name in env else _unbound(name)
-    f = compile_expr(node[1], field, objects)
+    f = compile_expr(node[1], field)
     if kind == "neg":
-        return lambda env: reduce(-f(env))
+        return lambda env: -f(env)
     if kind == "sqrt":
         def root(env):
-            rad = lift(f(env), "sqrt of a non-constant expression")
+            rad = _constant(f(env), "sqrt of a non-constant expression")
             r = field.sqrt(rad)
             if r is None:
                 raise SqrtUnavailable(Scalar(field, rad))
-            return lower(r)
+            return Scalar(field, r)
         return root
     if kind == "pow":
-        def power(env, e=node[2], one=lower(field.one().value)):
+        def power(env, e=node[2], one=field.one()):
             x = f(env)
-            if bits:
-                _within_bound(bits(x) * e)
-            return reduce(_power(x, e, one))
+            _within_bound(_bits(x) * e)
+            return _power(x, e, one)
         return power
-    g = compile_expr(node[2], field, objects)
+    g = compile_expr(node[2], field)
     if kind == "div":
         def quotient(env):
-            den = lift(g(env), "division by a non-constant expression")
+            den = _constant(g(env), "division by a non-constant expression")
             if not den:
                 raise DivisionByZero("denominator vanishes in expression")
-            x = f(env)
-            if bits:
-                _within_bound(bits(x) + bits(lower(den)))
-            return reduce(x * lower(field.inverse(den)))
+            x, inverse = f(env), Scalar(field, field.inverse(den))
+            _within_bound(_bits(x) + _bits(inverse))
+            return x * inverse
         return quotient
     op = _ARITHMETIC[kind]
 
     def arithmetic(env):
         x, y = f(env), g(env)
-        if bits:
-            _within_bound(bits(x) + bits(y))
-        return reduce(op(x, y))
+        _within_bound(_bits(x) + _bits(y))
+        return op(x, y)
     return arithmetic
 
 
@@ -441,7 +425,7 @@ def eval_expr(node: _Node, field: Field, env: Mapping[str, object]):
     Raises SqrtUnavailable when a radicand is a nonsquare and DivisionByZero
     when a denominator vanishes — callers treat both as "point not realizable".
     """
-    return compile_expr(node, field, objects=True)(env)
+    return compile_expr(node, field)(env)
 
 
 def expr_to_poly(node: _Node, field: Field, env: Optional[Mapping[str, object]] = None) -> MultiPoly:

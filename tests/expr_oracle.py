@@ -1,6 +1,6 @@
 """The tree walker of the expression language: the test oracle of
 `algid.multipoly.compile_expr`, which evaluates through compiled closures
-instead, on plain values and on Scalars and polynomials.
+instead, on the same Scalars and polynomials.
 
 `_evaluate`, `_constant` and `_bits` are kept as they were before the
 compiled closures replaced them, so the differential tests compare the

@@ -169,8 +169,8 @@ def test_parse_expr_nesting_depth_is_bounded():
 @pytest.mark.parametrize("sep", ["+", "*", " "], ids=["sum", "product", "adjacency"])
 def test_parse_expr_tree_depth_is_bounded(sep):
     """A flat chain is as deep as it is long: one of MAX_DEPTH levels still
-    evaluates in both value domains and as a polynomial, and one level more
-    is refused at the token that starts it."""
+    evaluates, to a Scalar and as a polynomial, and one level more is
+    refused at the token that starts it."""
     def chain(n, term):
         return sep.join([term] * n)
 
@@ -178,7 +178,6 @@ def test_parse_expr_tree_depth_is_bounded(sep):
     for field in (QQ, F3):
         two = field.scalar(2)
         want = field.scalar(2 * MAX_DEPTH if sep == "+" else 2 ** MAX_DEPTH)
-        assert compile_expr(node, field)({"x": two.value}) == want.value
         assert eval_expr(node, field, {"x": two}) == want
     x = MultiPoly.var(QQ, "x")
     assert expr_to_poly(node, QQ) == (x * QQ.scalar(MAX_DEPTH) if sep == "+" else x ** MAX_DEPTH)
@@ -482,10 +481,10 @@ def test_constructor_reduces_any_exact_number():
 
 
 def test_evaluation_leaves_no_reference_cycles():
-    """Compiling and evaluating an expression, in either domain, leaves no
-    reference cycle for the cycle collector to reclaim (as a recursive
-    function nested in a closure would, reaching itself through its cell): a
-    paper pass evaluates tens of thousands of expressions."""
+    """Compiling and evaluating an expression leaves no reference cycle for
+    the cycle collector to reclaim (as a recursive function nested in a
+    closure would, reaching itself through its cell): a paper pass evaluates
+    tens of thousands of expressions."""
     node = parse_expr("(a + 1)*(a - 2)^2/3 - sqrt(4)")
     poly = parse_expr("x^2 + 2*y")
     gc.collect()
@@ -493,7 +492,7 @@ def test_evaluation_leaves_no_reference_cycles():
     try:
         for _ in range(50):
             eval_expr(node, QQ, {"a": QQ.scalar(5)})
-            compile_expr(node, QQ)({"a": Fraction(5)})
+            compile_expr(node, QQ)({"a": QQ.scalar(5)})
             expr_to_poly(poly, F3)
         assert gc.collect() == 0
     finally:
@@ -517,12 +516,9 @@ def test_parsing_and_walking_leave_no_reference_cycles():
         gc.enable()
 
 
-def _both_domains(node, field, env):
-    """`node` at `env` (Scalars over `field`) by the compiled closures, on
-    plain values and on objects."""
-    plain = {name: x.value for name, x in env.items()}
-    return (outcome(lambda: Scalar(field, compile_expr(node, field)(plain))),
-            outcome(lambda: compile_expr(node, field, objects=True)(env)))
+def _compiled_outcome(node, field, env):
+    """The outcome of `node` at `env` by the compiled closures."""
+    return outcome(lambda: compile_expr(node, field)(env))
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=str)
@@ -535,13 +531,13 @@ def _both_domains(node, field, env):
     "q + a",                # an unbound variable
 ])
 def test_compiled_expressions_match_the_walker(field, text):
-    """Both domains of the compiled closures give the walker's value, or its
-    error with the same message, refusing in the same order."""
+    """The compiled closures give the walker's value, or its error with the
+    same message, refusing in the same order."""
     node = parse_expr(text)
     for a, b in itertools.product(range(-2, 3), repeat=2):
         env = {"a": field.scalar(a), "b": field.scalar(b)}
         want = outcome(lambda: oracle.eval_expr(node, field, env))
-        assert _both_domains(node, field, env) == (want, want), (text, a, b)
+        assert _compiled_outcome(node, field, env) == want, (text, a, b)
 
 
 @pytest.mark.parametrize("text,refused", [
@@ -549,15 +545,56 @@ def test_compiled_expressions_match_the_walker(field, text):
     ("a^2", True), ("-a", False), ("a^1", False), ("a", False)])
 def test_compiled_expressions_keep_the_bit_bound(text, refused):
     """Over Q a value of MAX_BITS bits passes bare, negated or to the first
-    power, and any other operation on it is refused, in both domains as by
-    the walker; over F_p residues never grow."""
+    power, and any other operation on it is refused, by the compiled
+    closures as by the walker; over F_p residues never grow."""
     big = 2 ** (MAX_BITS - 1)
     node = parse_expr(text)
     env = {"a": QQ.scalar(big)}
     want = outcome(lambda: oracle.eval_expr(node, QQ, env))
-    assert _both_domains(node, QQ, env) == (want, want)
+    assert _compiled_outcome(node, QQ, env) == want
     assert (want == (NumberTooLong, f"a value longer than {MAX_BITS} bits would be computed")) \
         == refused
     env = {"a": F5.scalar(big)}
     want = outcome(lambda: oracle.eval_expr(node, F5, env))
-    assert want[0] is Scalar and _both_domains(node, F5, env) == (want, want)
+    assert want[0] is Scalar and _compiled_outcome(node, F5, env) == want
+
+
+def _expr_texts(depth):
+    """Texts of the expression language in the names a and b and the integers
+    0-5, with + - * /, unary minus, ^0 to ^3 and sqrt, at most `depth`
+    operations deep."""
+    leaf = st.sampled_from(["a", "b", "0", "1", "2", "3", "4", "5"])
+    if depth == 0:
+        return leaf
+    sub = _expr_texts(depth - 1)
+    return st.one_of(
+        leaf,
+        *(st.tuples(sub, sub).map(("(%s " + op + " %s)").__mod__) for op in "+-*/"),
+        sub.map("-(%s)".__mod__),
+        st.tuples(sub, st.integers(0, 3)).map("(%s)^%d".__mod__),
+        sub.map("sqrt(%s)".__mod__),
+    )
+
+
+def _binding(field, draw):
+    """A random Scalar of `field`: a small rational over Q, a residue over F_p."""
+    num = draw(st.integers(-5, 5))
+    if field.kind == "Q":
+        return field.scalar(Fraction(num, draw(st.integers(1, 5))))
+    return field.scalar(num)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, F2, F3, F5]), _expr_texts(4), st.data())
+def test_compiled_random_texts_match_the_walker(field, text, data):
+    """Random texts give the walker's outcome by the compiled closures, the
+    same value and type or the same error and message, with a and b bound to
+    Scalars and with b bound to a polynomial."""
+    node = parse_expr(text)
+    a, b, c = (_binding(field, data.draw) for _ in range(3))
+    x = MultiPoly.var(field, "b")
+    poly = data.draw(st.sampled_from([x, x + c, x * x - c, MultiPoly.const(field, c),
+                                      MultiPoly.zero(field)]))
+    for env in ({"a": a, "b": b}, {"a": a, "b": poly}):
+        want = outcome(lambda: oracle.eval_expr(node, field, env))
+        assert _compiled_outcome(node, field, env) == want, (text, env)
